@@ -8,7 +8,8 @@ comparison).
 
 Exit codes: 0 when the checked inequalities hold or their hypotheses are
 not met, 1 when a hypothesis-valid inequality is violated (or a suite
-records failures), 2 on input or configuration errors.
+records failures), 2 on input or configuration errors and on results that
+overflow the floating-point range.
 """
 
 from __future__ import annotations
@@ -20,39 +21,10 @@ import sys
 from . import __version__, harness, reporting, scalar
 from .harness import ConfigError, EmptyRegionError, SuiteConfig
 from .matrices import JacobiConvergenceError, MatrixError, load_spd_matrix
-from .operators import OPERATOR_FAMILIES
+from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .scalar import DomainError
 
 _SEED_ENV = "MEANBOUND_SEED"
-
-_SCALAR_CLI = {
-    "reverse-young-basic": (lambda a, b, v, n, br, form: scalar.reverse_young_basic(a, b, v),
-                            False, None),
-    "corollary-one-term": (lambda a, b, v, n, br, form: scalar.corollary_one_term(a, b, v, br),
-                           False, "branch"),
-    "theorem-main-reverse": (lambda a, b, v, n, br, form: scalar.theorem_main_reverse(a, b, v, n, br),
-                             True, "branch"),
-    "lemma-sm-reverse": (lambda a, b, v, n, br, form: scalar.lemma_sm_reverse(a, b, v, n, br),
-                         True, "branch"),
-    "kittaneh-manasrah": (lambda a, b, v, n, br, form: scalar.kittaneh_manasrah(a, b, v),
-                          False, None),
-    "zhao-wu-forward": (lambda a, b, v, n, br, form: scalar.zhao_wu_forward(a, b, v),
-                        False, None),
-    "zhao-wu-reverse": (lambda a, b, v, n, br, form: scalar.zhao_wu_reverse(a, b, v, form),
-                        False, "form"),
-    "sababheh-choi-forward": (lambda a, b, v, n, br, form: scalar.sababheh_choi_forward(a, b, v, n),
-                              True, None),
-    "theorem-extended-sc": (lambda a, b, v, n, br, form: scalar.theorem_extended_sc(a, b, v, n, br),
-                            True, "branch"),
-    "heinz-reverse-main": (lambda a, b, v, n, br, form: scalar.heinz_reverse_main(a, b, v, n, br),
-                           True, "branch"),
-    "heinz-reverse-sc": (lambda a, b, v, n, br, form: scalar.heinz_reverse_sc(a, b, v, n, br),
-                         True, "branch"),
-}
-
-_OPERATOR_CLI = {"theorem-t6": "t6", "theorem-t66": "t66",
-                 "corollary-c3": "c3", "corollary-c33": "c33",
-                 "t6": "t6", "t66": "t66", "c3": "c3", "c33": "c33"}
 
 # Published values of the reference-point comparison (a=1, b=16, v=1/8):
 # the two-term dyadic bound (19) and the quoted value for the depth-2
@@ -110,35 +82,35 @@ def _short(value) -> str:
 
 def cmd_bound(args) -> int:
     family = args.family
-    if family not in _SCALAR_CLI:
+    rows = [row for row in harness.SCALAR_ROWS if row.family == family]
+    if not rows:
+        names = sorted({row.family for row in harness.SCALAR_ROWS})
         raise DomainError(f"unknown family {family!r}; scalar families: "
-                          f"{', '.join(sorted(_SCALAR_CLI))}")
-    fn, needs_n, selector = _SCALAR_CLI[family]
-    if needs_n and args.n is None:
+                          f"{', '.join(names)}")
+    if rows[0].min_depth is not None and args.n is None:
         raise DomainError(f"family {family} requires --n")
-    if selector == "branch" and args.branch is None:
+    if rows[0].branch == "i" and args.branch is None:
         raise DomainError(f"family {family} requires --branch i|ii")
-    rep = fn(args.a, args.b, args.v, args.n, args.branch, args.form)
+    # one row, or one per branch (picked by --branch) or per form (--form)
+    row = next(r for r in rows if r.branch in ("", args.branch, args.form))
+    rep = row.evaluate(args.a, args.b, args.v, args.n)
     doc = _doc({"command": "bound"}, [rep.as_dict()], [])
     _emit(doc, [rep.as_dict()], _report_text(rep), args.format, args.out)
     return 0 if (rep.holds or not rep.hypothesis_ok) else 1
 
 
 def cmd_check_scalar(args) -> int:
-    wanted = args.family if args.family else sorted(_SCALAR_CLI)
+    wanted = args.family or sorted({row.family for row in harness.SCALAR_ROWS})
     results, lines, violated = [], [], False
     for family in wanted:
-        if family not in _SCALAR_CLI:
+        rows = [row for row in harness.SCALAR_ROWS if row.family == family]
+        if not rows:
             raise DomainError(f"unknown family {family!r}")
-        fn, needs_n, selector = _SCALAR_CLI[family]
-        branches = ("i", "ii") if selector == "branch" else (
-            ("lemma", "proposition") if selector == "form" else ("",))
-        for branch in branches:
+        for row in rows:
             try:
-                rep = fn(args.a, args.b, args.v, args.n, branch,
-                         branch if selector == "form" else "lemma")
+                rep = row.evaluate(args.a, args.b, args.v, args.n)
             except DomainError as exc:
-                lines.append(f"{family}/{branch}: not applicable ({exc})")
+                lines.append(f"{family}/{row.branch}: not applicable ({exc})")
                 continue
             results.append(rep.as_dict())
             lines.append(_report_text(rep))
@@ -150,15 +122,15 @@ def cmd_check_scalar(args) -> int:
 
 
 def cmd_check_operator(args) -> int:
-    family = _OPERATOR_CLI.get(args.family)
+    family = OPERATOR_BY_NAME.get(args.family)
     if family is None:
         raise DomainError(f"unknown operator family {args.family!r}; families: "
-                          f"theorem-t6, theorem-t66, corollary-c3, corollary-c33")
+                          f"{', '.join(fam.name for fam in OPERATOR_TABLE)}")
     if args.n is None:
         raise DomainError("check-operator requires --n")
     mat_a = load_spd_matrix(args.matrix_a)
     mat_b = load_spd_matrix(args.matrix_b)
-    rep = OPERATOR_FAMILIES[family](mat_a, mat_b, args.v, args.n, args.branch or "i")
+    rep = family.evaluate(mat_a, mat_b, args.v, args.n, args.branch or "i")
     doc = _doc({"command": "check-operator"}, [rep.as_dict()], [])
     _emit(doc, [rep.as_dict()], _report_text(rep), args.format, args.out)
     return 0 if (rep.holds or not rep.hypothesis_ok) else 1
@@ -409,7 +381,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DomainError, MatrixError, ConfigError, EmptyRegionError,
-            JacobiConvergenceError, OSError) as exc:
+            JacobiConvergenceError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

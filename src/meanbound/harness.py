@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scalar
 from .matrices import SpdMatrix
-from .operators import OPERATOR_FAMILIES, OPERATOR_MIN_DEPTH
+from .operators import BRANCHES, OPERATOR_BY_NAME, OPERATOR_TABLE
 from .rng import Xoshiro256StarStar, derive_seed, fnv1a64
 from .scalar import (
     BoundReport,
@@ -202,147 +202,100 @@ class FamilyRow:
     ops: tuple
 
 
-def _rows_scalar() -> list:
-    s = scalar
-    base = ("young_lhs", "weighted_geometric")
-    idx = ("sababheh_indices", "refinement_sum_S")
-    rows = [
-        FamilyRow("reverse-young-basic", "reverse-young-basic", "", None,
-                  lambda n: Region("outside", 0.0, 1.0),
-                  lambda n: (0.0, 1.0),
-                  lambda a, b, v, n: s.reverse_young_basic(a, b, v),
-                  ("reverse_young_basic",) + base),
-        FamilyRow("corollary-one-term/i", "corollary-one-term", "i", None,
-                  lambda n: Region("outside", 0.0, 0.5),
-                  lambda n: (0.0, 0.5),
-                  lambda a, b, v, n: s.corollary_one_term(a, b, v, "i"),
-                  ("corollary_one_term",) + base),
-        FamilyRow("corollary-one-term/ii", "corollary-one-term", "ii", None,
-                  lambda n: Region("outside", 0.5, 1.0),
-                  lambda n: (0.5, 1.0),
-                  lambda a, b, v, n: s.corollary_one_term(a, b, v, "ii"),
-                  ("corollary_one_term",) + base),
-        FamilyRow("theorem-main-reverse/i", "theorem-main-reverse", "i", 1,
-                  lambda n: Region("outside", *window_dyadic_high(n)),
-                  lambda n: window_dyadic_high(n),
-                  lambda a, b, v, n: s.theorem_main_reverse(a, b, v, n, "i"),
-                  ("theorem_main_reverse",) + base),
-        FamilyRow("theorem-main-reverse/ii", "theorem-main-reverse", "ii", 1,
-                  lambda n: Region("outside", *window_dyadic_low(n)),
-                  lambda n: window_dyadic_low(n),
-                  lambda a, b, v, n: s.theorem_main_reverse(a, b, v, n, "ii"),
-                  ("theorem_main_reverse",) + base),
-        FamilyRow("lemma-sm-reverse/i", "lemma-sm-reverse", "i", 1,
-                  lambda n: Region("inside", 0.0, 0.5),
-                  lambda n: (0.5,),
-                  lambda a, b, v, n: s.lemma_sm_reverse(a, b, v, n, "i"),
-                  ("lemma_sm_reverse",) + idx + base),
-        FamilyRow("lemma-sm-reverse/ii", "lemma-sm-reverse", "ii", 1,
-                  lambda n: Region("inside", 0.5, 1.0),
-                  lambda n: (0.5,),
-                  lambda a, b, v, n: s.lemma_sm_reverse(a, b, v, n, "ii"),
-                  ("lemma_sm_reverse",) + idx + base),
-        FamilyRow("kittaneh-manasrah", "kittaneh-manasrah", "", None,
-                  lambda n: Region("inside", 0.0, 1.0),
-                  lambda n: (0.0, 1.0),
-                  lambda a, b, v, n: s.kittaneh_manasrah(a, b, v),
-                  ("kittaneh_manasrah",) + base),
-        FamilyRow("zhao-wu-forward", "zhao-wu-forward", "", None,
-                  lambda n: Region("inside", 0.0, 1.0),
-                  lambda n: (0.0, 1.0),
-                  lambda a, b, v, n: s.zhao_wu_forward(a, b, v),
-                  ("zhao_wu_forward",) + base),
-        FamilyRow("zhao-wu-reverse/lemma", "zhao-wu-reverse", "lemma", None,
-                  lambda n: Region("inside", 0.0, 1.0),
-                  lambda n: (),
-                  lambda a, b, v, n: s.zhao_wu_reverse(a, b, v, "lemma"),
-                  ("zhao_wu_reverse",) + base),
-        FamilyRow("zhao-wu-reverse/proposition", "zhao-wu-reverse", "proposition", None,
-                  lambda n: Region("inside", 0.0, 1.0),
-                  lambda n: (),
-                  lambda a, b, v, n: s.zhao_wu_reverse(a, b, v, "proposition"),
-                  ("zhao_wu_reverse",) + base),
-        FamilyRow("sababheh-choi-forward", "sababheh-choi-forward", "", 1,
-                  lambda n: Region("inside", 0.0, 1.0),
-                  lambda n: (0.0, 1.0),
-                  lambda a, b, v, n: s.sababheh_choi_forward(a, b, v, n),
-                  ("sababheh_choi_forward",) + idx + base),
-        FamilyRow("theorem-extended-sc/i", "theorem-extended-sc", "i", 1,
-                  lambda n: Region("outside", *window_sc_low(n)),
-                  lambda n: window_sc_low(n),
-                  lambda a, b, v, n: s.theorem_extended_sc(a, b, v, n, "i"),
-                  ("theorem_extended_sc",) + base),
-        FamilyRow("theorem-extended-sc/ii", "theorem-extended-sc", "ii", 1,
-                  lambda n: Region("outside", *window_sc_high(n)),
-                  lambda n: window_sc_high(n),
-                  lambda a, b, v, n: s.theorem_extended_sc(a, b, v, n, "ii"),
-                  ("theorem_extended_sc",) + base),
-        FamilyRow("heinz-reverse-main/i", "heinz-reverse-main", "i", 2,
-                  lambda n: Region("outside", *window_dyadic_high(n)),
-                  lambda n: window_dyadic_high(n),
-                  lambda a, b, v, n: s.heinz_reverse_main(a, b, v, n, "i"),
-                  ("heinz_reverse_main", "heinz_scalar") + base),
-        FamilyRow("heinz-reverse-main/ii", "heinz-reverse-main", "ii", 2,
-                  lambda n: Region("outside", *window_dyadic_low(n)),
-                  lambda n: window_dyadic_low(n),
-                  lambda a, b, v, n: s.heinz_reverse_main(a, b, v, n, "ii"),
-                  ("heinz_reverse_main", "heinz_scalar") + base),
-        FamilyRow("heinz-reverse-sc/i", "heinz-reverse-sc", "i", 1,
-                  lambda n: Region("outside", *window_sc_low(n)),
-                  lambda n: window_sc_low(n),
-                  lambda a, b, v, n: s.heinz_reverse_sc(a, b, v, n, "i"),
-                  ("heinz_reverse_sc", "heinz_scalar") + base),
-        FamilyRow("heinz-reverse-sc/ii", "heinz-reverse-sc", "ii", 1,
-                  lambda n: Region("outside", *window_sc_high(n)),
-                  lambda n: window_sc_high(n),
-                  lambda a, b, v, n: s.heinz_reverse_sc(a, b, v, n, "ii"),
-                  ("heinz_reverse_sc", "heinz_scalar") + base),
-    ]
-    return rows
+@dataclass(frozen=True)
+class ScalarFamily:
+    """One scalar family: the single place its suite rows and CLI entry come from.
+
+    ``windows`` pairs with ``branches``; each window is a (lo, hi) pair or a
+    function of the depth.  The suite samples the complement of the window
+    for an "outside" family and the window itself for an "inside" one.
+    ``probe`` lists the boundary-probe weights (None: the window endpoints).
+    Coverage counts the evaluator's function name, ``ops`` and the base means.
+    """
+
+    name: str
+    evaluate: Callable
+    branches: tuple
+    min_depth: Optional[int]  # None: the family takes no depth
+    kind: str
+    windows: tuple
+    probe: Optional[tuple] = None
+    ops: tuple = ()
 
 
-def _rows_operator() -> list:
-    windows = {
-        ("t6", "i"): window_dyadic_high, ("t6", "ii"): window_dyadic_low,
-        ("t66", "i"): window_sc_low, ("t66", "ii"): window_sc_high,
-        ("c3", "i"): window_dyadic_high, ("c3", "ii"): window_dyadic_low,
-        ("c33", "i"): window_sc_low, ("c33", "ii"): window_sc_high,
-    }
-    op_names = {"t6": "theorem_t6", "t66": "theorem_t66",
-                "c3": "corollary_c3", "c33": "corollary_c33"}
-    rows = []
-    for fam in ("t6", "t66", "c3", "c33"):
-        for branch in ("i", "ii"):
-            window = windows[(fam, branch)]
-            rows.append(FamilyRow(
-                f"{fam}/{branch}", fam, branch, OPERATOR_MIN_DEPTH[fam],
-                lambda n, _w=window: Region("outside", *_w(n)),
-                lambda n, _w=window: _w(n),
-                lambda a, b, v, n, _fn=OPERATOR_FAMILIES[fam], _br=branch:
-                    _fn(a, b, v, n, _br),
-                (op_names[fam],),
-            ))
-    return rows
+_BASE_OPS = ("young_lhs", "weighted_geometric")
+_INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
+_UNIT = ((0.0, 1.0),)
 
-
-SCALAR_ROWS = _rows_scalar()
-OPERATOR_ROWS = _rows_operator()
-
-_SCALAR_FAMILY_NAMES = {row.family for row in SCALAR_ROWS}
-_OPERATOR_FAMILY_NAMES = {row.family for row in OPERATOR_ROWS} | {
-    "theorem-t6", "theorem-t66", "corollary-c3", "corollary-c33"}
-_KNOWN_FAMILY_SELECTORS = (
-    {"all", "scalar", "operator", "comparison"}
-    | _SCALAR_FAMILY_NAMES | _OPERATOR_FAMILY_NAMES
-    | {row.key for row in SCALAR_ROWS} | {row.key for row in OPERATOR_ROWS}
+# Every scalar family in suite order, read by the suite rows and the CLI.
+SCALAR_TABLE = (
+    ScalarFamily("reverse-young-basic", scalar.reverse_young_basic, ("",), None,
+                 "outside", _UNIT),
+    ScalarFamily("corollary-one-term", scalar.corollary_one_term, BRANCHES, None,
+                 "outside", ((0.0, 0.5), (0.5, 1.0))),
+    ScalarFamily("theorem-main-reverse", scalar.theorem_main_reverse, BRANCHES, 1,
+                 "outside", (window_dyadic_high, window_dyadic_low)),
+    ScalarFamily("lemma-sm-reverse", scalar.lemma_sm_reverse, BRANCHES, 1,
+                 "inside", ((0.0, 0.5), (0.5, 1.0)), probe=(0.5,), ops=_INDEX_OPS),
+    ScalarFamily("kittaneh-manasrah", scalar.kittaneh_manasrah, ("",), None,
+                 "inside", _UNIT),
+    ScalarFamily("zhao-wu-forward", scalar.zhao_wu_forward, ("",), None,
+                 "inside", _UNIT),
+    ScalarFamily("zhao-wu-reverse", scalar.zhao_wu_reverse, ("lemma", "proposition"),
+                 None, "inside", _UNIT * 2, probe=()),
+    ScalarFamily("sababheh-choi-forward", scalar.sababheh_choi_forward, ("",), 1,
+                 "inside", _UNIT, ops=_INDEX_OPS),
+    ScalarFamily("theorem-extended-sc", scalar.theorem_extended_sc, BRANCHES, 1,
+                 "outside", (window_sc_low, window_sc_high)),
+    ScalarFamily("heinz-reverse-main", scalar.heinz_reverse_main, BRANCHES, 2,
+                 "outside", (window_dyadic_high, window_dyadic_low), ops=("heinz_scalar",)),
+    ScalarFamily("heinz-reverse-sc", scalar.heinz_reverse_sc, BRANCHES, 1,
+                 "outside", (window_sc_low, window_sc_high), ops=("heinz_scalar",)),
 )
 
-_OPERATOR_ALIASES = {"theorem-t6": "t6", "theorem-t66": "t66",
-                     "corollary-c3": "c3", "corollary-c33": "c33"}
+
+def _row(key, family, branch, min_depth, kind, window, probe, evaluate, ops) -> FamilyRow:
+    bounds = window if callable(window) else (lambda n: window)
+    return FamilyRow(key, family, branch, min_depth,
+                     lambda n: Region(kind, *bounds(n)),
+                     bounds if probe is None else (lambda n: probe),
+                     evaluate, ops)
+
+
+def _scalar_evaluator(fn, takes_depth: bool, branch: str) -> Callable:
+    """fn as a row evaluator (a, b, v, n), passing n and the branch or form
+    only to the families that take them."""
+    extra = (branch,) if branch else ()
+    if takes_depth:
+        return lambda a, b, v, n: fn(a, b, v, n, *extra)
+    return lambda a, b, v, n: fn(a, b, v, *extra)
+
+
+SCALAR_ROWS = [
+    _row(f"{fam.name}/{branch}" if branch else fam.name, fam.name, branch,
+         fam.min_depth, fam.kind, window, fam.probe,
+         _scalar_evaluator(fam.evaluate, fam.min_depth is not None, branch),
+         (fam.evaluate.__name__,) + fam.ops + _BASE_OPS)
+    for fam in SCALAR_TABLE
+    for branch, window in zip(fam.branches, fam.windows)
+]
+OPERATOR_ROWS = [
+    _row(f"{fam.key}/{branch}", fam.key, branch, fam.min_depth, "outside", window,
+         None, lambda a, b, v, n, _fn=fam.evaluate, _br=branch: _fn(a, b, v, n, _br),
+         (fam.evaluate.__name__,))
+    for fam in OPERATOR_TABLE
+    for branch, window in zip(BRANCHES, fam.windows)
+]
+
+_KNOWN_FAMILY_SELECTORS = (
+    {"all", "scalar", "operator", "comparison"} | set(OPERATOR_BY_NAME)
+    | {row.family for row in SCALAR_ROWS} | {row.key for row in SCALAR_ROWS + OPERATOR_ROWS}
+)
 
 
 def _selected(cfg: SuiteConfig, rows: list, kind: str) -> list:
-    wanted = {_OPERATOR_ALIASES.get(name, name) for name in cfg.families}
+    wanted = {OPERATOR_BY_NAME[name].key if name in OPERATOR_BY_NAME else name
+              for name in cfg.families}
     if "all" in wanted:
         return rows
     return [row for row in rows
@@ -442,20 +395,38 @@ def _depth_candidates(cfg: SuiteConfig, row: FamilyRow) -> list:
     return candidates
 
 
+def _pick(seq, rng: Xoshiro256StarStar):
+    return seq[rng.randint(len(seq))] if len(seq) > 1 else seq[0]
+
+
+def _draw_weight(cfg: SuiteConfig, row: FamilyRow, n, rng: Xoshiro256StarStar):
+    """The trial's weight: a boundary-probe point, or a sample of the row's
+    hypothesis region; None when there is none and the trial is skipped."""
+    if cfg.boundary_probe:
+        points = row.probe(n)
+        return _pick(points, rng) if points else None
+    try:
+        return sample_weight(row.region(n), cfg.v_range, cfg.margin, rng)
+    except EmptyRegionError:
+        # hypothesis region unreachable in the configured v range
+        return None
+
+
+def _run_suite(cfg: SuiteConfig, kind: str, rows: list, run_row) -> SuiteReport:
+    cfg.validate()
+    start = time.perf_counter()
+    coverage: dict = {}
+    rows_out = [run_row(cfg, row, coverage) for row in _selected(cfg, rows, kind)]
+    return SuiteReport(kind, cfg.as_dict(), rows_out, coverage, time.perf_counter() - start)
+
+
 def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample each scalar row inside its hypothesis region and collect verdicts.
 
     A trial fails iff the hypothesis held and the oriented gap fell below
     -rel_tol * (|lhs| + |rhs|); evaluation errors are failures with a cause.
     """
-    cfg.validate()
-    start = time.perf_counter()
-    rows_out, coverage = [], {}
-    for row in _selected(cfg, SCALAR_ROWS, "scalar"):
-        result = _run_scalar_row(cfg, row, coverage)
-        rows_out.append(result)
-    return SuiteReport("scalar", cfg.as_dict(), rows_out, coverage,
-                       time.perf_counter() - start)
+    return _run_suite(cfg, "scalar", SCALAR_ROWS, _run_scalar_row)
 
 
 def _run_scalar_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResult:
@@ -468,22 +439,13 @@ def _run_scalar_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResu
     probing = cfg.boundary_probe
     for trial in range(cfg.trials):
         rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
-        n = depths[rng.randint(len(depths))] if len(depths) > 1 else depths[0]
+        n = _pick(depths, rng)
         a = rng.log_uniform(lo, hi)
         b = rng.log_uniform(lo, hi)
-        if probing:
-            points = row.probe(n)
-            if not points:
-                skipped += 1
-                continue
-            v = points[rng.randint(len(points))] if len(points) > 1 else points[0]
-        else:
-            try:
-                v = sample_weight(row.region(n), cfg.v_range, cfg.margin, rng)
-            except EmptyRegionError:
-                # hypothesis region unreachable in the configured v range
-                skipped += 1
-                continue
+        v = _draw_weight(cfg, row, n, rng)
+        if v is None:
+            skipped += 1
+            continue
         try:
             rep = row.evaluate(a, b, v, n)
         except Exception as exc:  # recorded, never fatal
@@ -515,14 +477,7 @@ def _run_scalar_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResu
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample random SPD pairs for each operator row and collect Loewner verdicts."""
-    cfg.validate()
-    start = time.perf_counter()
-    rows_out, coverage = [], {}
-    for row in _selected(cfg, OPERATOR_ROWS, "operator"):
-        result = _run_operator_row(cfg, row, coverage)
-        rows_out.append(result)
-    return SuiteReport("operator", cfg.as_dict(), rows_out, coverage,
-                       time.perf_counter() - start)
+    return _run_suite(cfg, "operator", OPERATOR_ROWS, _run_operator_row)
 
 
 def _run_operator_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResult:
@@ -534,20 +489,12 @@ def _run_operator_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowRe
     probing = cfg.boundary_probe
     for trial in range(cfg.trials):
         rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
-        dim = cfg.dims[rng.randint(len(cfg.dims))] if len(cfg.dims) > 1 else cfg.dims[0]
-        n = depths[rng.randint(len(depths))] if len(depths) > 1 else depths[0]
-        if probing:
-            points = row.probe(n)
-            if not points:
-                skipped += 1
-                continue
-            v = points[rng.randint(len(points))] if len(points) > 1 else points[0]
-        else:
-            try:
-                v = sample_weight(row.region(n), cfg.v_range, cfg.margin, rng)
-            except EmptyRegionError:
-                skipped += 1
-                continue
+        dim = _pick(cfg.dims, rng)
+        n = _pick(depths, rng)
+        v = _draw_weight(cfg, row, n, rng)
+        if v is None:
+            skipped += 1
+            continue
         mat_a = random_spd(dim, cfg.cond_max, rng)
         mat_b = random_spd(dim, cfg.cond_max, rng)
         try:
@@ -725,44 +672,34 @@ def _claim_bound_validity(cfg: SuiteConfig):
             yield ok, (None if worst is math.inf else worst), {"ratio": t, "v": v}
 
 
-def _gb_t2(branch: str, depth: int):
+def _gap_bound(fn, branch: str, depth: int):
+    """fn's branch-i gap bound at depth, or its branch-ii image under
+    (a, b, v) -> (b, a, 1-v), as a function of (a, b, v)."""
     if branch == "i":
-        return lambda a, b, v: scalar.gap_bound_main_reverse(a, b, v, depth)
-    return lambda a, b, v: scalar.gap_bound_main_reverse(b, a, 1.0 - v, depth)
-
-
-def _gb_sm(branch: str, depth: int):
-    if branch == "i":
-        return lambda a, b, v: scalar.gap_bound_sm_reverse(a, b, v, depth)
-    return lambda a, b, v: scalar.gap_bound_sm_reverse(b, a, 1.0 - v, depth)
+        return lambda a, b, v: fn(a, b, v, depth)
+    return lambda a, b, v: fn(b, a, 1.0 - v, depth)
 
 
 def _comparison_claims() -> list:
-    gb_prop = lambda a, b, v: scalar.gap_bound_zw_proposition(a, b, v)
+    gb_prop = scalar.gap_bound_zw_proposition
+    main, sm = scalar.gap_bound_main_reverse, scalar.gap_bound_sm_reverse
+    t2_i, t2_ii = _gap_bound(main, "i", 3), _gap_bound(main, "ii", 3)
     t2_ops = ("theorem_main_reverse", "compare_gap_bounds")
-    zw_ops = ("zhao_wu_reverse",)
-    sm_ops = ("lemma_sm_reverse", "refinement_sum_S", "sababheh_indices")
+    zw_ops = t2_ops + ("zhao_wu_reverse",)
+    sm_ops = t2_ops + ("lemma_sm_reverse", "refinement_sum_S", "sababheh_indices")
     claims = [
-        _claim_dominance("dominance/a1-low", _gb_t2("i", 3), gb_prop, (0.0, 0.25),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/a1-high", _gb_t2("i", 3), gb_prop, (0.25, 0.5),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/a2", _gb_t2("i", 3), gb_prop, (0.625, 0.75),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/a3", _gb_t2("i", 3), gb_prop, (0.75, 1.0),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/b1", _gb_t2("ii", 3), gb_prop, (0.0, 0.25),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/b2", _gb_t2("ii", 3), gb_prop, (0.25, 0.375),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/b3-low", _gb_t2("ii", 3), gb_prop, (0.5, 0.75),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/b3-high", _gb_t2("ii", 3), gb_prop, (0.75, 1.0),
-                         t2_ops + zw_ops),
-        _claim_dominance("dominance/sm-refines-dyadic", _gb_sm("i", 2),
-                         _gb_t2("i", 2), (0.25, 0.5), t2_ops + sm_ops),
-        _claim_dominance("dominance/dyadic-recovers-sm", _gb_t2("i", 2),
-                         _gb_sm("ii", 2), (0.75, 1.0), t2_ops + sm_ops),
+        _claim_dominance("dominance/a1-low", t2_i, gb_prop, (0.0, 0.25), zw_ops),
+        _claim_dominance("dominance/a1-high", t2_i, gb_prop, (0.25, 0.5), zw_ops),
+        _claim_dominance("dominance/a2", t2_i, gb_prop, (0.625, 0.75), zw_ops),
+        _claim_dominance("dominance/a3", t2_i, gb_prop, (0.75, 1.0), zw_ops),
+        _claim_dominance("dominance/b1", t2_ii, gb_prop, (0.0, 0.25), zw_ops),
+        _claim_dominance("dominance/b2", t2_ii, gb_prop, (0.25, 0.375), zw_ops),
+        _claim_dominance("dominance/b3-low", t2_ii, gb_prop, (0.5, 0.75), zw_ops),
+        _claim_dominance("dominance/b3-high", t2_ii, gb_prop, (0.75, 1.0), zw_ops),
+        _claim_dominance("dominance/sm-refines-dyadic", _gap_bound(sm, "i", 2),
+                         _gap_bound(main, "i", 2), (0.25, 0.5), sm_ops),
+        _claim_dominance("dominance/dyadic-recovers-sm", _gap_bound(main, "i", 2),
+                         _gap_bound(sm, "ii", 2), (0.75, 1.0), sm_ops),
         _poly_grid_claim("poly/f-grid", scalar.comparison_poly_f, "comparison_poly_f"),
         _poly_grid_claim("poly/g-grid", scalar.comparison_poly_g, "comparison_poly_g"),
         ("poly/ratio-quartic", ("comparison_poly_f",), _claim_quartic),

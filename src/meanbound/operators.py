@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -85,9 +85,22 @@ def matrix_fingerprint(m: SpdMatrix) -> str:
     return digest.hexdigest()[:16]
 
 
-def _require_branch(branch: str) -> None:
-    if branch not in ("i", "ii"):
-        raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
+BRANCHES = ("i", "ii")
+
+
+@dataclass(frozen=True)
+class OperatorFamily:
+    """One operator family: the single place its names, depth and windows live.
+
+    ``windows`` holds one function of the depth per branch, in BRANCHES
+    order; the family makes no claim for v inside the window.
+    """
+
+    key: str
+    name: str
+    evaluate: Callable
+    min_depth: int
+    windows: tuple
 
 
 def _finish(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok) -> OperatorBoundReport:
@@ -99,17 +112,79 @@ def _finish(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok) -> OperatorBoun
                                matrix_fingerprint(a), matrix_fingerprint(b))
 
 
-def _degenerate(family, branch, a, b, v, n, hypothesis_ok) -> Optional[OperatorBoundReport]:
+def _prepare(key, a, b, v, n, branch) -> tuple:
+    """Check the arguments against the family's table row; return the
+    hypothesis flag and, for a degenerate pair, its finished report."""
+    family = OPERATOR_BY_NAME[key]
+    _require_weight(v)
+    _require_depth(n, family.min_depth)
+    if branch not in BRANCHES:
+        raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
+    hyp = _outside(v, family.windows[BRANCHES.index(branch)](n))
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
         raise MatrixError("operator bounds require SpdMatrix operands")
     if a.dim != b.dim:
         raise MatrixError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if float(np.linalg.norm(a.entries - b.entries)) <= DEGENERATE_REL_TOL * a.fro():
         tol = LOEWNER_REL_TOL * 2.0 * a.fro()
-        return OperatorBoundReport(family, branch, a.dim, v, n, 0.0, tol,
-                                   hypothesis_ok, True, True,
-                                   matrix_fingerprint(a), matrix_fingerprint(b))
-    return None
+        return hyp, OperatorBoundReport(key, branch, a.dim, v, n, 0.0, tol, hyp, True,
+                                        True, matrix_fingerprint(a), matrix_fingerprint(b))
+    return hyp, None
+
+
+def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
+    """Shared body of theorem_t6 and, with ``heinz``, corollary_c3.
+
+    ``heinz`` puts Heinz means in place of the geometric means of the
+    correction and the unweighted A nabla B in place of the lhs A nabla_v B.
+    """
+    hyp, short = _prepare(key, a, b, v, n, branch)
+    if short is not None:
+        return short
+    mc = MeanCalculator(a, b)
+    mean = mc.heinz_entries if heinz else mc.sharp_entries
+    sharp_half = mc.sharp_entries(0.5)
+    nabla = mc.nabla_entries(0.5)
+    corr = np.zeros_like(sharp_half)
+    for k in range(n, 1, -1):
+        w_in = (2.0 ** (k - 1) + 1.0) / 2.0 ** k
+        w_out = (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1)
+        if branch == "ii":  # mirrored weights 1 - w, exact at every allowed depth
+            w_in, w_out = 1.0 - w_in, 1.0 - w_out
+        corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mean(w_in) + mean(w_out))
+    lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
+    sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
+    rhs = lead * (nabla - sharp_half) + sign * corr + mean(v)
+    lhs = nabla if heinz else mc.nabla_entries(v)
+    return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
+
+
+def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
+    """Shared body of theorem_t66 and, with ``heinz``, corollary_c33.
+
+    ``heinz`` puts Heinz means in place of the geometric means of the
+    correction, and the unweighted A nabla B in place of both the anchor
+    (A for branch i, B for branch ii) and the lhs A nabla_v B.
+    """
+    hyp, short = _prepare(key, a, b, v, n, branch)
+    if short is not None:
+        return short
+    mc = MeanCalculator(a, b)
+    mean = mc.heinz_entries if heinz else mc.sharp_entries
+    if heinz:
+        anchor = mc.nabla_entries(0.5)
+    else:
+        anchor = a.entries if branch == "i" else b.entries
+    corr = np.zeros_like(anchor)
+    for k in range(n, 0, -1):
+        w_in, w_out = 0.5 ** k, 0.5 ** (k - 1)
+        if branch == "ii":  # mirrored weights 1 - w, exact at every allowed depth
+            w_in, w_out = 1.0 - w_in, 1.0 - w_out
+        corr += 2.0 ** (k - 1) * (anchor - 2.0 * mean(w_in) + mean(w_out))
+    coef = v if branch == "i" else (1.0 - v)
+    rhs = coef * corr + mean(v)
+    lhs = anchor if heinz else mc.nabla_entries(v)
+    return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
 
 
 def theorem_t6(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -120,33 +195,7 @@ def theorem_t6(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     weights (2^(k-1)+1)/2^k; branch "ii" (v outside [(2^(n-1)-1)/2^n, 1/2])
     the low ones.  Requires n >= 2.
     """
-    _require_weight(v)
-    _require_depth(n, 2)
-    _require_branch(branch)
-    window = window_dyadic_high(n) if branch == "i" else window_dyadic_low(n)
-    hyp = _outside(v, window)
-    short = _degenerate("t6", branch, a, b, v, n, hyp)
-    if short is not None:
-        return short
-    mc = MeanCalculator(a, b)
-    sharp_half = mc.sharp_entries(0.5)
-    nabla = mc.nabla_entries(0.5)
-    corr = np.zeros_like(sharp_half)
-    for k in range(n, 1, -1):
-        if branch == "i":
-            w_in = (2.0 ** (k - 1) + 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1)
-        else:
-            w_in = (2.0 ** (k - 1) - 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 2) - 1.0) / 2.0 ** (k - 1)
-        corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mc.sharp_entries(w_in)
-                                  + mc.sharp_entries(w_out))
-    lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
-    sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
-    rhs = lead * (nabla - sharp_half) + sign * corr
-    rhs = rhs + mc.sharp_entries(v)
-    lhs = mc.nabla_entries(v)
-    return _finish("t6", branch, a, b, v, n, lhs, rhs, hyp)
+    return _dyadic_sum("t6", a, b, v, n, branch, heinz=False)
 
 
 def theorem_t66(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -157,29 +206,7 @@ def theorem_t66(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     branch "ii" (v outside [(2^n-1)/2^n, 1]) the mirrored weights anchored
     at B.
     """
-    _require_weight(v)
-    _require_depth(n, 1)
-    _require_branch(branch)
-    window = window_sc_low(n) if branch == "i" else window_sc_high(n)
-    hyp = _outside(v, window)
-    short = _degenerate("t66", branch, a, b, v, n, hyp)
-    if short is not None:
-        return short
-    mc = MeanCalculator(a, b)
-    anchor = a.entries if branch == "i" else b.entries
-    corr = np.zeros_like(anchor)
-    for k in range(n, 0, -1):
-        if branch == "i":
-            w_in, w_out = 0.5 ** k, 0.5 ** (k - 1)
-        else:
-            w_in = (2.0 ** k - 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 1) - 1.0) / 2.0 ** (k - 1)
-        corr += 2.0 ** (k - 1) * (anchor - 2.0 * mc.sharp_entries(w_in)
-                                  + mc.sharp_entries(w_out))
-    coef = v if branch == "i" else (1.0 - v)
-    rhs = coef * corr + mc.sharp_entries(v)
-    lhs = mc.nabla_entries(v)
-    return _finish("t66", branch, a, b, v, n, lhs, rhs, hyp)
+    return _one_sided_sum("t66", a, b, v, n, branch, heinz=False)
 
 
 def corollary_c3(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -190,32 +217,7 @@ def corollary_c3(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     geometric means with Heinz means at the same dyadic weights.
     Requires n >= 2.
     """
-    _require_weight(v)
-    _require_depth(n, 2)
-    _require_branch(branch)
-    window = window_dyadic_high(n) if branch == "i" else window_dyadic_low(n)
-    hyp = _outside(v, window)
-    short = _degenerate("c3", branch, a, b, v, n, hyp)
-    if short is not None:
-        return short
-    mc = MeanCalculator(a, b)
-    sharp_half = mc.sharp_entries(0.5)
-    nabla = mc.nabla_entries(0.5)
-    corr = np.zeros_like(sharp_half)
-    for k in range(n, 1, -1):
-        if branch == "i":
-            w_in = (2.0 ** (k - 1) + 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1)
-        else:
-            w_in = (2.0 ** (k - 1) - 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 2) - 1.0) / 2.0 ** (k - 1)
-        corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mc.heinz_entries(w_in)
-                                  + mc.heinz_entries(w_out))
-    lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
-    sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
-    rhs = lead * (nabla - sharp_half) + sign * corr
-    rhs = rhs + mc.heinz_entries(v)
-    return _finish("c3", branch, a, b, v, n, nabla, rhs, hyp)
+    return _dyadic_sum("c3", a, b, v, n, branch, heinz=True)
 
 
 def corollary_c33(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -225,35 +227,18 @@ def corollary_c33(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     Hypothesis windows match theorem_t66; the anchors are the unweighted
     arithmetic mean and the Heinz means at the mirrored dyadic weights.
     """
-    _require_weight(v)
-    _require_depth(n, 1)
-    _require_branch(branch)
-    window = window_sc_low(n) if branch == "i" else window_sc_high(n)
-    hyp = _outside(v, window)
-    short = _degenerate("c33", branch, a, b, v, n, hyp)
-    if short is not None:
-        return short
-    mc = MeanCalculator(a, b)
-    nabla = mc.nabla_entries(0.5)
-    corr = np.zeros_like(nabla)
-    for k in range(n, 0, -1):
-        if branch == "i":
-            w_in, w_out = 0.5 ** k, 0.5 ** (k - 1)
-        else:
-            w_in = (2.0 ** k - 1.0) / 2.0 ** k
-            w_out = (2.0 ** (k - 1) - 1.0) / 2.0 ** (k - 1)
-        corr += 2.0 ** (k - 1) * (nabla - 2.0 * mc.heinz_entries(w_in)
-                                  + mc.heinz_entries(w_out))
-    coef = v if branch == "i" else (1.0 - v)
-    rhs = coef * corr + mc.heinz_entries(v)
-    return _finish("c33", branch, a, b, v, n, nabla, rhs, hyp)
+    return _one_sided_sum("c33", a, b, v, n, branch, heinz=True)
 
 
-OPERATOR_FAMILIES = {
-    "t6": theorem_t6,
-    "t66": theorem_t66,
-    "c3": corollary_c3,
-    "c33": corollary_c33,
-}
-
-OPERATOR_MIN_DEPTH = {"t6": 2, "t66": 1, "c3": 2, "c33": 1}
+# Every operator family in suite order, read by the evaluators, the suite
+# rows and the CLI.
+OPERATOR_TABLE = (
+    OperatorFamily("t6", "theorem-t6", theorem_t6, 2, (window_dyadic_high, window_dyadic_low)),
+    OperatorFamily("t66", "theorem-t66", theorem_t66, 1, (window_sc_low, window_sc_high)),
+    OperatorFamily("c3", "corollary-c3", corollary_c3, 2, (window_dyadic_high, window_dyadic_low)),
+    OperatorFamily("c33", "corollary-c33", corollary_c33, 1, (window_sc_low, window_sc_high)),
+)
+OPERATOR_BY_NAME = {name: family for family in OPERATOR_TABLE
+                    for name in (family.key, family.name)}
+OPERATOR_FAMILIES = {family.key: family.evaluate for family in OPERATOR_TABLE}
+OPERATOR_MIN_DEPTH = {family.key: family.min_depth for family in OPERATOR_TABLE}

@@ -41,6 +41,11 @@ def _require_weight(v: float) -> None:
         raise DomainError(f"weight must be finite, got v={v!r}")
 
 
+def _require_branch(branch: str) -> None:
+    if branch not in ("i", "ii"):
+        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+
+
 def _require_depth(n: int, minimum: int = 1) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"depth must be an integer, got n={n!r}")
@@ -84,6 +89,15 @@ def _report(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok, upper):
     gap = (rhs - lhs) if upper else (lhs - rhs)
     holds = gap >= -REL_TOL * (abs(lhs) + abs(rhs))
     return BoundReport(family, branch, a, b, v, n, lhs, rhs, gap, hypothesis_ok, holds)
+
+
+def _mirrored(rep: BoundReport, a, b, v, branch: str = "ii") -> BoundReport:
+    """Report rep, evaluated at the mirror point (b, a, 1-v), as taken at (a, b, v).
+
+    Every branch-ii bound is the image of its branch i under this one map.
+    """
+    return BoundReport(rep.family, branch, a, b, v, rep.n, rep.lhs, rep.rhs,
+                       rep.gap, rep.hypothesis_ok, rep.holds)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +177,15 @@ def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport
     Branch "i" adds v*(sqrt a - sqrt b)^2 and requires v outside [0, 1/2];
     branch "ii" adds (1-v)*(...)^2 and requires v outside [1/2, 1].
     """
+    _require_branch(branch)
     lhs = young_lhs(a, b, v)
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
     if branch == "i":
         rhs = weighted_geometric(a, b, v) + v * sq
         hyp = _outside(v, (0.0, 0.5))
-    elif branch == "ii":
+    else:
         rhs = weighted_geometric(a, b, v) + (1.0 - v) * sq
         hyp = _outside(v, (0.5, 1.0))
-    else:
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
     return _report("corollary-one-term", branch, a, b, v, None, lhs, rhs, hyp, upper=True)
 
 
@@ -206,11 +219,8 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     """
     _require_depth(n, 1)
     if branch == "ii":
-        rep = theorem_main_reverse(b, a, 1.0 - v, n, "i")
-        return BoundReport("theorem-main-reverse", "ii", a, b, v, n, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
-    if branch != "i":
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+        return _mirrored(theorem_main_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
+    _require_branch(branch)
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_main_reverse(a, b, v, n)
     return _report("theorem-main-reverse", "i", a, b, v, n, lhs, rhs,
@@ -268,19 +278,6 @@ def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
     return total
 
 
-def _forward_refinement_sum(v: float, a: float, b: float, n: int) -> float:
-    """Mirror-ordered refinement sum with a as the leading base."""
-    dl = math.log(b) - math.log(a)
-    total = 0.0
-    for k in range(1, n + 1):
-        idx = sababheh_indices(v, k)
-        scale = 2.0 ** k
-        q1 = math.exp(dl * (idx.j / scale))
-        q2 = math.exp(dl * ((idx.j + 1) / scale))
-        total += idx.s * a * (q1 - q2) ** 2
-    return total
-
-
 def gap_bound_sm_reverse(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction (1-v)(sqrt a - sqrt b)^2 - S_n(2v, sqrt(ab), b)."""
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
@@ -298,11 +295,8 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     _require_depth(n, 1)
     if branch == "ii":
-        rep = lemma_sm_reverse(b, a, 1.0 - v, n, "i")
-        return BoundReport("lemma-sm-reverse", "ii", a, b, v, n, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
-    if branch != "i":
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+        return _mirrored(lemma_sm_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
+    _require_branch(branch)
     _require_weight(v)
     if not 0.0 <= v <= 0.5:
         raise DomainError(f"branch i requires v in [0, 1/2], got v={v!r}")
@@ -333,9 +327,7 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     """
     _require_weight(v)
     if v > 0.5:
-        rep = zhao_wu_forward(b, a, 1.0 - v)
-        return BoundReport("zhao-wu-forward", "", a, b, v, None, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
+        return _mirrored(zhao_wu_forward(b, a, 1.0 - v), a, b, v, branch="")
     lhs = young_lhs(a, b, v)
     r = min(v, 1.0 - v)
     r0 = min(2.0 * r, 1.0 - 2.0 * r)
@@ -356,7 +348,7 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
     lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v) + _forward_refinement_sum(v, a, b, n)
+    rhs = weighted_geometric(a, b, v) + refinement_sum_s(v, b, a, n)
     return _report("sababheh-choi-forward", "", a, b, v, n, lhs, rhs, True, upper=False)
 
 
@@ -432,11 +424,8 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     """
     _require_depth(n, 1)
     if branch == "ii":
-        rep = theorem_extended_sc(b, a, 1.0 - v, n, "i")
-        return BoundReport("theorem-extended-sc", "ii", a, b, v, n, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
-    if branch != "i":
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+        return _mirrored(theorem_extended_sc(b, a, 1.0 - v, n, "i"), a, b, v)
+    _require_branch(branch)
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_extended_sc(a, b, v, n)
     return _report("theorem-extended-sc", "i", a, b, v, n, lhs, rhs,
@@ -458,11 +447,8 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     """
     _require_depth(n, 2)
     if branch == "ii":
-        rep = heinz_reverse_main(b, a, 1.0 - v, n, "i")
-        return BoundReport("heinz-reverse-main", "ii", a, b, v, n, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
-    if branch != "i":
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+        return _mirrored(heinz_reverse_main(b, a, 1.0 - v, n, "i"), a, b, v)
+    _require_branch(branch)
     _require_pair(a, b)
     _require_weight(v)
     la, lb = math.log(a), math.log(b)
@@ -491,11 +477,8 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     _require_depth(n, 1)
     if branch == "ii":
-        rep = heinz_reverse_sc(b, a, 1.0 - v, n, "i")
-        return BoundReport("heinz-reverse-sc", "ii", a, b, v, n, rep.lhs,
-                           rep.rhs, rep.gap, rep.hypothesis_ok, rep.holds)
-    if branch != "i":
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
+        return _mirrored(heinz_reverse_sc(b, a, 1.0 - v, n, "i"), a, b, v)
+    _require_branch(branch)
     _require_pair(a, b)
     _require_weight(v)
     lr = math.log(b) - math.log(a)

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from meanbound.cli import main, parse_number
+from meanbound.harness import SCALAR_ROWS
+from meanbound.operators import OPERATOR_TABLE
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,37 @@ def test_bound_json_csv_numeric_equality(capsys):
         assert float(row_csv[key]) == row_json[key]
 
 
+@pytest.mark.parametrize("row", SCALAR_ROWS, ids=lambda row: row.key)
+def test_bound_json_gap_matches_row_evaluate(capsys, row):
+    # a weight inside the row's sampling region, so every row evaluates
+    lo, hi = row.region(3).intervals((-6.0, 6.0), 1e-6)[0]
+    v = 0.5 * (lo + hi)
+    args = ["bound", "--family", row.family, "--a", "3", "--b", "0.5",
+            "--v", repr(v), "--n", "3", "--format", "json"]
+    if row.branch in ("i", "ii"):
+        args += ["--branch", row.branch]
+    elif row.branch:
+        args += ["--form", row.branch]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert (result["family"], result["branch"]) == (row.family, row.branch)
+    assert result["gap"] == row.evaluate(3.0, 0.5, v, 3).gap
+
+
+@pytest.mark.parametrize("command", [
+    ("bound", "--family", "reverse-young-basic"),
+    ("bound", "--family", "theorem-main-reverse", "--branch", "i", "--n", "2"),
+    ("check-scalar", "--n", "2"),
+    ("compare",),
+])
+def test_unrepresentable_result_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--a", "1e-300", "--b", "1e300", "--v", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # check-scalar / compare / repro
 # ---------------------------------------------------------------------------
@@ -149,6 +182,20 @@ def test_check_operator_one_by_one(capsys, tmp_path):
                            "--branch", "i", "--v", "0.125", "--n", "2")
     assert code == 0
     assert "min_eig_gap=3.414213562" in out
+
+
+@pytest.mark.parametrize("family", OPERATOR_TABLE, ids=lambda family: family.key)
+def test_check_operator_accepts_long_and_short_names(capsys, tmp_path, family):
+    a = write(tmp_path / "a.txt", "1\n1\n")
+    b = write(tmp_path / "b.txt", "1\n16\n")
+    outputs = []
+    for name in (family.name, family.key):
+        code, out, _ = run_cli(capsys, "check-operator", a, b, "--family", name,
+                               "--branch", "ii", "--v", "2", "--n", "2")
+        assert code == 0
+        assert f"family={family.key} branch=ii" in out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_check_operator_identical_files_degenerate(capsys, tmp_path):

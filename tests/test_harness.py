@@ -228,6 +228,30 @@ def test_coverage_spans_every_operation():
     assert all(rep.coverage[op] >= 1 for op in expected)
 
 
+def test_default_suites_skip_no_trial():
+    # a row whose region and evaluator disagree turns trials into skips,
+    # never into failures, so the skip count is what shows a mismatch
+    rows = run_scalar_suite(SuiteConfig()).rows
+    rows += run_operator_suite(SuiteConfig(trials=40, dims=(1, 2))).rows
+    assert len(rows) == len(SCALAR_ROWS) + len(OPERATOR_ROWS)
+    for row in rows:
+        assert row.skipped == 0, row.key
+
+
+def test_window_midpoints_lie_outside_the_hypothesis():
+    rng = Xoshiro256StarStar(11)
+    mat_a, mat_b = random_spd(2, 1e2, rng), random_spd(2, 1e2, rng)
+    for rows, a, b in ((SCALAR_ROWS, 3.0, 0.5), (OPERATOR_ROWS, mat_a, mat_b)):
+        for row in rows:
+            depths = [None] if row.min_depth is None else range(row.min_depth, 7)
+            for n in depths:
+                region = row.region(n)
+                if region.kind != "outside":
+                    continue
+                rep = row.evaluate(a, b, 0.5 * (region.lo + region.hi), n)
+                assert rep.hypothesis_ok is False, (row.key, n)
+
+
 # ---------------------------------------------------------------------------
 # Failure recording and replay
 # ---------------------------------------------------------------------------
