@@ -214,10 +214,15 @@ def _build_suite_config(args) -> SuiteConfig:
         values.update(_config_from_file(args.config))
 
     def pick(name, flag_value, cast):
+        # flag values arrive typed from argparse; file values are text
         if flag_value is not None:
-            return cast(flag_value) if not isinstance(flag_value, tuple) else flag_value
+            return flag_value
         if name in values:
-            return cast(values[name])
+            try:
+                return cast(values[name])
+            except ValueError:
+                raise ConfigError(f"config key {name!r}: cannot parse "
+                                  f"{values[name]!r}") from None
         return None
 
     kwargs = {}

@@ -151,16 +151,17 @@ class SuiteConfig:
             raise ConfigError(f"v_range must satisfy lo < hi, got {self.v_range}")
         if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive integers, got {self.dims}")
-        if self.cond_max < 1.0:
-            raise ConfigError(f"cond_max must be >= 1, got {self.cond_max}")
+        if not (1.0 <= self.cond_max < math.inf):
+            raise ConfigError(f"cond_max must be finite and >= 1, got {self.cond_max}")
         if not self.depths or any(
             (not isinstance(n, int)) or n < 1 or n > scalar.MAX_DEPTH for n in self.depths
         ):
             raise ConfigError(f"depths must lie in 1..{scalar.MAX_DEPTH}, got {self.depths}")
-        if self.margin < 0.0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.rel_tol < 0.0 or self.loewner_rel < 0.0:
-            raise ConfigError("tolerances must be >= 0")
+        if not (0.0 <= self.margin < math.inf):
+            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
+        if not (0.0 <= self.rel_tol < math.inf and 0.0 <= self.loewner_rel < math.inf):
+            raise ConfigError(f"tolerances must be finite and >= 0, got rel_tol="
+                              f"{self.rel_tol}, loewner_rel={self.loewner_rel}")
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
         unknown = [f for f in self.families if f not in _KNOWN_FAMILY_SELECTORS]

@@ -1,11 +1,11 @@
-"""Symmetric positive-definite matrices: spectral factorization by cyclic
-Jacobi rotations, fractional powers, weighted operator means, and the
-Loewner partial order.
+"""Symmetric positive-definite matrices: spectral factorization,
+fractional powers, weighted operator means, and the Loewner partial order.
 
-The eigensolver is a plain cyclic Jacobi iteration.  At the desk scales
-this library targets (dim <= 64) it is unconditionally stable, preserves
-symmetry exactly, and resolves small eigenvalues with high relative
-accuracy, which is what Loewner verdicts are sensitive to.
+Every eigendecomposition goes through ``jacobi_eigh``, a thin wrapper of
+LAPACK's symmetric eigensolver (``np.linalg.eigh``).  The weighted
+geometric mean of a pair is built from one Cholesky factorization of A and
+one eigendecomposition, through the congruence covariance of the mean (see
+MeanCalculator).
 
 All matrices are dense float64.  Every operation that returns a matrix
 symmetrizes its result and asserts the pre-symmetrization residual is
@@ -26,8 +26,6 @@ from .scalar import DomainError, _require_weight
 SYM_INPUT_TOL = 1e-12      # constructor / parser symmetry tolerance
 SYM_OP_TOL = 1e-10         # internal operation symmetry tolerance
 SPD_MIN_EIG_FACTOR = 1e-14  # from_entries rejects min eig <= dim * factor * ||A||_2
-EIGH_REL_TOL = 1e-13       # Jacobi off-diagonal convergence target
-EIGH_MAX_SWEEPS = 30
 LOEWNER_REL_TOL = 1e-8     # default Loewner tolerance factor
 
 
@@ -36,15 +34,7 @@ class MatrixError(ValueError):
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted; carries the remaining off-diagonal residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"jacobi eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
+    """The eigensolver did not converge (name kept for compatibility)."""
 
 
 def _as_square(entries) -> np.ndarray:
@@ -96,60 +86,19 @@ class EigenDecomp:
     lam: np.ndarray
 
 
-def jacobi_eigh(entries: np.ndarray,
-                max_sweeps: int = EIGH_MAX_SWEEPS,
-                rel_tol: float = EIGH_REL_TOL) -> EigenDecomp:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def jacobi_eigh(entries: np.ndarray) -> EigenDecomp:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
-    Sweeps rotate every superdiagonal pair in row order until the
-    off-diagonal Frobenius norm falls below rel_tol * ||A||_F, and raises
-    JacobiConvergenceError when the sweep budget is exhausted first.
+    The one symmetric eigensolver of the library, LAPACK's through
+    ``np.linalg.eigh``; the name is kept for compatibility with callers
+    of the earlier Jacobi solver.  Raises JacobiConvergenceError when
+    LAPACK reports no convergence.
     """
-    a = np.array(entries, dtype=float)
-    dim = a.shape[0]
-    if dim == 1:
-        return EigenDecomp(np.ones((1, 1)), a[0, :1].copy())
-    norm = float(np.linalg.norm(a))
-    vec = np.eye(dim)
-
-    def _off_norm() -> float:
-        return math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-
-    converged = False
-    off = _off_norm()
-    for _ in range(max_sweeps):
-        if off <= rel_tol * norm:
-            converged = True
-            break
-        for p in range(dim - 1):
-            for q_ in range(p + 1, dim):
-                apq = a[p, q_]
-                if apq == 0.0:
-                    continue
-                theta = (a[q_, q_] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q_].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q_] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q_, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q_, :] = s * row_p + c * row_q
-                a[p, q_] = 0.0
-                a[q_, p] = 0.0
-                vp = vec[:, p].copy()
-                vq = vec[:, q_].copy()
-                vec[:, p] = c * vp - s * vq
-                vec[:, q_] = s * vp + c * vq
-        off = _off_norm()
-    if not converged and off > rel_tol * norm:
-        raise JacobiConvergenceError(off, max_sweeps)
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomp(np.ascontiguousarray(vec[:, order]), lam[order])
+    try:
+        lam, q = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        raise JacobiConvergenceError(f"eigensolver did not converge: {exc}") from None
+    return EigenDecomp(q, lam)
 
 
 def eigh(matrix: "SymMatrix | SpdMatrix | np.ndarray") -> EigenDecomp:
@@ -269,33 +218,41 @@ def arithmetic_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SymMatrix:
 class MeanCalculator:
     """Weighted geometric and Heinz means of one SPD pair.
 
-    All weights share the congruence T = A^(-1/2) B A^(-1/2) and its single
-    factorization, so evaluating a family of dyadic weights costs one
-    Jacobi run plus a reconstruction per weight.
+    The mean is covariant under congruence, (XAX^T) #_w (XBX^T) =
+    X (A #_w B) X^T, so with A = LL^T and L^(-1) B L^(-T) = Q diag(lam) Q^T
+    every weight is A #_w B = W diag(lam^w) W^T with W = LQ: one Cholesky
+    factorization and one eigensolve serve all weights of the pair.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         _check_dims(a, b)
         self.a = a
         self.b = b
-        d = a.decomp
-        self._root = _rebuild(d, np.sqrt(d.lam))
-        self._iroot = _rebuild(d, 1.0 / np.sqrt(d.lam))
-        inner, _ = _symmetrize(self._iroot @ b.entries @ self._iroot, SYM_OP_TOL)
-        self._inner = jacobi_eigh(inner)
+        try:
+            chol = np.linalg.cholesky(a.entries)
+        except np.linalg.LinAlgError:
+            raise MatrixError("matrix is not positive definite: Cholesky "
+                              "factorization failed") from None
+        ichol = np.linalg.inv(chol)
+        inner, _ = _symmetrize(ichol @ b.entries @ ichol.T, SYM_OP_TOL)
+        d = jacobi_eigh(inner)
+        if d.lam[0] <= 0.0:
+            raise MatrixError(f"inner congruence lost positive definiteness: min "
+                              f"eigenvalue {d.lam[0]:.6e}")
+        self._lam = d.lam
+        self._w = chol @ d.q
         self._cache: dict[float, np.ndarray] = {}
 
     def sharp_entries(self, w: float) -> np.ndarray:
-        """Entries of A #_w B = A^(1/2) T^w A^(1/2)."""
+        """Entries of A #_w B = A^(1/2) (A^(-1/2) B A^(-1/2))^w A^(1/2)."""
         cached = self._cache.get(w)
         if cached is not None:
             return cached
         with np.errstate(over="ignore"):
-            lam_w = self._inner.lam ** w
+            lam_w = self._lam ** w
         if not np.all(np.isfinite(lam_w)):
             raise MatrixError(f"inner eigenvalue power overflows for weight {w}")
-        mid = _rebuild(self._inner, lam_w)
-        out, _ = _symmetrize(self._root @ mid @ self._root, SYM_OP_TOL)
+        out, _ = _symmetrize((self._w * lam_w) @ self._w.T, SYM_OP_TOL)
         self._cache[w] = out
         return out
 

@@ -1,4 +1,5 @@
-"""Independent high-precision oracles for the scalar bound families.
+"""Independent high-precision oracles for the scalar bound families and the
+weighted operator geometric mean.
 
 Everything here is computed with mpmath at 50 significant digits, straight
 from the defining formulas (direct power form, not the library's
@@ -116,3 +117,32 @@ def rhs_heinz_sc(a, b, v, n, branch):
 def delta_log_limit(a, b, n):
     a, b = mpf(a), mpf(b)
     return abs(2 ** n * (exp(log(b / a) / 2 ** n) - 1) - log(b / a))
+
+
+def _spectral(m, fn):
+    """Q diag(fn(lam)) Q^T for a symmetric mpmath matrix."""
+    lam, q = mp.eigsy(m)
+    return q * mp.diag([fn(x) for x in lam]) * q.T
+
+
+def operator_sharp(a, b):
+    """Weighted geometric mean of an SPD pair as a function of the weight,
+    A^(1/2) (A^(-1/2) B A^(-1/2))^w A^(1/2) in the direct square-root form.
+
+    ``a`` and ``b`` are nested lists or arrays of floats; the returned
+    function maps w to the mean as nested lists of mpf.
+    """
+    a = mp.matrix([[mpf(x) for x in row] for row in a])
+    b = mp.matrix([[mpf(x) for x in row] for row in b])
+    root = _spectral(a, sqrt)
+    iroot = _spectral(a, lambda x: 1 / sqrt(x))
+    inner = iroot * b * iroot
+    lam, q = mp.eigsy((inner + inner.T) / 2)
+
+    def sharp(w):
+        w = mpf(w)
+        mid = q * mp.diag([x ** w for x in lam]) * q.T
+        out = root * mid * root
+        return [[out[i, j] for j in range(out.cols)] for i in range(out.rows)]
+
+    return sharp

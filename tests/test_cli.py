@@ -286,3 +286,22 @@ def test_suite_flag_overrides_config_file(capsys, tmp_path):
                          "--families", "zhao-wu-forward", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("line, key", [("trials = abc", "trials"),
+                                       ("cond_max = 1e4x", "cond_max"),
+                                       ("dims = 1,two", "dims")])
+def test_suite_bad_config_value_exits_two(capsys, tmp_path, line, key):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_suite_non_finite_cond_max_exits_two(capsys, value):
+    code, _, err = run_cli(capsys, "suite", "--families", "operator", "--dims", "2",
+                           "--cond-max", value, "--trials", "5")
+    assert code == 2
+    assert err.startswith("error: cond_max must be finite")

@@ -140,6 +140,13 @@ def test_config_validation():
     SMALL.validate()
 
 
+@pytest.mark.parametrize("field", ["cond_max", "margin", "rel_tol", "loewner_rel"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(SMALL, **{field: value}).validate()
+
+
 def test_depth_requirement_mismatch():
     cfg = SuiteConfig(trials=5, depths=(1,), families=("heinz-reverse-main",))
     with pytest.raises(ConfigError):
@@ -181,6 +188,17 @@ def test_operator_suite_counts_and_no_failures():
     assert rep.total_failures == 0
     for row in rep.rows:
         assert row.passes + row.failures + row.skipped == row.trials
+
+
+def test_operator_suite_at_high_condition_has_no_kernel_breakdown():
+    # At this configuration an A^(-1/2) B A^(-1/2) congruence fails its
+    # symmetry self-check (t6/ii trial 28, t66/ii trial 36); the Cholesky
+    # congruence of the mean kernel must not.
+    cfg = SuiteConfig(seed=20260811, trials=60, dims=(2, 4, 8), cond_max=1e8,
+                      families=("operator",))
+    rep = run_operator_suite(cfg)
+    causes = [rec["cause"] for rec in rep.all_failure_records()]
+    assert not [cause for cause in causes if cause.startswith("MatrixError")], causes
 
 
 def test_comparison_suite_no_failures():

@@ -1,9 +1,12 @@
-"""Matrix core: Jacobi eigensolver, SPD type, powers, means, Loewner order."""
+"""Matrix core: eigensolver, SPD type, powers, means, Loewner order."""
 
 import math
 
 import numpy as np
 import pytest
+from mpmath import mpf
+
+import oracles
 
 from meanbound.matrices import (
     JacobiConvergenceError,
@@ -21,6 +24,8 @@ from meanbound.matrices import (
     parse_matrix_text,
     spd_power,
 )
+from meanbound.harness import random_spd
+from meanbound.rng import Xoshiro256StarStar, derive_seed
 from meanbound.scalar import heinz_scalar, weighted_geometric
 
 RNG = np.random.default_rng(20240811)
@@ -62,7 +67,7 @@ def test_bad_shapes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigendecomposition
+# Eigendecomposition
 # ---------------------------------------------------------------------------
 
 def test_eigh_diagonal():
@@ -102,10 +107,13 @@ def test_eigh_reconstruction_and_orthogonality(dim):
         assert np.allclose(d.lam, ref, atol=1e-12 * max(1.0, norm))
 
 
-def test_eigh_nonconvergence_diagnostic():
-    with pytest.raises(JacobiConvergenceError) as err:
-        jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
-    assert err.value.residual > 0.0
+def test_eigh_failure_raises_convergence_error(monkeypatch):
+    def no_convergence(entries):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(JacobiConvergenceError, match="did not converge"):
+        jacobi_eigh(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +234,54 @@ def test_mean_calculator_shares_congruence():
     assert np.array_equal(mc.sharp_entries(0.25), mc.sharp_entries(0.25))
     direct = geometric_mean(a, b, 0.25)
     assert np.allclose(mc.sharp_entries(0.25), direct.entries, rtol=1e-12)
+
+
+def test_sharp_matches_high_precision_oracle():
+    rng = Xoshiro256StarStar(derive_seed(20260811, "operator-oracle"))
+    worst = 0.0
+    for pair in range(120):
+        dim = 1 + pair % 4
+        a = random_spd(dim, 1e4, rng)
+        b = random_spd(dim, 1e4, rng)
+        mc = MeanCalculator(a, b)
+        reference = oracles.operator_sharp(a.entries.tolist(), b.entries.tolist())
+        for w in (0.5, 0.25, 0.75, -3.5, 6.0, rng.uniform(-6.0, 6.0)):
+            ref = reference(w)
+            got = mc.sharp_entries(w)
+            err = sum((mpf(float(got[i, j])) - ref[i][j]) ** 2
+                      for i in range(dim) for j in range(dim))
+            norm = sum(x ** 2 for row in ref for x in row)
+            worst = max(worst, float((err / norm) ** 0.5))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_sharp_is_congruence_covariant(dim):
+    # X (A #_w B) X^T = (X A X^T) #_w (X B X^T) for every invertible X
+    for _ in range(5):
+        a = random_spd_np(dim, cond=1e2)
+        b = random_spd_np(dim, cond=1e2)
+        x = RNG.standard_normal((dim, dim)) + 2.0 * math.sqrt(dim) * np.eye(dim)
+
+        def congruent(m):
+            c = x @ m.entries @ x.T
+            return SpdMatrix(0.5 * (c + c.T))
+
+        direct = MeanCalculator(a, b)
+        moved = MeanCalculator(congruent(a), congruent(b))
+        for w in (0.5, 0.25, -3.5, 6.0, 1.7):
+            expected = x @ direct.sharp_entries(w) @ x.T
+            got = moved.sharp_entries(w)
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_mean_kernel_rejects_indefinite_operands():
+    indefinite = SpdMatrix._trusted(np.array([[1.0, 0.0], [0.0, -1e-3]]))
+    spd = SpdMatrix(np.eye(2))
+    with pytest.raises(MatrixError, match="Cholesky"):
+        MeanCalculator(indefinite, spd)
+    with pytest.raises(MatrixError, match="inner congruence lost positive definiteness"):
+        MeanCalculator(spd, indefinite)
 
 
 # ---------------------------------------------------------------------------
