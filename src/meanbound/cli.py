@@ -186,16 +186,45 @@ def cmd_repro(args) -> int:
     return 0 if tighter_ok else 1
 
 
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse integer list {text!r}") from None
+def _name_list(text: str) -> tuple:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(map(int, _name_list(text)))
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# Every suite setting once: its config-file key (the flag is --key with
+# dashes), the cast of its text, and the flag's help.  Flags and the file
+# both give text; $MEANBOUND_SEED wins over --seed, a flag over the file.
+_SUITE_SETTINGS = (
+    ("families", _name_list, "comma list of families, or all/scalar/operator/comparison"),
+    ("trials", int, None),
+    ("seed", int, f"overridden by ${_SEED_ENV} when set"),
+    ("scalar_lo", float, None),
+    ("scalar_hi", float, None),
+    ("v_lo", float, None),
+    ("v_hi", float, None),
+    ("dims", _int_list, "comma list, e.g. 1,2,4,8"),
+    ("depths", _int_list, "comma list, e.g. 1,2,3,4,5,6"),
+    ("cond_max", float, None),
+    ("margin", float, None),
+    ("grid_points", int, None),
+    ("boundary_probe", _boolean, "sample exactly at window endpoints and expect equality"),
+)
+_RANGES = (("scalar_range", "scalar_lo", "scalar_hi"), ("v_range", "v_lo", "v_hi"))
 
 
 def _config_from_file(path: str) -> dict:
     """Flat key = value file; keys match the suite flags."""
     values: dict = {}
+    known = [key for key, _, _ in _SUITE_SETTINGS]
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
@@ -204,74 +233,32 @@ def _config_from_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}; known: {', '.join(known)}")
+            values[key] = value.strip()
     return values
 
 
 def _build_suite_config(args) -> SuiteConfig:
+    sources = (("$" + _SEED_ENV, {"seed": os.environ.get(_SEED_ENV) or None}),
+               ("flag", vars(args)),
+               ("config file", _config_from_file(args.config) if args.config else {}))
     values: dict = {}
-    if args.config:
-        values.update(_config_from_file(args.config))
-
-    def pick(name, flag_value, cast):
-        # flag values arrive typed from argparse; file values are text
-        if flag_value is not None:
-            return flag_value
-        if name in values:
-            try:
-                return cast(values[name])
-            except ValueError:
-                raise ConfigError(f"config key {name!r}: cannot parse "
-                                  f"{values[name]!r}") from None
-        return None
-
-    kwargs = {}
-    seed = pick("seed", args.seed, int)
-    if os.environ.get(_SEED_ENV):
-        try:
-            seed = int(os.environ[_SEED_ENV], 10)
-        except ValueError:
-            raise ConfigError(f"{_SEED_ENV} must be an integer, got "
-                              f"{os.environ[_SEED_ENV]!r}") from None
-    if seed is not None:
-        kwargs["seed"] = seed
-    trials = pick("trials", args.trials, int)
-    if trials is not None:
-        kwargs["trials"] = trials
-    lo = pick("scalar_lo", args.scalar_lo, float)
-    hi = pick("scalar_hi", args.scalar_hi, float)
-    if lo is not None or hi is not None:
-        base = SuiteConfig().scalar_range
-        kwargs["scalar_range"] = (lo if lo is not None else base[0],
-                                  hi if hi is not None else base[1])
-    vlo = pick("v_lo", args.v_lo, float)
-    vhi = pick("v_hi", args.v_hi, float)
-    if vlo is not None or vhi is not None:
-        base = SuiteConfig().v_range
-        kwargs["v_range"] = (vlo if vlo is not None else base[0],
-                             vhi if vhi is not None else base[1])
-    dims = pick("dims", _parse_int_list(args.dims) if args.dims else None, _parse_int_list)
-    if dims:
-        kwargs["dims"] = dims
-    depths = pick("depths", _parse_int_list(args.depths) if args.depths else None,
-                  _parse_int_list)
-    if depths:
-        kwargs["depths"] = depths
-    cond = pick("cond_max", args.cond_max, float)
-    if cond is not None:
-        kwargs["cond_max"] = cond
-    margin = pick("margin", args.margin, float)
-    if margin is not None:
-        kwargs["margin"] = margin
-    grid = pick("grid_points", args.grid_points, int)
-    if grid is not None:
-        kwargs["grid_points"] = grid
-    families = args.families or values.get("families")
-    if families:
-        kwargs["families"] = tuple(tok.strip() for tok in families.split(",") if tok.strip())
-    if args.boundary_probe:
-        kwargs["boundary_probe"] = True
-    cfg = SuiteConfig(**kwargs)
+    for key, cast, _ in _SUITE_SETTINGS:
+        for source, given in sources:
+            text = given.get(key)
+            if text is not None:
+                try:
+                    values[key] = cast(text)
+                except ValueError:
+                    raise ConfigError(f"{key!r} ({source}): cannot parse {text!r}") from None
+                break
+    for name, lo, hi in _RANGES:
+        if lo in values or hi in values:
+            base = getattr(SuiteConfig, name)
+            values[name] = (values.pop(lo, base[0]), values.pop(hi, base[1]))
+    cfg = SuiteConfig(**values)
     cfg.validate()
     return cfg
 
@@ -352,22 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_suite = sub.add_parser("suite", help="run the randomized verification suites")
-    p_suite.add_argument("--families", default=None,
-                         help="comma list of families, or all/scalar/operator/comparison")
-    p_suite.add_argument("--trials", type=int, default=None)
-    p_suite.add_argument("--seed", type=int, default=None,
-                         help=f"overridden by ${_SEED_ENV} when set")
-    p_suite.add_argument("--scalar-lo", dest="scalar_lo", type=float, default=None)
-    p_suite.add_argument("--scalar-hi", dest="scalar_hi", type=float, default=None)
-    p_suite.add_argument("--v-lo", dest="v_lo", type=float, default=None)
-    p_suite.add_argument("--v-hi", dest="v_hi", type=float, default=None)
-    p_suite.add_argument("--dims", default=None, help="comma list, e.g. 1,2,4,8")
-    p_suite.add_argument("--depths", default=None, help="comma list, e.g. 1,2,3,4,5,6")
-    p_suite.add_argument("--cond-max", dest="cond_max", type=float, default=None)
-    p_suite.add_argument("--margin", type=float, default=None)
-    p_suite.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p_suite.add_argument("--boundary-probe", action="store_true",
-                         help="sample exactly at window endpoints and expect equality")
+    for key, cast, text in _SUITE_SETTINGS:
+        flag = "--" + key.replace("_", "-")
+        if cast is _boolean:  # a bare switch, given as the text "true"
+            p_suite.add_argument(flag, action="store_const", const="true", help=text)
+        else:
+            p_suite.add_argument(flag, help=text)
     p_suite.add_argument("--config", default=None, help="flat key=value config file")
     add_common(p_suite)
     p_suite.set_defaults(func=cmd_suite)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import scalar
-from .matrices import SpdMatrix
+from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import BRANCHES, OPERATOR_BY_NAME, OPERATOR_TABLE
 from .rng import Xoshiro256StarStar, derive_seed, fnv1a64
 from .scalar import (
@@ -133,8 +133,6 @@ class SuiteConfig:
     depths: tuple = (1, 2, 3, 4, 5, 6)
     families: tuple = ("all",)
     margin: float = 1e-6
-    rel_tol: float = scalar.REL_TOL
-    loewner_rel: float = 1e-8
     grid_points: int = 50
     boundary_probe: bool = False
 
@@ -159,17 +157,18 @@ class SuiteConfig:
             raise ConfigError(f"depths must lie in 1..{scalar.MAX_DEPTH}, got {self.depths}")
         if not (0.0 <= self.margin < math.inf):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        if not (0.0 <= self.rel_tol < math.inf and 0.0 <= self.loewner_rel < math.inf):
-            raise ConfigError(f"tolerances must be finite and >= 0, got rel_tol="
-                              f"{self.rel_tol}, loewner_rel={self.loewner_rel}")
         if self.grid_points < 2:
             raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not self.families:
+            raise ConfigError("families must name at least one family or selector")
         unknown = [f for f in self.families if f not in _KNOWN_FAMILY_SELECTORS]
         if unknown:
             raise ConfigError(f"unknown families: {unknown}; known: "
                               f"{sorted(_KNOWN_FAMILY_SELECTORS)}")
 
     def as_dict(self) -> dict:
+        # the verdicts are the evaluators' own, at the library tolerances,
+        # which the report records among the settings
         return {
             "seed": self.seed,
             "trials": self.trials,
@@ -180,8 +179,8 @@ class SuiteConfig:
             "depths": list(self.depths),
             "families": list(self.families),
             "margin": self.margin,
-            "rel_tol": self.rel_tol,
-            "loewner_rel": self.loewner_rel,
+            "rel_tol": scalar.REL_TOL,
+            "loewner_rel": LOEWNER_REL_TOL,
             "grid_points": self.grid_points,
             "boundary_probe": self.boundary_probe,
         }
@@ -324,16 +323,8 @@ class RowResult:
     failure_records: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "family": self.family,
-            "branch": self.branch,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "worst_gap": self.worst_gap,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "failure_records"}
 
 
 @dataclass
@@ -413,30 +404,58 @@ def _draw_weight(cfg: SuiteConfig, row: FamilyRow, n, rng: Xoshiro256StarStar):
         return None
 
 
-def _run_suite(cfg: SuiteConfig, kind: str, rows: list, run_row) -> SuiteReport:
-    cfg.validate()
+def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
+    """The one place a row's outcomes are counted.
+
+    ``outcomes`` yields one (ok, margin, details) per trial: ok is True for
+    a pass, False for a failure, recorded as {"row", "trial", **details},
+    and None for a skip.  The worst margin is the least over the
+    passes; every trial counts toward the coverage of ``ops``.
+    """
+    passes = failures = skipped = 0
+    worst: Optional[float] = None
+    records: list = []
+    trials = 0
+    for trials, (ok, margin, details) in enumerate(outcomes, 1):
+        if ok:
+            passes += 1
+            if margin is not None:
+                worst = margin if worst is None else min(worst, margin)
+        elif ok is None:
+            skipped += 1
+        else:
+            failures += 1
+            records.append({"row": key, "trial": trials - 1, **details})
+    for op in ops:
+        coverage[op] = coverage.get(op, 0) + trials
+    return RowResult(key, family, branch, trials, passes, failures, skipped, worst, records)
+
+
+def _run_suite(cfg: SuiteConfig, kind: str, rows) -> SuiteReport:
+    """Tally each row, given as (key, family, branch, outcomes, ops)."""
     start = time.perf_counter()
     coverage: dict = {}
-    rows_out = [run_row(cfg, row, coverage) for row in _selected(cfg, rows, kind)]
-    return SuiteReport(kind, cfg.as_dict(), rows_out, coverage, time.perf_counter() - start)
+    results = [_tally(*row, coverage) for row in rows]
+    return SuiteReport(kind, cfg.as_dict(), results, coverage, time.perf_counter() - start)
 
 
 def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample each scalar row inside its hypothesis region and collect verdicts.
 
-    A trial fails iff the hypothesis held and the oriented gap fell below
-    -rel_tol * (|lhs| + |rhs|); evaluation errors are failures with a cause.
+    A trial fails iff the hypothesis held and the evaluator's verdict is
+    false (gap below -REL_TOL * (|lhs| + |rhs|)); evaluation errors are
+    failures with a cause.
     """
-    return _run_suite(cfg, "scalar", SCALAR_ROWS, _run_scalar_row)
+    cfg.validate()
+    return _run_suite(cfg, "scalar", (
+        (row.key, row.family, row.branch, _scalar_outcomes(cfg, row), row.ops)
+        for row in _selected(cfg, SCALAR_ROWS, "scalar")))
 
 
-def _run_scalar_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResult:
+def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     depths = _depth_candidates(cfg, row)
     row_hash = fnv1a64("scalar/" + row.key)
     lo, hi = cfg.scalar_range
-    passes = failures = skipped = 0
-    worst: Optional[float] = None
-    records: list = []
     probing = cfg.boundary_probe
     for trial in range(cfg.trials):
         rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
@@ -445,48 +464,35 @@ def _run_scalar_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResu
         b = rng.log_uniform(lo, hi)
         v = _draw_weight(cfg, row, n, rng)
         if v is None:
-            skipped += 1
+            yield None, None, None
             continue
         try:
             rep = row.evaluate(a, b, v, n)
         except Exception as exc:  # recorded, never fatal
-            failures += 1
-            records.append({"row": row.key, "trial": trial, "a": a, "b": b,
-                            "v": v, "n": n, "gap": None,
-                            "cause": f"{type(exc).__name__}: {exc}"})
-            continue
-        tau = cfg.rel_tol * (abs(rep.lhs) + abs(rep.rhs))
-        if probing:
-            ok = abs(rep.gap) <= tau
-        elif not rep.hypothesis_ok:
-            skipped += 1
-            continue
+            ok, gap, cause = False, None, f"{type(exc).__name__}: {exc}"
         else:
-            ok = rep.gap >= -tau
-        if ok:
-            passes += 1
-            worst = rep.gap if worst is None else min(worst, rep.gap)
+            gap, cause = rep.gap, "gap below tolerance"
+            if probing:
+                ok = abs(gap) <= scalar.REL_TOL * (abs(rep.lhs) + abs(rep.rhs))
+            else:
+                ok = rep.holds if rep.hypothesis_ok else None
+        if ok or ok is None:
+            yield ok, gap, None
         else:
-            failures += 1
-            records.append({"row": row.key, "trial": trial, "a": a, "b": b,
-                            "v": v, "n": n, "gap": rep.gap, "cause": "gap below tolerance"})
-    for op in row.ops:
-        coverage[op] = coverage.get(op, 0) + cfg.trials
-    return RowResult(row.key, row.family, row.branch, cfg.trials, passes,
-                     failures, skipped, worst, records)
+            yield False, gap, {"a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
 
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample random SPD pairs for each operator row and collect Loewner verdicts."""
-    return _run_suite(cfg, "operator", OPERATOR_ROWS, _run_operator_row)
+    cfg.validate()
+    return _run_suite(cfg, "operator", (
+        (row.key, row.family, row.branch, _operator_outcomes(cfg, row), row.ops)
+        for row in _selected(cfg, OPERATOR_ROWS, "operator")))
 
 
-def _run_operator_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowResult:
+def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     depths = _depth_candidates(cfg, row)
     row_hash = fnv1a64("operator/" + row.key)
-    passes = failures = skipped = 0
-    worst: Optional[float] = None
-    records: list = []
     probing = cfg.boundary_probe
     for trial in range(cfg.trials):
         rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
@@ -494,42 +500,26 @@ def _run_operator_row(cfg: SuiteConfig, row: FamilyRow, coverage: dict) -> RowRe
         n = _pick(depths, rng)
         v = _draw_weight(cfg, row, n, rng)
         if v is None:
-            skipped += 1
+            yield None, None, None
             continue
         mat_a = random_spd(dim, cfg.cond_max, rng)
         mat_b = random_spd(dim, cfg.cond_max, rng)
         try:
             rep = row.evaluate(mat_a, mat_b, v, n)
-        except Exception as exc:
-            failures += 1
-            records.append({"row": row.key, "trial": trial, "dim": dim, "v": v,
-                            "n": n, "min_eig_gap": None,
-                            "matrix_a": mat_a.entries.tolist(),
-                            "matrix_b": mat_b.entries.tolist(),
-                            "cause": f"{type(exc).__name__}: {exc}"})
-            continue
-        tol = rep.tol * (cfg.loewner_rel / 1e-8)
-        if probing:
-            ok = rep.degenerate or abs(rep.min_eig_gap) <= tol
-        elif not rep.hypothesis_ok:
-            skipped += 1
-            continue
+        except Exception as exc:  # recorded, never fatal
+            ok, gap, cause = False, None, f"{type(exc).__name__}: {exc}"
         else:
-            ok = rep.degenerate or rep.min_eig_gap >= -tol
-        if ok:
-            passes += 1
-            worst = rep.min_eig_gap if worst is None else min(worst, rep.min_eig_gap)
+            gap, cause = rep.min_eig_gap, "min eigenvalue below tolerance"
+            if probing:
+                ok = rep.degenerate or abs(gap) <= rep.tol
+            else:
+                ok = rep.holds if rep.hypothesis_ok else None
+        if ok or ok is None:
+            yield ok, gap, None
         else:
-            failures += 1
-            records.append({"row": row.key, "trial": trial, "dim": dim, "v": v,
-                            "n": n, "min_eig_gap": rep.min_eig_gap,
-                            "matrix_a": mat_a.entries.tolist(),
-                            "matrix_b": mat_b.entries.tolist(),
-                            "cause": "min eigenvalue below tolerance"})
-    for op in row.ops:
-        coverage[op] = coverage.get(op, 0) + cfg.trials
-    return RowResult(row.key, row.family, row.branch, cfg.trials, passes,
-                     failures, skipped, worst, records)
+            yield False, gap, {"dim": dim, "v": v, "n": n, "min_eig_gap": gap,
+                               "matrix_a": mat_a.entries.tolist(),
+                               "matrix_b": mat_b.entries.tolist(), "cause": cause}
 
 
 def replay_scalar_failure(record: dict) -> BoundReport:
@@ -721,30 +711,11 @@ def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Grid checks of the stated orderings between bound families, the
     comparison polynomials, and the logarithmic limit behavior."""
     cfg.validate()
-    start = time.perf_counter()
-    rows_out, coverage = [], {}
-    for key, ops, runner in _comparison_claims():
-        trials = passes = failures = 0
-        worst: Optional[float] = None
-        records: list = []
-        for ok, margin, cell in runner(cfg):
-            trials += 1
-            if ok:
-                passes += 1
-                if margin is not None:
-                    worst = margin if worst is None else min(worst, margin)
-            else:
-                failures += 1
-                record = {"row": key, "trial": trials - 1}
-                record.update(cell)
-                record["cause"] = "claim violated"
-                records.append(record)
-        for op in ops:
-            coverage[op] = coverage.get(op, 0) + trials
-        rows_out.append(RowResult(key, "comparison", "", trials, passes,
-                                  failures, 0, worst, records))
-    return SuiteReport("comparison", cfg.as_dict(), rows_out, coverage,
-                       time.perf_counter() - start)
+    report = _run_suite(cfg, "comparison", (
+        (key, "comparison", "", runner(cfg), ops) for key, ops, runner in _comparison_claims()))
+    for record in report.all_failure_records():
+        record["cause"] = "claim violated"
+    return report
 
 
 def run_all(cfg: SuiteConfig) -> SuiteReport:

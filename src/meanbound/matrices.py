@@ -16,7 +16,7 @@ tighter 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -46,10 +46,27 @@ def _as_square(entries) -> np.ndarray:
     return m
 
 
+def _fro(m: np.ndarray) -> float:
+    """Frobenius norm: the sum np.linalg.norm forms, rescaled by the largest
+    entry only when that sum overflows (entries past about 1e154).
+
+    ``np.vdot`` forms the same BLAS sum as ``np.linalg.norm`` but raises no
+    overflow warning, so in-range norms keep their bits at no extra cost.
+    """
+    x = m.ravel(order="K")
+    norm = math.sqrt(np.vdot(x, x))
+    if norm == math.inf:
+        scale = float(np.max(np.abs(x)))
+        if scale < math.inf:
+            x = x / scale
+            norm = scale * math.sqrt(np.vdot(x, x))
+    return norm
+
+
 def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
     """Return ((M + M^T)/2, residual) and reject asymmetry beyond rel_tol."""
-    residual = 0.5 * float(np.linalg.norm(m - m.T))
-    scale = float(np.linalg.norm(m))
+    residual = 0.5 * _fro(m - m.T)
+    scale = _fro(m)
     if residual > rel_tol * scale:
         raise MatrixError(
             f"asymmetry residual {residual:.3e} exceeds {rel_tol:.0e} * ||M||_F "
@@ -75,7 +92,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def fro(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return _fro(self.entries)
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ class SpdMatrix:
         return float(self.decomp.lam[0])
 
     def fro(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return _fro(self.entries)
 
     def sym(self) -> SymMatrix:
         out = object.__new__(SymMatrix)
@@ -294,7 +311,7 @@ class LoewnerVerdict:
     holds: bool
 
     def as_dict(self) -> dict:
-        return {"min_eig_diff": self.min_eig_diff, "tol": self.tol, "holds": self.holds}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
@@ -307,7 +324,7 @@ def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
     if ea.shape != eb.shape:
         raise MatrixError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
     if tol is None:
-        tol = LOEWNER_REL_TOL * (float(np.linalg.norm(ea)) + float(np.linalg.norm(eb)))
+        tol = LOEWNER_REL_TOL * (_fro(ea) + _fro(eb))
     elif tol < 0.0:
         raise MatrixError(f"tolerance must be >= 0, got {tol!r}")
     diff = eb - ea

@@ -19,7 +19,7 @@ exceed both operands in Loewner order; no clamping is applied anywhere.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ from .matrices import (
     MatrixError,
     MeanCalculator,
     SpdMatrix,
+    _fro,
     jacobi_eigh,
 )
 from .scalar import (
@@ -62,20 +63,7 @@ class OperatorBoundReport:
     fingerprint_b: str
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "branch": self.branch,
-            "dim": self.dim,
-            "v": self.v,
-            "n": self.n,
-            "min_eig_gap": self.min_eig_gap,
-            "tol": self.tol,
-            "hypothesis_ok": self.hypothesis_ok,
-            "holds": self.holds,
-            "degenerate": self.degenerate,
-            "fingerprint_a": self.fingerprint_a,
-            "fingerprint_b": self.fingerprint_b,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def matrix_fingerprint(m: SpdMatrix) -> str:
@@ -104,7 +92,7 @@ class OperatorFamily:
 
 
 def _finish(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok) -> OperatorBoundReport:
-    tol = LOEWNER_REL_TOL * (float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs)))
+    tol = LOEWNER_REL_TOL * (_fro(lhs) + _fro(rhs))
     diff = rhs - lhs
     gap = float(jacobi_eigh(diff).lam[0])
     return OperatorBoundReport(family, branch, a.dim, v, n, gap, tol,
@@ -125,7 +113,7 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
         raise MatrixError("operator bounds require SpdMatrix operands")
     if a.dim != b.dim:
         raise MatrixError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if float(np.linalg.norm(a.entries - b.entries)) <= DEGENERATE_REL_TOL * a.fro():
+    if _fro(a.entries - b.entries) <= DEGENERATE_REL_TOL * a.fro():
         tol = LOEWNER_REL_TOL * 2.0 * a.fro()
         return hyp, OperatorBoundReport(key, branch, a.dim, v, n, 0.0, tol, hyp, True,
                                         True, matrix_fingerprint(a), matrix_fingerprint(b))

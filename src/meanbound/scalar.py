@@ -17,7 +17,7 @@ operands are never formed directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 REL_TOL = 1e-9
@@ -70,23 +70,14 @@ class BoundReport:
     holds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "branch": self.branch,
-            "a": self.a,
-            "b": self.b,
-            "v": self.v,
-            "n": self.n,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "hypothesis_ok": self.hypothesis_ok,
-            "holds": self.holds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _report(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok, upper):
     gap = (rhs - lhs) if upper else (lhs - rhs)
+    if not math.isfinite(gap):
+        raise OverflowError(f"{family}: gap {gap!r} at a={a!r}, b={b!r}, v={v!r} "
+                            f"leaves the floating-point range")
     holds = gap >= -REL_TOL * (abs(lhs) + abs(rhs))
     return BoundReport(family, branch, a, b, v, n, lhs, rhs, gap, hypothesis_ok, holds)
 
@@ -108,7 +99,11 @@ def young_lhs(a: float, b: float, v: float) -> float:
     """Weighted arithmetic mean (1-v)*a + v*b."""
     _require_pair(a, b)
     _require_weight(v)
-    return (1.0 - v) * a + v * b
+    lhs = (1.0 - v) * a + v * b
+    if not math.isfinite(lhs):
+        raise OverflowError(f"weighted arithmetic mean at a={a!r}, b={b!r}, v={v!r} "
+                            f"leaves the floating-point range")
+    return lhs
 
 
 def weighted_geometric(a: float, b: float, v: float) -> float:
@@ -567,14 +562,7 @@ class GapBound:
     hypothesis_ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "family": self.family,
-            "branch": self.branch,
-            "n": self.n,
-            "value": self.value,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -658,4 +646,8 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
             margin = gj.value - gi.value
             if margin >= 0.0:
                 dominance.append((gi.label, gj.label, margin))
+    values = [true_gap, *(g.value for g in bounds), *(m for _, _, m in dominance)]
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"gap bounds at a={a!r}, b={b!r}, v={v!r} leave the "
+                            f"floating-point range")
     return ComparisonReport(a, b, v, n, true_gap, tuple(bounds), tuple(dominance))

@@ -22,8 +22,8 @@ from meanbound.harness import (
     run_scalar_suite,
     sample_weight,
 )
-from meanbound.matrices import SpdMatrix, arithmetic_mean, geometric_mean, \
-    heinz_mean, jacobi_eigh, loewner_leq, spd_power
+from meanbound.matrices import LOEWNER_REL_TOL, SpdMatrix, arithmetic_mean, \
+    geometric_mean, heinz_mean, jacobi_eigh, loewner_leq, spd_power
 from meanbound.rng import Xoshiro256StarStar, derive_seed
 
 SEED = 20260811
@@ -52,14 +52,15 @@ def test_criterion_2_scalar_hypothesis_suites():
     rows_per_family: dict = {}
     for row in SCALAR_ROWS:
         rows_per_family[row.family] = rows_per_family.get(row.family, 0) + 1
+    # suite verdicts are the evaluators' own, at this relative tolerance
+    assert scalar.REL_TOL == 1e-9
     start = time.perf_counter()
     total_trials = 0
     failures = 0
     for family, count in rows_per_family.items():
         cfg = SuiteConfig(seed=SEED, trials=10000 // count, families=(family,),
                           scalar_range=(1e-3, 1e3), v_range=(-6.0, 6.0),
-                          depths=(1, 2, 3, 4, 5, 6), margin=1e-6,
-                          rel_tol=1e-9)
+                          depths=(1, 2, 3, 4, 5, 6), margin=1e-6)
         rep = run_scalar_suite(cfg)
         failures += rep.total_failures
         total_trials += sum(row.trials for row in rep.rows)
@@ -72,9 +73,11 @@ def test_criterion_2_scalar_hypothesis_suites():
 
 
 def test_criterion_3_operator_suites():
+    # Loewner verdicts are the evaluators' own, at this tolerance factor
+    assert LOEWNER_REL_TOL == 1e-8
     cfg = SuiteConfig(seed=SEED, trials=500, dims=(1, 2, 4, 8), cond_max=1e4,
                       depths=(1, 2, 3, 4, 5, 6), v_range=(-6.0, 6.0),
-                      margin=1e-6, loewner_rel=1e-8)
+                      margin=1e-6)
     start = time.perf_counter()
     rep = run_operator_suite(cfg)
     elapsed = time.perf_counter() - start

@@ -112,17 +112,28 @@ def test_bound_json_gap_matches_row_evaluate(capsys, row):
     assert result["gap"] == row.evaluate(3.0, 0.5, v, 3).gap
 
 
+_TINY_HUGE = ("--a", "1e-300", "--b", "1e300", "--v", "6")  # the mean overflows
+_HUGE_PAIR = ("--a", "1e308", "--b", "1.7e308", "--v", "-6")  # the lhs overflows
+_HUGE_GAP = ("--a", "1e-300", "--b", "1.7e308", "--v", "-1")  # a bound overflows
+
+
 @pytest.mark.parametrize("command", [
-    ("bound", "--family", "reverse-young-basic"),
-    ("bound", "--family", "theorem-main-reverse", "--branch", "i", "--n", "2"),
-    ("check-scalar", "--n", "2"),
-    ("compare",),
+    ("bound", "--family", "reverse-young-basic", *_TINY_HUGE),
+    ("bound", "--family", "theorem-main-reverse", "--branch", "i", "--n", "2", *_TINY_HUGE),
+    ("check-scalar", "--n", "2", *_TINY_HUGE),
+    ("compare", *_TINY_HUGE),
+    ("bound", "--family", "reverse-young-basic", *_HUGE_PAIR),
+    ("check-scalar", "--n", "2", *_HUGE_PAIR),
+    ("compare", *_HUGE_PAIR),
+    ("bound", "--family", "corollary-one-term", "--branch", "ii", *_HUGE_GAP),
+    ("compare", *_HUGE_GAP),
 ])
 def test_unrepresentable_result_exits_two(capsys, command):
-    code, out, err = run_cli(capsys, *command, "--a", "1e-300", "--b", "1e300", "--v", "6")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, *command, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +228,38 @@ def test_check_operator_asymmetric_file_exits_two(capsys, tmp_path):
     assert "residual" in err
 
 
+def test_check_operator_huge_asymmetric_file_exits_two(capsys, tmp_path):
+    # relative asymmetry 1e-8 is rejected at every scale, also where the
+    # plain sum of squares of the entries overflows
+    a = write(tmp_path / "a.txt", "2\n1e200 0.5e200\n0.50000001e200 2e200\n")
+    b = write(tmp_path / "b.txt", "2\n1 0\n0 1\n")
+    code, _, err = run_cli(capsys, "check-operator", a, b, "--family", "t66",
+                           "--branch", "i", "--v", "2", "--n", "1")
+    assert code == 2
+    assert "residual" in err
+
+
+@pytest.mark.parametrize("family", OPERATOR_TABLE, ids=lambda family: family.key)
+def test_check_operator_huge_pair_has_finite_tolerance(capsys, tmp_path, family):
+    a = write(tmp_path / "a.txt", "2\n3e200 1e200\n1e200 2e200\n")
+    b = write(tmp_path / "b.txt", "2\n1e200 -0.5e200\n-0.5e200 4e200\n")
+    code, out, _ = run_cli(capsys, "check-operator", a, b, "--family", family.key,
+                           "--branch", "i", "--v", "2.5", "--n", "2", "--format", "json")
+    result = json.loads(out)["results"][0]
+    assert code == 0 and result["degenerate"] is False
+    assert 0.0 < result["tol"] < 1e195
+
+
+def test_check_operator_large_weight_has_finite_tolerance(capsys, tmp_path):
+    # A #_30 B has entries near 1e177, whose squares overflow
+    a = write(tmp_path / "a.txt", "2\n1e3 0\n0 1e-3\n")
+    b = write(tmp_path / "b.txt", "2\n1e-3 0\n0 1e3\n")
+    code, out, _ = run_cli(capsys, "check-operator", a, b, "--family", "t66",
+                           "--n", "2", "--v", "30", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["tol"] == pytest.approx(1e169, rel=1e-9)
+
+
 def test_check_operator_not_spd_exits_two(capsys, tmp_path):
     a = write(tmp_path / "a.txt", "2\n1.0 0.0\n0.0 -1.0\n")
     b = write(tmp_path / "b.txt", "2\n1.0 0.0\n0.0 1.0\n")
@@ -305,3 +348,39 @@ def test_suite_non_finite_cond_max_exits_two(capsys, value):
                            "--cond-max", value, "--trials", "5")
     assert code == 2
     assert err.startswith("error: cond_max must be finite")
+
+
+def test_suite_unknown_config_key_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("trails = 3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown config key 'trails'")
+
+
+def test_suite_boundary_probe_config_key_matches_flag(capsys, tmp_path):
+    args = ("suite", "--families", "theorem-main-reverse,t66", "--trials", "6",
+            "--format", "json")
+    outputs = []
+    for setting in ("true", "false"):
+        cfg = tmp_path / f"{setting}.cfg"
+        cfg.write_text(f"boundary_probe = {setting}\n", encoding="utf-8")
+        outputs.append(run_cli(capsys, *args, "--config", str(cfg)))
+    outputs.append(run_cli(capsys, *args, "--boundary-probe"))
+    outputs.append(run_cli(capsys, *args))
+
+    def strip_wall(result):
+        code, out, _ = result
+        return code, [line for line in out.splitlines() if "wall_time_s" not in line]
+
+    probe_file, plain_file, probe_flag, plain = map(strip_wall, outputs)
+    assert probe_file == probe_flag and plain_file == plain
+    assert probe_file != plain_file
+
+
+@pytest.mark.parametrize("flag", ["--dims", "--depths"])
+def test_suite_empty_list_setting_exits_two(capsys, flag):
+    code, _, err = run_cli(capsys, "suite", "--families", "operator", "--trials", "2",
+                           flag, ",")
+    assert code == 2
+    assert err.startswith(f"error: {flag[2:]} must")

@@ -22,6 +22,8 @@ from meanbound.harness import (
     run_scalar_suite,
     sample_weight,
 )
+from meanbound.matrices import MatrixError
+from meanbound.operators import OperatorBoundReport
 from meanbound.rng import Xoshiro256StarStar, derive_seed
 from meanbound.scalar import BoundReport
 
@@ -140,7 +142,7 @@ def test_config_validation():
     SMALL.validate()
 
 
-@pytest.mark.parametrize("field", ["cond_max", "margin", "rel_tol", "loewner_rel"])
+@pytest.mark.parametrize("field", ["cond_max", "margin"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_config_rejects_non_finite_settings(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -288,9 +290,59 @@ def test_failure_recording_and_replay_via_canary_row(monkeypatch):
     assert row.failures == row.trials
     assert len(row.failure_records) == row.trials
     record = row.failure_records[0]
+    assert list(record) == ["row", "trial", "a", "b", "v", "n", "gap", "cause"]
     assert record["cause"] == "gap below tolerance"
     replayed = replay_scalar_failure(record)
     assert replayed.gap == record["gap"]
+
+
+def _operator_canary(monkeypatch, evaluate):
+    canary = dataclasses.replace(OPERATOR_ROWS[0], key="canary", branch="x",
+                                 evaluate=evaluate)
+    monkeypatch.setattr(harness, "OPERATOR_ROWS", [canary])
+    cfg = SuiteConfig(trials=4, dims=(1, 3), families=("operator",))
+    return run_operator_suite(cfg).rows[0]
+
+
+def test_operator_failure_recording_and_replay_via_canary_row(monkeypatch):
+    def wrong(a, b, v, n):
+        return OperatorBoundReport("canary", "x", a.dim, v, n, -float(a.entries.sum()),
+                                   1e-8, True, False, False, "", "")
+
+    row = _operator_canary(monkeypatch, wrong)
+    assert row.failures == row.trials == len(row.failure_records)
+    record = row.failure_records[0]
+    assert list(record) == ["row", "trial", "dim", "v", "n", "min_eig_gap",
+                            "matrix_a", "matrix_b", "cause"]
+    assert record["cause"] == "min eigenvalue below tolerance"
+    assert replay_operator_failure(record).min_eig_gap == record["min_eig_gap"]
+
+
+def test_operator_evaluation_error_recorded_via_canary_row(monkeypatch):
+    def broken(a, b, v, n):
+        raise MatrixError("canary breakdown")
+
+    row = _operator_canary(monkeypatch, broken)
+    assert row.failures == row.trials and row.worst_gap is None
+    for record in row.failure_records:
+        assert record["min_eig_gap"] is None
+        assert record["cause"] == "MatrixError: canary breakdown"
+
+
+def test_comparison_failure_recording_via_canary_claim(monkeypatch):
+    def cells(cfg):
+        yield True, 0.5, {"x": 1.0, "v": 0.25}
+        yield False, -1.0, {"x": 2.0, "v": 0.75}
+
+    monkeypatch.setattr(harness, "_comparison_claims",
+                        lambda: [("canary/claim", ("canary_op",), cells)])
+    rep = run_comparison_suite(SMALL)
+    row = rep.rows[0]
+    assert (row.trials, row.passes, row.failures, row.worst_gap) == (2, 1, 1, 0.5)
+    assert row.failure_records == [{"row": "canary/claim", "trial": 1, "x": 2.0,
+                                    "v": 0.75, "cause": "claim violated"}]
+    assert list(row.failure_records[0]) == ["row", "trial", "x", "v", "cause"]
+    assert rep.coverage == {"canary_op": 2}
 
 
 def test_numeric_errors_recorded_not_fatal():

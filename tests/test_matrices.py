@@ -14,6 +14,7 @@ from meanbound.matrices import (
     MeanCalculator,
     SpdMatrix,
     SymMatrix,
+    _fro,
     arithmetic_mean,
     eigh,
     format_matrix_text,
@@ -159,6 +160,18 @@ def test_spd_power_overflow():
     a = SpdMatrix([[1e300]])
     with pytest.raises(MatrixError, match="overflow"):
         spd_power(a, 2.0)
+
+
+def test_frobenius_norm_keeps_in_range_bits_and_survives_overflow():
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 5, 8):
+        m = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-100, 100)
+        for view in (m, m.T, m - m.T):
+            assert _fro(view) == float(np.linalg.norm(view))
+    big = np.array([[3e200, 1e200], [1e200, -2e200]])
+    assert _fro(big) == pytest.approx(math.sqrt(15.0) * 1e200, rel=1e-15)
+    assert _fro(big.T) == _fro(big)
+    assert SpdMatrix([[1e300]]).fro() == 1e300
 
 
 # ---------------------------------------------------------------------------
