@@ -266,10 +266,18 @@ def _build_suite_config(args) -> SuiteConfig:
 def cmd_suite(args) -> int:
     cfg = _build_suite_config(args)
     report = harness.run_all(cfg)
+    code = 0 if report.total_failures == 0 else 1
     doc = report.to_doc(include_wall_time=True)
+    if args.format == "csv":  # the rows, to --out when given
+        _emit(doc, [row.as_dict() for row in report.rows], "", "csv", args.out)
+        return code
+    # text and json runs write the JSON report to --out
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(reporting.dumps(doc))
+    if args.format == "json" and not args.out:
+        sys.stdout.write(reporting.dumps(doc))
+        return code
     lines = []
     for row in report.rows:
         worst = "n/a" if row.worst_gap is None else "%.6g" % row.worst_gap
@@ -277,14 +285,8 @@ def cmd_suite(args) -> int:
                      f"failures={row.failures} skipped={row.skipped} worst_gap={worst}")
     lines.append(f"total failures: {report.total_failures} "
                  f"(wall {report.wall_time_s:.2f}s)")
-    if args.format == "json" and not args.out:
-        sys.stdout.write(reporting.dumps(doc))
-    elif args.format == "csv":
-        _emit(doc, [row.as_dict() for row in report.rows], "\n".join(lines),
-              "csv", None)
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if report.total_failures == 0 else 1
+    sys.stdout.write("\n".join(lines) + "\n")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

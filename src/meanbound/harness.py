@@ -2,8 +2,9 @@
 
 Every trial derives its own generator substream from (seed, row key, trial
 index), so identical configurations replay byte-identically and trials are
-order-independent.  Suites never abort on a failing trial; every failure
-is recorded with the full inputs needed to replay it without randomness.
+order-independent; a row's substream states come from one numpy pass.
+Suites never abort on a failing trial; every failure is recorded with the
+full inputs needed to replay it without randomness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import BRANCHES, OPERATOR_BY_NAME, OPERATOR_TABLE
-from .rng import Xoshiro256StarStar, derive_seed, fnv1a64
+from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
 from .scalar import (
     BoundReport,
     window_dyadic_high,
@@ -65,12 +66,17 @@ def sample_weight(region: Region, v_range: tuple, margin: float,
                   rng: Xoshiro256StarStar) -> float:
     """Uniform draw over the clipped admissible set (up to two intervals)."""
     pieces = region.intervals(v_range, margin)
-    total = sum(hi - lo for lo, hi in pieces)
-    if total <= 0.0:
+    if not pieces:  # every piece kept has positive width
         raise EmptyRegionError(
             f"region {region.kind} [{region.lo}, {region.hi}] is empty after "
             f"clipping to {list(v_range)} with margin {margin}"
         )
+    return _sample_pieces(pieces, rng)
+
+
+def _sample_pieces(pieces: list, rng: Xoshiro256StarStar) -> float:
+    """Uniform draw over nonempty clipped pieces from Region.intervals."""
+    total = sum(hi - lo for lo, hi in pieces)
     x = rng.random() * total
     for lo, hi in pieces:
         width = hi - lo
@@ -96,9 +102,10 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
         raise ConfigError(f"dim must be >= 1, got {dim}")
     if cond_max < 1.0:
         raise ConfigError(f"cond_max must be >= 1, got {cond_max}")
-    lo, hi = cond_max ** -0.5, cond_max ** 0.5
+    # rng.log_uniform(cond_max ** -0.5, cond_max ** 0.5), its logs taken once
+    llo, lhi = math.log(cond_max ** -0.5), math.log(cond_max ** 0.5)
     if dim == 1:
-        entries = np.array([[rng.log_uniform(lo, hi)]])
+        entries = np.array([[math.exp(llo + (lhi - llo) * rng.random())]])
         entries.setflags(write=False)
         return SpdMatrix._trusted(entries)
     values = []
@@ -109,7 +116,7 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     q = q * signs
-    lam = np.array([rng.log_uniform(lo, hi) for _ in range(dim)])
+    lam = np.array([math.exp(llo + (lhi - llo) * rng.random()) for _ in range(dim)])
     entries = (q * lam) @ q.T
     entries = 0.5 * (entries + entries.T)
     entries.setflags(write=False)
@@ -391,17 +398,20 @@ def _pick(seq, rng: Xoshiro256StarStar):
     return seq[rng.randint(len(seq))] if len(seq) > 1 else seq[0]
 
 
-def _draw_weight(cfg: SuiteConfig, row: FamilyRow, n, rng: Xoshiro256StarStar):
-    """The trial's weight: a boundary-probe point, or a sample of the row's
-    hypothesis region; None when there is none and the trial is skipped."""
+def _weight_sources(cfg: SuiteConfig, row: FamilyRow, depths: list) -> dict:
+    """Per depth, what a trial's weight is drawn from: the boundary-probe
+    points, or the row's hypothesis region clipped to the configured v range;
+    None when there is nothing to draw and the trial is skipped."""
     if cfg.boundary_probe:
-        points = row.probe(n)
-        return _pick(points, rng) if points else None
-    try:
-        return sample_weight(row.region(n), cfg.v_range, cfg.margin, rng)
-    except EmptyRegionError:
-        # hypothesis region unreachable in the configured v range
+        return {n: row.probe(n) or None for n in depths}
+    return {n: row.region(n).intervals(cfg.v_range, cfg.margin) or None for n in depths}
+
+
+def _draw_weight(source, probing: bool, rng: Xoshiro256StarStar):
+    """The trial's weight from its depth's source (see _weight_sources)."""
+    if source is None:
         return None
+    return _pick(source, rng) if probing else _sample_pieces(source, rng)
 
 
 def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
@@ -454,15 +464,18 @@ def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
 
 def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     depths = _depth_candidates(cfg, row)
-    row_hash = fnv1a64("scalar/" + row.key)
-    lo, hi = cfg.scalar_range
+    sources = _weight_sources(cfg, row, depths)
+    # derive_seed(seed, key, trial) is derive_seed(derive_seed(seed, key), trial)
+    row_seed = derive_seed(cfg.seed, fnv1a64("scalar/" + row.key))
+    # a and b as rng.log_uniform(*cfg.scalar_range) draws them
+    llo, lhi = (math.log(end) for end in cfg.scalar_range)
     probing = cfg.boundary_probe
-    for trial in range(cfg.trials):
-        rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
+    for state in substream_states(row_seed, cfg.trials):
+        rng = Xoshiro256StarStar(state)
         n = _pick(depths, rng)
-        a = rng.log_uniform(lo, hi)
-        b = rng.log_uniform(lo, hi)
-        v = _draw_weight(cfg, row, n, rng)
+        a = math.exp(llo + (lhi - llo) * rng.random())
+        b = math.exp(llo + (lhi - llo) * rng.random())
+        v = _draw_weight(sources[n], probing, rng)
         if v is None:
             yield None, None, None
             continue
@@ -492,13 +505,14 @@ def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
 
 def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     depths = _depth_candidates(cfg, row)
-    row_hash = fnv1a64("operator/" + row.key)
+    sources = _weight_sources(cfg, row, depths)
+    row_seed = derive_seed(cfg.seed, fnv1a64("operator/" + row.key))
     probing = cfg.boundary_probe
-    for trial in range(cfg.trials):
-        rng = Xoshiro256StarStar(derive_seed(cfg.seed, row_hash, trial))
+    for state in substream_states(row_seed, cfg.trials):
+        rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)
         n = _pick(depths, rng)
-        v = _draw_weight(cfg, row, n, rng)
+        v = _draw_weight(sources[n], probing, rng)
         if v is None:
             yield None, None, None
             continue

@@ -3,19 +3,26 @@
 Both generators follow their published reference algorithms on 64-bit
 unsigned arithmetic, so identically-seeded streams reproduce across
 platforms and implementations.  Suites derive one independent substream
-per trial from (seed, row key, trial index) via :func:`derive_seed`.
+per trial from (seed, row key, trial index) via :func:`derive_seed`;
+:func:`substream_states` computes a row's trial states in numpy ``uint64``,
+bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+# Trials per numpy pass of substream_states: memory stays flat for any count.
+SUBSTREAM_CHUNK = 1024
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state; returns (new_state, output word)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    state = (state + _GOLDEN) & _MASK
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -24,7 +31,7 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 def _mix(z: int) -> int:
     # splitmix64 output finalizer applied to a raw word
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = (z + _GOLDEN) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -46,16 +53,47 @@ def derive_seed(seed: int, *parts) -> int:
     return h
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
+# numpy uint64 forms of the splitmix64 constants, made once: numpy scalars
+# cost less per array operation than Python ints
+_U64_GOLDEN, _U64_M1, _U64_M2 = (
+    np.uint64(c) for c in (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+# splitmix64 word i (i = 1..4) from a seed finalizes the seed plus i golden
+# steps; one row per word, so all four come from one array pass
+_U64_WORD_STEPS = np.array([[i * _GOLDEN & _MASK] for i in range(1, 5)], dtype=np.uint64)
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    # the splitmix64 output finalizer on a uint64 array; array arithmetic
+    # wraps mod 2**64 exactly as the masked integer code does
+    z = (z ^ (z >> _U64_30)) * _U64_M1
+    z = (z ^ (z >> _U64_27)) * _U64_M2
+    return z ^ (z >> _U64_31)
+
+
+def substream_states(base: int, count: int):
+    """Yield, for t in range(count), the (s0, s1, s2, s3) state of
+    ``Xoshiro256StarStar(derive_seed(base, t))``, computed in numpy
+    SUBSTREAM_CHUNK trials at a time."""
+    base = np.uint64(base & _MASK)
+    for start in range(0, count, SUBSTREAM_CHUNK):
+        trials = np.arange(start, min(count, start + SUBSTREAM_CHUNK), dtype=np.uint64)
+        seeds = _finalize((trials ^ base) + _U64_GOLDEN)  # derive_seed(base, t)
+        words = _finalize(seeds + _U64_WORD_STEPS)  # row i: s_i of every trial
+        words[0, ~words.any(axis=0)] = 1  # all-zero state is absorbing
+        yield from zip(*words.tolist())
 
 
 class Xoshiro256StarStar:
-    """xoshiro256** 1.0; state seeded by four successive splitmix64 words."""
+    """xoshiro256** 1.0; state seeded by four successive splitmix64 words,
+    or given as an (s0, s1, s2, s3) tuple from :func:`substream_states`."""
 
     __slots__ = ("s0", "s1", "s2", "s3")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed):
+        if isinstance(seed, tuple):
+            self.s0, self.s1, self.s2, self.s3 = seed
+            return
         state = seed & _MASK
         state, self.s0 = splitmix64(state)
         state, self.s1 = splitmix64(state)
@@ -66,15 +104,18 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
+        x = (s1 * 5) & _MASK
+        # rotl(x, 7) * 9 mod 2**64; the bits that x << 7 lifts past bit 63
+        # add a multiple of 2**64, which the mask drops
+        result = (((x << 7) | (x >> 57)) * 9) & _MASK
         t = (s1 << 17) & _MASK
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        # s3 becomes rotl(s3, 45)
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _MASK
         return result
 
     def random(self) -> float:

@@ -384,3 +384,16 @@ def test_suite_empty_list_setting_exits_two(capsys, flag):
                            flag, ",")
     assert code == 2
     assert err.startswith(f"error: {flag[2:]} must")
+
+
+def test_suite_csv_out_writes_the_csv_rows(capsys, tmp_path):
+    args = ("suite", "--families", "kittaneh-manasrah", "--trials", "2", "--seed", "42")
+    code, expected, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    out = tmp_path / "r.csv"
+    code, printed, _ = run_cli(capsys, *args, "--format", "csv", "--out", str(out))
+    assert code == 0 and printed == ""
+    assert out.read_text() == expected
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [row["key"] for row in rows] == ["kittaneh-manasrah"]
+    assert rows[0]["trials"] == "2"

@@ -1,0 +1,77 @@
+import itertools
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meanbound.rng import (
+    SUBSTREAM_CHUNK,
+    Xoshiro256StarStar,
+    derive_seed,
+    splitmix64,
+    substream_states,
+)
+
+COUNTS = (0, 1, 4, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1,
+          5 * SUBSTREAM_CHUNK // 2)
+
+
+def state(rng):
+    return rng.s0, rng.s1, rng.s2, rng.s3
+
+
+def test_splitmix64_known_answers():
+    # the reference sequence of splitmix64.c from seed 1234567
+    words, value = [], 1234567
+    for _ in range(5):
+        value, word = splitmix64(value)
+        words.append(word)
+    assert words == [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                     4593380528125082431, 16408922859458223821]
+
+
+def test_xoshiro256starstar_known_answers():
+    # the rand_xoshiro crate's test vector, from the state (1, 2, 3, 4)
+    rng = Xoshiro256StarStar((1, 2, 3, 4))
+    assert [rng.next_u64() for _ in range(10)] == [
+        11520, 0, 1509978240, 1215971899390074240, 1216172134540287360,
+        607988272756665600, 16172922978634559625, 8476171486693032832,
+        10595114339597558777, 2904607092377533576]
+
+
+def assert_substreams_match(seed, key, count):
+    """Every state of substream_states(derive_seed(seed, key), count) is the
+    state derive_seed(seed, key, t) seeds, and gives the same first words."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = list(substream_states(derive_seed(seed, key), count))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(states) == count
+    for trial, given_state in enumerate(states):
+        fast = Xoshiro256StarStar(given_state)
+        reference = Xoshiro256StarStar(derive_seed(seed, key, trial))
+        assert state(fast) == state(reference), trial
+        assert ([fast.next_u64() for _ in range(16)]
+                == [reference.next_u64() for _ in range(16)]), trial
+
+
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("seed,key", list(itertools.product(
+    (0, 1, 2 ** 64 - 1), ("scalar/reverse-young-basic", 0, 2 ** 64 - 1))))
+def test_substream_states_match_derive_seed(seed, key, count):
+    assert_substreams_match(seed, key, count)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       key=st.one_of(st.text(max_size=12), st.integers(0, 2 ** 64 - 1)),
+       count=st.sampled_from(COUNTS))
+def test_substream_states_match_derive_seed_drawn(seed, key, count):
+    assert_substreams_match(seed, key, count)
+
+
+def test_substream_states_work_chunk_by_chunk():
+    # a count no single array could hold still yields its first state at once
+    first = next(substream_states(5, 10 ** 15))
+    assert first == state(Xoshiro256StarStar(derive_seed(5, 0)))
