@@ -15,6 +15,7 @@ overflow the floating-point range.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -289,6 +290,7 @@ def cmd_suite(args) -> int:
     return code
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanbound",

@@ -105,21 +105,16 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     # rng.log_uniform(cond_max ** -0.5, cond_max ** 0.5), its logs taken once
     llo, lhi = math.log(cond_max ** -0.5), math.log(cond_max ** 0.5)
     if dim == 1:
-        entries = np.array([[math.exp(llo + (lhi - llo) * rng.random())]])
-        entries.setflags(write=False)
-        return SpdMatrix._trusted(entries)
+        return SpdMatrix._trusted(np.array([[math.exp(llo + (lhi - llo) * rng.random())]]))
     values = []
     while len(values) < dim * dim:
         values.extend(rng.gauss_pair())
     gauss = np.array(values[: dim * dim]).reshape(dim, dim)
     q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     lam = np.array([math.exp(llo + (lhi - llo) * rng.random()) for _ in range(dim)])
     entries = (q * lam) @ q.T
     entries = 0.5 * (entries + entries.T)
-    entries.setflags(write=False)
     # the factorization is recomputed from the entries on first use, so a
     # matrix rebuilt from a failure record replays through the same path
     return SpdMatrix._trusted(entries)

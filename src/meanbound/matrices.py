@@ -63,8 +63,8 @@ def _fro(m: np.ndarray) -> float:
     return norm
 
 
-def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
-    """Return ((M + M^T)/2, residual) and reject asymmetry beyond rel_tol."""
+def _asymmetry(m: np.ndarray, rel_tol: float) -> float:
+    """Return the residual ||M - M^T||_F / 2; reject it beyond rel_tol * ||M||_F."""
     residual = 0.5 * _fro(m - m.T)
     scale = _fro(m)
     if residual > rel_tol * scale:
@@ -72,6 +72,12 @@ def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
             f"asymmetry residual {residual:.3e} exceeds {rel_tol:.0e} * ||M||_F "
             f"= {rel_tol * scale:.3e}"
         )
+    return residual
+
+
+def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
+    """Return ((M + M^T)/2, residual) and reject asymmetry beyond rel_tol."""
+    residual = _asymmetry(m, rel_tol)
     return 0.5 * (m + m.T), residual
 
 
@@ -238,7 +244,8 @@ class MeanCalculator:
     The mean is covariant under congruence, (XAX^T) #_w (XBX^T) =
     X (A #_w B) X^T, so with A = LL^T and L^(-1) B L^(-T) = Q diag(lam) Q^T
     every weight is A #_w B = W diag(lam^w) W^T with W = LQ: one Cholesky
-    factorization and one eigensolve serve all weights of the pair.
+    factorization and one eigensolve serve all weights of the pair, and
+    ``prime`` forms the means of many weights in one stacked pass.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
@@ -262,16 +269,34 @@ class MeanCalculator:
 
     def sharp_entries(self, w: float) -> np.ndarray:
         """Entries of A #_w B = A^(1/2) (A^(-1/2) B A^(-1/2))^w A^(1/2)."""
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
+        if w not in self._cache:
+            self.prime((w,))
+        return self._cache[w]
+
+    def prime(self, weights) -> None:
+        """Cache A #_w B for every new weight of ``weights`` in one stacked pass.
+
+        Each power is taken as ``lam ** w`` on its own, so numpy's scalar
+        fast paths (w = 0.5, 2, -1) give the bits a lone weight gets; the
+        products and their symmetrization then run over the whole stack.
+        The checks still run per weight in the order given: the first
+        weight whose power overflows or whose product is asymmetric beyond
+        SYM_OP_TOL raises, after the weights before it are cached.
+        """
+        new = [w for w in dict.fromkeys(weights) if w not in self._cache]
+        if not new:
+            return
         with np.errstate(over="ignore"):
-            lam_w = self._lam ** w
-        if not np.all(np.isfinite(lam_w)):
-            raise MatrixError(f"inner eigenvalue power overflows for weight {w}")
-        out, _ = _symmetrize((self._w * lam_w) @ self._w.T, SYM_OP_TOL)
-        self._cache[w] = out
-        return out
+            powers = np.array([self._lam ** w for w in new])
+        finite = np.isfinite(powers).all(axis=1)
+        good = len(new) if finite.all() else int(np.argmin(finite))
+        stack = (self._w * powers[:good, None, :]) @ self._w.T
+        sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+        for w, m, out in zip(new, stack, sym):
+            _asymmetry(m, SYM_OP_TOL)
+            self._cache[w] = out
+        if good < len(new):
+            raise MatrixError(f"inner eigenvalue power overflows for weight {new[good]}")
 
     def heinz_entries(self, w: float) -> np.ndarray:
         return 0.5 * (self.sharp_entries(w) + self.sharp_entries(1.0 - w))

@@ -120,6 +120,25 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     return hyp, None
 
 
+def _ladder(branch, terms) -> list:
+    """The (k, w_in, w_out) correction terms of a branch, k = n down to the
+    first; branch ii mirrors the weights to 1 - w, exact at every allowed depth."""
+    if branch == "ii":
+        return [(k, 1.0 - w_in, 1.0 - w_out) for k, w_in, w_out in terms]
+    return terms
+
+
+def _mean_pass(mc, heinz, head, ladder, v) -> Callable:
+    """Compute every mean an evaluation uses in one stacked pass, listed in
+    first-use order (a Heinz mean at w uses w, then 1 - w); return the
+    mean the correction reads, now served from the cache."""
+    weights = [*head, *(w for _, w_in, w_out in ladder for w in (w_in, w_out)), v]
+    if heinz:
+        weights = [x for w in weights for x in (w, 1.0 - w)]
+    mc.prime(weights)
+    return mc.heinz_entries if heinz else mc.sharp_entries
+
+
 def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     """Shared body of theorem_t6 and, with ``heinz``, corollary_c3.
 
@@ -129,16 +148,15 @@ def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
+    ladder = _ladder(branch, [(k, (2.0 ** (k - 1) + 1.0) / 2.0 ** k,
+                               (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1))
+                              for k in range(n, 1, -1)])
     mc = MeanCalculator(a, b)
-    mean = mc.heinz_entries if heinz else mc.sharp_entries
+    mean = _mean_pass(mc, heinz, [0.5], ladder, v)
     sharp_half = mc.sharp_entries(0.5)
     nabla = mc.nabla_entries(0.5)
     corr = np.zeros_like(sharp_half)
-    for k in range(n, 1, -1):
-        w_in = (2.0 ** (k - 1) + 1.0) / 2.0 ** k
-        w_out = (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1)
-        if branch == "ii":  # mirrored weights 1 - w, exact at every allowed depth
-            w_in, w_out = 1.0 - w_in, 1.0 - w_out
+    for k, w_in, w_out in ladder:
         corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mean(w_in) + mean(w_out))
     lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
     sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
@@ -157,17 +175,15 @@ def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
+    ladder = _ladder(branch, [(k, 0.5 ** k, 0.5 ** (k - 1)) for k in range(n, 0, -1)])
     mc = MeanCalculator(a, b)
-    mean = mc.heinz_entries if heinz else mc.sharp_entries
+    mean = _mean_pass(mc, heinz, [], ladder, v)
     if heinz:
         anchor = mc.nabla_entries(0.5)
     else:
         anchor = a.entries if branch == "i" else b.entries
     corr = np.zeros_like(anchor)
-    for k in range(n, 0, -1):
-        w_in, w_out = 0.5 ** k, 0.5 ** (k - 1)
-        if branch == "ii":  # mirrored weights 1 - w, exact at every allowed depth
-            w_in, w_out = 1.0 - w_in, 1.0 - w_out
+    for k, w_in, w_out in ladder:
         corr += 2.0 ** (k - 1) * (anchor - 2.0 * mean(w_in) + mean(w_out))
     coef = v if branch == "i" else (1.0 - v)
     rhs = coef * corr + mean(v)

@@ -148,6 +148,24 @@ def test_check_scalar_table(capsys):
     assert "not applicable" in out  # SM branch ii is undefined at v=1/8
 
 
+def test_back_to_back_calls_share_no_parsed_state(capsys):
+    point = ("--a", "1", "--b", "16", "--v", "1/8", "--n", "2", "--format", "json")
+
+    def families(*argv):
+        code, out, _ = run_cli(capsys, "check-scalar", *argv, *point)
+        assert code == 0
+        return {result["family"] for result in json.loads(out)["results"]}
+
+    assert families("--family", "kittaneh-manasrah") == {"kittaneh-manasrah"}
+    assert families() == {row.family for row in SCALAR_ROWS}
+
+    suite = ("suite", "--families", "kittaneh-manasrah", "--trials", "2", "--format", "json")
+    configs = [json.loads(run_cli(capsys, *suite, *extra)[1])["config"]
+               for extra in (("--boundary-probe", "--seed", "7"), ())]
+    assert configs[0]["boundary_probe"] is True and configs[0]["seed"] == 7
+    assert configs[1]["boundary_probe"] is False and configs[1]["seed"] == 42
+
+
 def test_compare_reference_point(capsys):
     code, out, _ = run_cli(capsys, "compare", "--a", "1", "--b", "16", "--v", "1/8")
     assert code == 0

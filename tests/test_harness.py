@@ -1,6 +1,7 @@
 """Harness: sampling, random SPD generation, suites, determinism, replay."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -118,6 +119,34 @@ def test_random_spd_bad_args():
         random_spd(0, 1e4, Xoshiro256StarStar(1))
     with pytest.raises(ConfigError):
         random_spd(2, 0.5, Xoshiro256StarStar(1))
+
+
+# sha256 of random_spd(dim, 1e4, Xoshiro256StarStar(seed)).entries: the
+# generated matrices are pinned bit for bit, since seeded reports depend on them
+RANDOM_SPD_DIGESTS = [
+    (0, 1, "023f6e6a9b32dae5299c67d507fee23b290ce89f2ee5b00981dc5147ede1c988"),
+    (0, 2, "92e3f360766553a03753d77c7fba9365d9cac4ba385c9ee93e1ce9b9a0b7e62b"),
+    (0, 3, "41228deb1333a70aea8ff0d3e3fd9950734de2fe642ce0ed7ab906bb812e5d35"),
+    (0, 4, "dddfd76201e07bca4db1f474e73da8cd142f1235f3d1bcdd2435b7e832de9493"),
+    (0, 8, "5d5033a840df5a047c6c8abe0076eb5c7fe58aa0550f6898647d4050af50ce49"),
+    (7, 1, "c092a023304b9525d30f01279dcb658b2ea3d16e70964400df197926bb40c5c8"),
+    (7, 2, "cda7f8d57f3a4acbaa60d7f40e4d81718fa9f937df47f41a3a6fb00a4ea7d3fa"),
+    (7, 3, "3b2e5d96332ca7a29226f2f808d665b1684fd4591f4b02da90794f708a635edc"),
+    (7, 4, "e6792261008b54ea021f586bdee3b12638a6e2b7ad56ef3dc80ff2e8a128ce52"),
+    (7, 8, "72815df4cd5cbe90dbfa51e7eb5a334f8a4147bc50ab82f4b16f74be31382757"),
+    (2**64 - 1, 1, "7fd9296e9f8cd118440f729ffff6e15c7f2d4582584730672f7974839934a3dc"),
+    (2**64 - 1, 2, "71f1c02d781041c15cca83302506f88a664f0790d87313d63272b8b21302a3a4"),
+    (2**64 - 1, 3, "f4f19a17a7080fac7fa49208bad9389cb27e053eb990d341e765bc7985b9482f"),
+    (2**64 - 1, 4, "2b3c6853ae2cab84a9f7dd445c322d52ac482dd457237033a3ac9272e7dd1330"),
+    (2**64 - 1, 8, "342877185f7bfa65790b7811972177ba52934fee5df784a3836f4e77977e8c8b"),
+]
+
+
+@pytest.mark.parametrize("seed,dim,digest", RANDOM_SPD_DIGESTS)
+def test_random_spd_known_answer(seed, dim, digest):
+    entries = random_spd(dim, 1e4, Xoshiro256StarStar(seed)).entries
+    assert entries.flags.c_contiguous and not entries.flags.writeable
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

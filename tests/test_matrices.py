@@ -8,13 +8,16 @@ from mpmath import mpf
 
 import oracles
 
+from meanbound import matrices
 from meanbound.matrices import (
+    SYM_OP_TOL,
     JacobiConvergenceError,
     MatrixError,
     MeanCalculator,
     SpdMatrix,
     SymMatrix,
     _fro,
+    _symmetrize,
     arithmetic_mean,
     eigh,
     format_matrix_text,
@@ -286,6 +289,66 @@ def test_sharp_is_congruence_covariant(dim):
             expected = x @ direct.sharp_entries(w) @ x.T
             got = moved.sharp_entries(w)
             assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def per_weight_sharp(mc, weights):
+    """Reference: the mean kernel one weight at a time, checks in weight order."""
+    out = []
+    for w in weights:
+        with np.errstate(over="ignore"):
+            lam_w = mc._lam ** w
+        if not np.all(np.isfinite(lam_w)):
+            raise MatrixError(f"inner eigenvalue power overflows for weight {w}")
+        out.append(_symmetrize((mc._w * lam_w) @ mc._w.T, SYM_OP_TOL)[0])
+    return out
+
+
+# 0.5, 2 and -1 take numpy's scalar fast paths of lam ** w; 0 and 1 are exact
+STACK_WEIGHTS = [0.5, 2.0, -1.0, 0.0, 1.0, 0.25, 0.75, 0.625, 0.375, 1.0 / 3.0,
+                 -3.5, 6.0, 1.5, -0.5, 0.0625, 0.9375]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 16, 24])
+def test_stacked_pass_matches_the_per_weight_expression(dim):
+    rng = Xoshiro256StarStar(derive_seed(20261018, "stacked-pass", dim))
+    for _ in range(6 if dim <= 8 else 2):
+        a, b = random_spd(dim, 1e4, rng), random_spd(dim, 1e4, rng)
+        weights = STACK_WEIGHTS + [rng.uniform(-6.0, 6.0) for _ in range(4)]
+        stacked = MeanCalculator(a, b)
+        stacked.prime(weights)
+        single = MeanCalculator(a, b)
+        for w, expected in zip(weights, per_weight_sharp(stacked, weights)):
+            assert stacked.sharp_entries(w).tobytes() == expected.tobytes()
+            assert single.sharp_entries(w).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("weights,first_bad", [
+    ([0.5, 0.25, 200.0, -300.0, 3.0], 2),
+    ([2.0, -300.0, 200.0], 1),
+])
+def test_stacked_pass_names_the_first_overflowing_weight(weights, first_bad):
+    # inner spectrum {1e-3, 1e3}: 1e3 ** 200 and 1e-3 ** -300 both overflow
+    a = SpdMatrix(np.eye(2))
+    b = SpdMatrix(np.diag([1e-3, 1e3]))
+    with pytest.raises(MatrixError) as expected:
+        per_weight_sharp(MeanCalculator(a, b), weights)
+    mc = MeanCalculator(a, b)
+    with pytest.raises(MatrixError) as got:
+        mc.prime(weights)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith(f"for weight {weights[first_bad]}")
+    assert list(mc._cache) == weights[:first_bad]
+
+
+def test_stacked_pass_keeps_the_per_weight_asymmetry_check(monkeypatch):
+    a = random_spd(3, 1e4, Xoshiro256StarStar(5))
+    b = random_spd(3, 1e4, Xoshiro256StarStar(6))
+    mc = MeanCalculator(a, b)
+    monkeypatch.setattr(matrices, "SYM_OP_TOL", -1.0)
+    with pytest.raises(MatrixError, match="asymmetry residual"):
+        mc.prime([0.25, 0.5, 2.0])
+    assert not mc._cache
 
 
 def test_mean_kernel_rejects_indefinite_operands():
