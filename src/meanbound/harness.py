@@ -9,6 +9,7 @@ full inputs needed to replay it without randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -18,15 +19,9 @@ import numpy as np
 
 from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
-from .operators import BRANCHES, OPERATOR_BY_NAME, OPERATOR_TABLE
+from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
-from .scalar import (
-    BoundReport,
-    window_dyadic_high,
-    window_dyadic_low,
-    window_sc_high,
-    window_sc_low,
-)
+from .scalar import BRANCHES, BoundReport, Family, window_dyadic_high, window_sc_low
 
 
 class ConfigError(ValueError):
@@ -159,8 +154,8 @@ class SuiteConfig:
             raise ConfigError(f"depths must lie in 1..{scalar.MAX_DEPTH}, got {self.depths}")
         if not (0.0 <= self.margin < math.inf):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        if self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.grid_points < 3:  # the x grids take grid_points - 1 >= 2 points
+            raise ConfigError(f"grid_points must be >= 3, got {self.grid_points}")
         if not self.families:
             raise ConfigError("families must name at least one family or selector")
         unknown = [f for f in self.families if f not in _KNOWN_FAMILY_SELECTORS]
@@ -204,67 +199,37 @@ class FamilyRow:
     ops: tuple
 
 
-@dataclass(frozen=True)
-class ScalarFamily:
-    """One scalar family: the single place its suite rows and CLI entry come from.
-
-    ``windows`` pairs with ``branches``; each window is a (lo, hi) pair or a
-    function of the depth.  The suite samples the complement of the window
-    for an "outside" family and the window itself for an "inside" one.
-    ``probe`` lists the boundary-probe weights (None: the window endpoints).
-    Coverage counts the evaluator's function name, ``ops`` and the base means.
-    """
-
-    name: str
-    evaluate: Callable
-    branches: tuple
-    min_depth: Optional[int]  # None: the family takes no depth
-    kind: str
-    windows: tuple
-    probe: Optional[tuple] = None
-    ops: tuple = ()
-
-
 _BASE_OPS = ("young_lhs", "weighted_geometric")
 _INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
-_UNIT = ((0.0, 1.0),)
 
 # Every scalar family in suite order, read by the suite rows and the CLI.
 SCALAR_TABLE = (
-    ScalarFamily("reverse-young-basic", scalar.reverse_young_basic, ("",), None,
-                 "outside", _UNIT),
-    ScalarFamily("corollary-one-term", scalar.corollary_one_term, BRANCHES, None,
-                 "outside", ((0.0, 0.5), (0.5, 1.0))),
-    ScalarFamily("theorem-main-reverse", scalar.theorem_main_reverse, BRANCHES, 1,
-                 "outside", (window_dyadic_high, window_dyadic_low)),
-    ScalarFamily("lemma-sm-reverse", scalar.lemma_sm_reverse, BRANCHES, 1,
-                 "inside", ((0.0, 0.5), (0.5, 1.0)), probe=(0.5,), ops=_INDEX_OPS),
-    ScalarFamily("kittaneh-manasrah", scalar.kittaneh_manasrah, ("",), None,
-                 "inside", _UNIT),
-    ScalarFamily("zhao-wu-forward", scalar.zhao_wu_forward, ("",), None,
-                 "inside", _UNIT),
-    ScalarFamily("zhao-wu-reverse", scalar.zhao_wu_reverse, ("lemma", "proposition"),
-                 None, "inside", _UNIT * 2, probe=()),
-    ScalarFamily("sababheh-choi-forward", scalar.sababheh_choi_forward, ("",), 1,
-                 "inside", _UNIT, ops=_INDEX_OPS),
-    ScalarFamily("theorem-extended-sc", scalar.theorem_extended_sc, BRANCHES, 1,
-                 "outside", (window_sc_low, window_sc_high)),
-    ScalarFamily("heinz-reverse-main", scalar.heinz_reverse_main, BRANCHES, 2,
-                 "outside", (window_dyadic_high, window_dyadic_low), ops=("heinz_scalar",)),
-    ScalarFamily("heinz-reverse-sc", scalar.heinz_reverse_sc, BRANCHES, 1,
-                 "outside", (window_sc_low, window_sc_high), ops=("heinz_scalar",)),
+    Family("reverse-young-basic", scalar.reverse_young_basic, ("",), None,
+           "outside", (0.0, 1.0)),
+    Family("corollary-one-term", scalar.corollary_one_term, BRANCHES, None,
+           "outside", (0.0, 0.5)),
+    Family("theorem-main-reverse", scalar.theorem_main_reverse, BRANCHES, 1,
+           "outside", window_dyadic_high),
+    Family("lemma-sm-reverse", scalar.lemma_sm_reverse, BRANCHES, 1,
+           "inside", (0.0, 0.5), probe=(0.5,), ops=_INDEX_OPS),
+    Family("kittaneh-manasrah", scalar.kittaneh_manasrah, ("",), None,
+           "inside", (0.0, 1.0)),
+    Family("zhao-wu-forward", scalar.zhao_wu_forward, ("",), None,
+           "inside", (0.0, 1.0)),
+    Family("zhao-wu-reverse", scalar.zhao_wu_reverse, ("lemma", "proposition"), None,
+           "inside", (0.0, 1.0), probe=()),
+    Family("sababheh-choi-forward", scalar.sababheh_choi_forward, ("",), 1,
+           "inside", (0.0, 1.0), ops=_INDEX_OPS),
+    Family("theorem-extended-sc", scalar.theorem_extended_sc, BRANCHES, 1,
+           "outside", window_sc_low),
+    Family("heinz-reverse-main", scalar.heinz_reverse_main, BRANCHES, 2,
+           "outside", window_dyadic_high, ops=("heinz_scalar",)),
+    Family("heinz-reverse-sc", scalar.heinz_reverse_sc, BRANCHES, 1,
+           "outside", window_sc_low, ops=("heinz_scalar",)),
 )
 
 
-def _row(key, family, branch, min_depth, kind, window, probe, evaluate, ops) -> FamilyRow:
-    bounds = window if callable(window) else (lambda n: window)
-    return FamilyRow(key, family, branch, min_depth,
-                     lambda n: Region(kind, *bounds(n)),
-                     bounds if probe is None else (lambda n: probe),
-                     evaluate, ops)
-
-
-def _scalar_evaluator(fn, takes_depth: bool, branch: str) -> Callable:
+def _evaluator(fn, takes_depth: bool, branch: str) -> Callable:
     """fn as a row evaluator (a, b, v, n), passing n and the branch or form
     only to the families that take them."""
     extra = (branch,) if branch else ()
@@ -273,21 +238,22 @@ def _scalar_evaluator(fn, takes_depth: bool, branch: str) -> Callable:
     return lambda a, b, v, n: fn(a, b, v, *extra)
 
 
-SCALAR_ROWS = [
-    _row(f"{fam.name}/{branch}" if branch else fam.name, fam.name, branch,
-         fam.min_depth, fam.kind, window, fam.probe,
-         _scalar_evaluator(fam.evaluate, fam.min_depth is not None, branch),
-         (fam.evaluate.__name__,) + fam.ops + _BASE_OPS)
-    for fam in SCALAR_TABLE
-    for branch, window in zip(fam.branches, fam.windows)
-]
-OPERATOR_ROWS = [
-    _row(f"{fam.key}/{branch}", fam.key, branch, fam.min_depth, "outside", window,
-         None, lambda a, b, v, n, _fn=fam.evaluate, _br=branch: _fn(a, b, v, n, _br),
-         (fam.evaluate.__name__,))
-    for fam in OPERATOR_TABLE
-    for branch, window in zip(BRANCHES, fam.windows)
-]
+def _rows(table: tuple, base_ops: tuple) -> list:
+    """One suite row per family of ``table`` and branch (or form)."""
+
+    def row(fam: Family, branch: str) -> FamilyRow:
+        bounds = functools.partial(fam.bounds, branch)
+        return FamilyRow(f"{fam.key}/{branch}" if branch else fam.key, fam.key, branch,
+                         fam.min_depth, lambda n: Region(fam.kind, *bounds(n)),
+                         bounds if fam.probe is None else (lambda n: fam.probe),
+                         _evaluator(fam.evaluate, fam.min_depth is not None, branch),
+                         (fam.evaluate.__name__,) + fam.ops + base_ops)
+
+    return [row(fam, branch) for fam in table for branch in fam.branches]
+
+
+SCALAR_ROWS = _rows(SCALAR_TABLE, _BASE_OPS)
+OPERATOR_ROWS = _rows(OPERATOR_TABLE, ())
 
 _KNOWN_FAMILY_SELECTORS = (
     {"all", "scalar", "operator", "comparison"} | set(OPERATOR_BY_NAME)
@@ -302,10 +268,6 @@ def _selected(cfg: SuiteConfig, rows: list, kind: str) -> list:
         return rows
     return [row for row in rows
             if kind in wanted or row.family in wanted or row.key in wanted]
-
-
-def _comparison_selected(cfg: SuiteConfig) -> bool:
-    return bool({"all", "comparison"} & set(cfg.families))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +323,6 @@ class SuiteReport:
         if include_wall_time:
             doc["wall_time_s"] = self.wall_time_s
         return doc
-
-
-def merge_reports(kind: str, reports: list) -> SuiteReport:
-    rows, coverage = [], {}
-    config = reports[0].config if reports else {}
-    wall = 0.0
-    for rep in reports:
-        rows.extend(rep.rows)
-        wall += rep.wall_time_s
-        for op, count in rep.coverage.items():
-            coverage[op] = coverage.get(op, 0) + count
-    return SuiteReport(kind, config, rows, coverage, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +386,30 @@ def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
     return RowResult(key, family, branch, trials, passes, failures, skipped, worst, records)
 
 
-def _run_suite(cfg: SuiteConfig, kind: str, rows) -> SuiteReport:
-    """Tally each row, given as (key, family, branch, outcomes, ops)."""
+def _run_suite(cfg: SuiteConfig, kind: str, kinds: tuple) -> SuiteReport:
+    """Validate cfg once and tally every selected row of ``kinds`` in one
+    pass; the report's wall time is the whole pass."""
     start = time.perf_counter()
+    cfg.validate()
     coverage: dict = {}
-    results = [_tally(*row, coverage) for row in rows]
+    results = [_tally(*row, coverage) for part in kinds for row in _kind_rows(cfg, part)]
+    for result in results:  # not per cell: a wrapper there slows the grids
+        if result.family == "comparison":
+            for record in result.failure_records:
+                record["cause"] = "claim violated"
     return SuiteReport(kind, cfg.as_dict(), results, coverage, time.perf_counter() - start)
+
+
+def _kind_rows(cfg: SuiteConfig, kind: str) -> list:
+    """Each row of one kind as (key, family, branch, outcomes, ops); the
+    comparison claims are all taken whatever cfg.families says."""
+    if kind == "comparison":
+        return [(key, "comparison", "", runner(cfg), ops)
+                for key, ops, runner in _comparison_claims()]
+    rows, outcomes = ((SCALAR_ROWS, _scalar_outcomes) if kind == "scalar"
+                      else (OPERATOR_ROWS, _operator_outcomes))
+    return [(row.key, row.family, row.branch, outcomes(cfg, row), row.ops)
+            for row in _selected(cfg, rows, kind)]
 
 
 def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -451,10 +419,7 @@ def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
     false (gap below -REL_TOL * (|lhs| + |rhs|)); evaluation errors are
     failures with a cause.
     """
-    cfg.validate()
-    return _run_suite(cfg, "scalar", (
-        (row.key, row.family, row.branch, _scalar_outcomes(cfg, row), row.ops)
-        for row in _selected(cfg, SCALAR_ROWS, "scalar")))
+    return _run_suite(cfg, "scalar", ("scalar",))
 
 
 def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
@@ -492,10 +457,7 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample random SPD pairs for each operator row and collect Loewner verdicts."""
-    cfg.validate()
-    return _run_suite(cfg, "operator", (
-        (row.key, row.family, row.branch, _operator_outcomes(cfg, row), row.ops)
-        for row in _selected(cfg, OPERATOR_ROWS, "operator")))
+    return _run_suite(cfg, "operator", ("operator",))
 
 
 def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
@@ -719,24 +681,11 @@ def _comparison_claims() -> list:
 def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Grid checks of the stated orderings between bound families, the
     comparison polynomials, and the logarithmic limit behavior."""
-    cfg.validate()
-    report = _run_suite(cfg, "comparison", (
-        (key, "comparison", "", runner(cfg), ops) for key, ops, runner in _comparison_claims()))
-    for record in report.all_failure_records():
-        record["cause"] = "claim violated"
-    return report
+    return _run_suite(cfg, "comparison", ("comparison",))
 
 
 def run_all(cfg: SuiteConfig) -> SuiteReport:
-    """Run the scalar, operator, and comparison suites selected by cfg.families."""
-    cfg.validate()
-    reports = []
-    if _selected(cfg, SCALAR_ROWS, "scalar"):
-        reports.append(run_scalar_suite(cfg))
-    if _selected(cfg, OPERATOR_ROWS, "operator"):
-        reports.append(run_operator_suite(cfg))
-    if _comparison_selected(cfg):
-        reports.append(run_comparison_suite(cfg))
-    merged = merge_reports("all", reports)
-    merged.config = cfg.as_dict()
-    return merged
+    """Run the scalar, operator, and comparison rows selected by cfg.families
+    in one pass."""
+    comparison = ("comparison",) if {"all", "comparison"} & set(cfg.families) else ()
+    return _run_suite(cfg, "all", ("scalar", "operator") + comparison)

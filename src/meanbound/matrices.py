@@ -194,12 +194,6 @@ class SpdMatrix:
     def fro(self) -> float:
         return _fro(self.entries)
 
-    def sym(self) -> SymMatrix:
-        out = object.__new__(SymMatrix)
-        out.entries = self.entries
-        out.asym_residual = 0.0
-        return out
-
 
 def _rebuild(decomp: EigenDecomp, lam: np.ndarray) -> np.ndarray:
     m = (decomp.q * lam) @ decomp.q.T
@@ -280,23 +274,23 @@ class MeanCalculator:
         fast paths (w = 0.5, 2, -1) give the bits a lone weight gets; the
         products and their symmetrization then run over the whole stack.
         The checks still run per weight in the order given: the first
-        weight whose power overflows or whose product is asymmetric beyond
+        weight whose symmetrized product is not finite (its power or the
+        product overflowed) or whose product is asymmetric beyond
         SYM_OP_TOL raises, after the weights before it are cached.
         """
         new = [w for w in dict.fromkeys(weights) if w not in self._cache]
         if not new:
             return
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             powers = np.array([self._lam ** w for w in new])
-        finite = np.isfinite(powers).all(axis=1)
-        good = len(new) if finite.all() else int(np.argmin(finite))
-        stack = (self._w * powers[:good, None, :]) @ self._w.T
-        sym = 0.5 * (stack + stack.transpose(0, 2, 1))
-        for w, m, out in zip(new, stack, sym):
+            stack = (self._w * powers[:, None, :]) @ self._w.T
+            sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        for w, m, out, ok in zip(new, stack, sym, finite):
+            if not ok:
+                raise MatrixError(f"inner eigenvalue power overflows for weight {w}")
             _asymmetry(m, SYM_OP_TOL)
             self._cache[w] = out
-        if good < len(new):
-            raise MatrixError(f"inner eigenvalue power overflows for weight {new[good]}")
 
     def heinz_entries(self, w: float) -> np.ndarray:
         return 0.5 * (self.sharp_entries(w) + self.sharp_entries(1.0 - w))

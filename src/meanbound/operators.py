@@ -19,6 +19,7 @@ exceed both operands in Loewner order; no clamping is applied anywhere.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -33,12 +34,12 @@ from .matrices import (
     jacobi_eigh,
 )
 from .scalar import (
+    BRANCHES,
+    Family,
     _require_depth,
     _require_weight,
     _outside,
     window_dyadic_high,
-    window_dyadic_low,
-    window_sc_high,
     window_sc_low,
 )
 
@@ -73,28 +74,13 @@ def matrix_fingerprint(m: SpdMatrix) -> str:
     return digest.hexdigest()[:16]
 
 
-BRANCHES = ("i", "ii")
-
-
-@dataclass(frozen=True)
-class OperatorFamily:
-    """One operator family: the single place its names, depth and windows live.
-
-    ``windows`` holds one function of the depth per branch, in BRANCHES
-    order; the family makes no claim for v inside the window.
-    """
-
-    key: str
-    name: str
-    evaluate: Callable
-    min_depth: int
-    windows: tuple
-
-
 def _finish(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok) -> OperatorBoundReport:
     tol = LOEWNER_REL_TOL * (_fro(lhs) + _fro(rhs))
-    diff = rhs - lhs
-    gap = float(jacobi_eigh(diff).lam[0])
+    # a side out of range makes tol non-finite; its spectrum is not formed
+    gap = float(jacobi_eigh(rhs - lhs).lam[0]) if math.isfinite(tol) else math.nan
+    if not (math.isfinite(gap) and math.isfinite(tol)):
+        raise OverflowError(f"{family}: the Loewner gap at v={v!r} leaves the "
+                            f"floating-point range (tol={tol!r})")
     return OperatorBoundReport(family, branch, a.dim, v, n, gap, tol,
                                hypothesis_ok, gap >= -tol, False,
                                matrix_fingerprint(a), matrix_fingerprint(b))
@@ -108,7 +94,7 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     _require_depth(n, family.min_depth)
     if branch not in BRANCHES:
         raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
-    hyp = _outside(v, family.windows[BRANCHES.index(branch)](n))
+    hyp = _outside(v, family.bounds(branch, n))
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
         raise MatrixError("operator bounds require SpdMatrix operands")
     if a.dim != b.dim:
@@ -237,12 +223,11 @@ def corollary_c33(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
 # Every operator family in suite order, read by the evaluators, the suite
 # rows and the CLI.
 OPERATOR_TABLE = (
-    OperatorFamily("t6", "theorem-t6", theorem_t6, 2, (window_dyadic_high, window_dyadic_low)),
-    OperatorFamily("t66", "theorem-t66", theorem_t66, 1, (window_sc_low, window_sc_high)),
-    OperatorFamily("c3", "corollary-c3", corollary_c3, 2, (window_dyadic_high, window_dyadic_low)),
-    OperatorFamily("c33", "corollary-c33", corollary_c33, 1, (window_sc_low, window_sc_high)),
+    Family("t6", theorem_t6, BRANCHES, 2, "outside", window_dyadic_high, "theorem-t6"),
+    Family("t66", theorem_t66, BRANCHES, 1, "outside", window_sc_low, "theorem-t66"),
+    Family("c3", corollary_c3, BRANCHES, 2, "outside", window_dyadic_high, "corollary-c3"),
+    Family("c33", corollary_c33, BRANCHES, 1, "outside", window_sc_low, "corollary-c33"),
 )
 OPERATOR_BY_NAME = {name: family for family in OPERATOR_TABLE
                     for name in (family.key, family.name)}
 OPERATOR_FAMILIES = {family.key: family.evaluate for family in OPERATOR_TABLE}
-OPERATOR_MIN_DEPTH = {family.key: family.min_depth for family in OPERATOR_TABLE}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 REL_TOL = 1e-9
 """Relative verdict tolerance: holds iff gap >= -REL_TOL * (|lhs| + |rhs|)."""
@@ -122,7 +122,8 @@ def heinz_scalar(a: float, b: float, v: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis windows (closed intervals, exact floating comparison)
+# Hypothesis windows (closed intervals, exact floating comparison) and the
+# family record, scalar and operator, that names them
 # ---------------------------------------------------------------------------
 
 def window_dyadic_high(n: int) -> tuple[float, float]:
@@ -148,6 +149,39 @@ def window_sc_high(n: int) -> tuple[float, float]:
 def _outside(v: float, window: tuple[float, float]) -> bool:
     lo, hi = window
     return not (lo <= v <= hi)
+
+
+BRANCHES = ("i", "ii")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One bound family, scalar or operator: the one place its suite rows,
+    CLI entry, least depth and hypothesis window come from.
+
+    ``window`` is branch i's (lo, hi) or a function of the depth; branch ii
+    takes its mirror (see ``bounds``), a form or "" branch takes it as is.
+    The suite samples its complement for an "outside" ``kind`` and the
+    window for an "inside" one.  ``probe`` lists the boundary-probe weights
+    (None: the window endpoints); coverage counts the evaluator's name,
+    ``ops`` and the table's base means.
+    """
+
+    key: str
+    evaluate: Callable
+    branches: tuple
+    min_depth: Optional[int]  # None: the family takes no depth
+    kind: str
+    window: Union[tuple, Callable]
+    name: Optional[str] = None
+    probe: Optional[tuple] = None
+    ops: tuple = ()
+
+    def bounds(self, branch: str, n: Optional[int]) -> tuple[float, float]:
+        """The branch's window at depth n; branch ii's is the image (1 - hi,
+        1 - lo) under (a, b, v) -> (b, a, 1 - v), exact up to MAX_DEPTH."""
+        lo, hi = self.window(n) if callable(self.window) else self.window
+        return (1.0 - hi, 1.0 - lo) if branch == "ii" else (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,17 @@ def test_check_operator_huge_pair_has_finite_tolerance(capsys, tmp_path, family)
     assert 0.0 < result["tol"] < 1e195
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_operator_overflowing_mean_exits_two(capsys, tmp_path, fmt):
+    # inner eigenvalue 1e150: its power 1e195 is finite, the mean 1e345 is not
+    a = write(tmp_path / "a.txt", "1\n1e150\n")
+    b = write(tmp_path / "b.txt", "1\n1e300\n")
+    code, out, err = run_cli(capsys, "check-operator", a, b, "--family", "t66",
+                             "--branch", "i", "--v", "1.3", "--n", "1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: inner eigenvalue power overflows for weight 1.3\n"
+
+
 def test_check_operator_large_weight_has_finite_tolerance(capsys, tmp_path):
     # A #_30 B has entries near 1e177, whose squares overflow
     a = write(tmp_path / "a.txt", "2\n1e3 0\n0 1e-3\n")
@@ -366,6 +377,14 @@ def test_suite_non_finite_cond_max_exits_two(capsys, value):
                            "--cond-max", value, "--trials", "5")
     assert code == 2
     assert err.startswith("error: cond_max must be finite")
+
+
+@pytest.mark.parametrize("points", ["2", "1"])
+def test_suite_too_few_grid_points_exits_two(capsys, points):
+    code, out, err = run_cli(capsys, "suite", "--families", "comparison",
+                             "--grid-points", points)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid_points must be >= 3, got {points}\n"
 
 
 def test_suite_unknown_config_key_exits_two(capsys, tmp_path):

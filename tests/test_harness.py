@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from meanbound.harness import (
 from meanbound.matrices import MatrixError
 from meanbound.operators import OperatorBoundReport
 from meanbound.rng import Xoshiro256StarStar, derive_seed
-from meanbound.scalar import BoundReport
+from meanbound.scalar import (
+    MAX_DEPTH,
+    BoundReport,
+    window_dyadic_high,
+    window_dyadic_low,
+    window_sc_high,
+    window_sc_low,
+)
 
 SMALL = SuiteConfig(trials=40, grid_points=10)
 
@@ -299,6 +307,99 @@ def test_window_midpoints_lie_outside_the_hypothesis():
                     continue
                 rep = row.evaluate(a, b, 0.5 * (region.lo + region.hi), n)
                 assert rep.hypothesis_ok is False, (row.key, n)
+
+
+_DYADIC = (window_dyadic_high, window_dyadic_low)
+_SC = (window_sc_low, window_sc_high)
+_HALVES = (lambda n: (0.0, 0.5), lambda n: (0.5, 1.0))
+_UNIT = (lambda n: (0.0, 1.0),) * 2
+# kind and (branch i, branch ii) windows of every family, both written out
+# from the window functions, so the rows' mirror-derived branch ii is
+# checked against an independent pairing
+_PAIRED_WINDOWS = {
+    "reverse-young-basic": ("outside", _UNIT),
+    "corollary-one-term": ("outside", _HALVES),
+    "theorem-main-reverse": ("outside", _DYADIC),
+    "lemma-sm-reverse": ("inside", _HALVES),
+    "kittaneh-manasrah": ("inside", _UNIT),
+    "zhao-wu-forward": ("inside", _UNIT),
+    "zhao-wu-reverse": ("inside", _UNIT),
+    "sababheh-choi-forward": ("inside", _UNIT),
+    "theorem-extended-sc": ("outside", _SC),
+    "heinz-reverse-main": ("outside", _DYADIC),
+    "heinz-reverse-sc": ("outside", _SC),
+    "t6": ("outside", _DYADIC),
+    "t66": ("outside", _SC),
+    "c3": ("outside", _DYADIC),
+    "c33": ("outside", _SC),
+}
+_PROBES = {"lemma-sm-reverse": (0.5,), "zhao-wu-reverse": ()}
+
+
+def test_rows_keep_the_hand_paired_windows_at_every_depth():
+    assert {row.family for row in SCALAR_ROWS + OPERATOR_ROWS} == set(_PAIRED_WINDOWS)
+    for row in SCALAR_ROWS + OPERATOR_ROWS:
+        kind, windows = _PAIRED_WINDOWS[row.family]
+        window = windows[1 if row.branch == "ii" else 0]
+        depths = [None] if row.min_depth is None else range(row.min_depth, MAX_DEPTH + 1)
+        for n in depths:
+            region = row.region(n)
+            expected = window(n)
+            # repr tells 0.0 from -0.0, so the comparison is bit for bit
+            assert region.kind == kind
+            assert repr((region.lo, region.hi)) == repr(expected), (row.key, n)
+            probe = _PROBES.get(row.family, expected)
+            assert repr(tuple(row.probe(n))) == repr(probe), (row.key, n)
+
+
+def test_run_all_is_the_three_suites_concatenated(monkeypatch):
+    def canary(cfg):
+        yield False, -1.0, {"x": 2.0}
+
+    claims = harness._comparison_claims
+    monkeypatch.setattr(harness, "_comparison_claims",
+                        lambda: claims() + [("canary/claim", ("canary_op",), canary)])
+    # weights in +-3000 overflow means and powers, so every kind has failures
+    cfg = SuiteConfig(seed=3, trials=12, v_range=(-3000.0, 3000.0), dims=(1, 2),
+                      grid_points=4)
+    whole = run_all(cfg)
+    parts = [run_scalar_suite(cfg), run_operator_suite(cfg), run_comparison_suite(cfg)]
+    assert whole.kind == "all" and whole.config == cfg.as_dict()
+    assert whole.rows == [row for part in parts for row in part.rows]
+    records = whole.all_failure_records()
+    assert records == [record for part in parts for record in part.all_failure_records()]
+    assert {record["row"].partition("/")[0] for record in records} >= {
+        "theorem-main-reverse", "t6", "canary"}
+    assert records[-1] == {"row": "canary/claim", "trial": 0, "x": 2.0,
+                           "cause": "claim violated"}
+    assert whole.coverage == sum((Counter(part.coverage) for part in parts), Counter())
+
+
+def test_comparison_suite_runs_every_claim_whatever_the_families():
+    rep = run_comparison_suite(SuiteConfig(trials=1, grid_points=4, families=("scalar",)))
+    assert len(rep.rows) == 17
+    assert [row.key for row in rep.rows] == [key for key, _, _ in harness._comparison_claims()]
+
+
+@pytest.mark.parametrize("run", [run_all, run_scalar_suite, run_operator_suite,
+                                 run_comparison_suite])
+def test_each_suite_call_validates_once(monkeypatch, run):
+    calls = []
+    validate = SuiteConfig.validate
+    monkeypatch.setattr(SuiteConfig, "validate", lambda cfg: calls.append(validate(cfg)))
+    run(SuiteConfig(trials=2, grid_points=3, dims=(1,)))
+    assert len(calls) == 1
+
+
+def test_overflowing_operator_mean_is_a_failure():
+    # trial 21 of c33/ii draws v = 1050.01 on 1x1 operands; the power of the
+    # inner eigenvalue stays finite but its product with W W^T overflows
+    cfg = SuiteConfig(seed=3, trials=40, v_range=(-3000.0, 3000.0), families=("c33/ii",))
+    row = run_operator_suite(cfg).rows[0]
+    record = next(record for record in row.failure_records if record["trial"] == 21)
+    assert record["dim"] == 1 and record["min_eig_gap"] is None
+    assert record["cause"] == ("MatrixError: inner eigenvalue power overflows for "
+                               f"weight {1.0 - record['v']!r}")
 
 
 # ---------------------------------------------------------------------------

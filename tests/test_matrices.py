@@ -341,6 +341,17 @@ def test_stacked_pass_names_the_first_overflowing_weight(weights, first_bad):
     assert list(mc._cache) == weights[:first_bad]
 
 
+def test_stacked_pass_names_the_first_overflowing_product():
+    # A = 1e150, B = 1e300: the inner eigenvalue 1e150 to the power 1.3 is
+    # finite, A #_1.3 B = 1e150 * 1e195 is not
+    mc = MeanCalculator(SpdMatrix(np.array([[1e150]])), SpdMatrix(np.array([[1e300]])))
+    with pytest.raises(MatrixError, match="overflows for weight 1.3$"):
+        mc.prime([0.5, 1.3, 2.0])
+    assert list(mc._cache) == [0.5]
+    with pytest.raises(MatrixError, match="overflows for weight 2.0$"):
+        mc.sharp_entries(2.0)
+
+
 def test_stacked_pass_keeps_the_per_weight_asymmetry_check(monkeypatch):
     a = random_spd(3, 1e4, Xoshiro256StarStar(5))
     b = random_spd(3, 1e4, Xoshiro256StarStar(6))

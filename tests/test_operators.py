@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from meanbound import scalar
+from meanbound import operators, scalar
 from meanbound.matrices import MatrixError, SpdMatrix
 from meanbound.operators import (
     OPERATOR_FAMILIES,
@@ -194,3 +194,11 @@ def test_random_spd_loewner_validity_smoke(family, branch):
         rep = fn(random_spd(dim, 1e4, rng), random_spd(dim, 1e4, rng), v, n, branch)
         assert rep.hypothesis_ok
         assert rep.holds, (family, branch, dim, v, n, rep.min_eig_gap)
+
+
+@pytest.mark.parametrize("lhs", [np.full((2, 2), np.inf), np.diag([1e308, 1e308])])
+def test_side_out_of_range_raises_overflow(lhs):
+    # a non-finite side, or one whose norms sum past the range, has no verdict
+    a = SpdMatrix(np.eye(2))
+    with pytest.raises(OverflowError, match="t66: the Loewner gap at v=2.0 leaves"):
+        operators._finish("t66", "i", a, a, 2.0, 1, lhs, np.diag([1e308, 1e308]), True)
