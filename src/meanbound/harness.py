@@ -21,7 +21,7 @@ from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
-from .scalar import BRANCHES, BoundReport, Family, window_dyadic_high, window_sc_low
+from .scalar import SCALAR_TABLE, BoundReport, Family
 
 
 class ConfigError(ValueError):
@@ -200,33 +200,6 @@ class FamilyRow:
 
 
 _BASE_OPS = ("young_lhs", "weighted_geometric")
-_INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
-
-# Every scalar family in suite order, read by the suite rows and the CLI.
-SCALAR_TABLE = (
-    Family("reverse-young-basic", scalar.reverse_young_basic, ("",), None,
-           "outside", (0.0, 1.0)),
-    Family("corollary-one-term", scalar.corollary_one_term, BRANCHES, None,
-           "outside", (0.0, 0.5)),
-    Family("theorem-main-reverse", scalar.theorem_main_reverse, BRANCHES, 1,
-           "outside", window_dyadic_high),
-    Family("lemma-sm-reverse", scalar.lemma_sm_reverse, BRANCHES, 1,
-           "inside", (0.0, 0.5), probe=(0.5,), ops=_INDEX_OPS),
-    Family("kittaneh-manasrah", scalar.kittaneh_manasrah, ("",), None,
-           "inside", (0.0, 1.0)),
-    Family("zhao-wu-forward", scalar.zhao_wu_forward, ("",), None,
-           "inside", (0.0, 1.0)),
-    Family("zhao-wu-reverse", scalar.zhao_wu_reverse, ("lemma", "proposition"), None,
-           "inside", (0.0, 1.0), probe=()),
-    Family("sababheh-choi-forward", scalar.sababheh_choi_forward, ("",), 1,
-           "inside", (0.0, 1.0), ops=_INDEX_OPS),
-    Family("theorem-extended-sc", scalar.theorem_extended_sc, BRANCHES, 1,
-           "outside", window_sc_low),
-    Family("heinz-reverse-main", scalar.heinz_reverse_main, BRANCHES, 2,
-           "outside", window_dyadic_high, ops=("heinz_scalar",)),
-    Family("heinz-reverse-sc", scalar.heinz_reverse_sc, BRANCHES, 1,
-           "outside", window_sc_low, ops=("heinz_scalar",)),
-)
 
 
 def _evaluator(fn, takes_depth: bool, branch: str) -> Callable:
@@ -446,7 +419,7 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
         else:
             gap, cause = rep.gap, "gap below tolerance"
             if probing:
-                ok = abs(gap) <= scalar.REL_TOL * (abs(rep.lhs) + abs(rep.rhs))
+                ok = abs(gap) <= rep.tol
             else:
                 ok = rep.holds if rep.hypothesis_ok else None
         if ok or ok is None:
@@ -482,7 +455,7 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
         else:
             gap, cause = rep.min_eig_gap, "min eigenvalue below tolerance"
             if probing:
-                ok = rep.degenerate or abs(gap) <= rep.tol
+                ok = abs(gap) <= rep.tol
             else:
                 ok = rep.holds if rep.hypothesis_ok else None
         if ok or ok is None:

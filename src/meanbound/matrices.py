@@ -76,9 +76,13 @@ def _asymmetry(m: np.ndarray, rel_tol: float) -> float:
 
 
 def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
-    """Return ((M + M^T)/2, residual) and reject asymmetry beyond rel_tol."""
+    """Return ((M + M^T)/2, residual); reject asymmetry beyond rel_tol or overflow."""
     residual = _asymmetry(m, rel_tol)
-    return 0.5 * (m + m.T), residual
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all():
+        raise MatrixError("symmetrization overflows: an entry exceeds about 9e307 in magnitude")
+    return sym, residual
 
 
 class SymMatrix:

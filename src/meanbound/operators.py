@@ -38,7 +38,6 @@ from .scalar import (
     Family,
     _require_depth,
     _require_weight,
-    _outside,
     window_dyadic_high,
     window_sc_low,
 )
@@ -94,7 +93,7 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     _require_depth(n, family.min_depth)
     if branch not in BRANCHES:
         raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
-    hyp = _outside(v, family.bounds(branch, n))
+    hyp = family.hypothesis(branch, v, n)
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
         raise MatrixError("operator bounds require SpdMatrix operands")
     if a.dim != b.dim:
@@ -139,15 +138,16 @@ def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
                               for k in range(n, 1, -1)])
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [0.5], ladder, v)
-    sharp_half = mc.sharp_entries(0.5)
-    nabla = mc.nabla_entries(0.5)
-    corr = np.zeros_like(sharp_half)
-    for k, w_in, w_out in ladder:
-        corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mean(w_in) + mean(w_out))
-    lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
-    sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
-    rhs = lead * (nabla - sharp_half) + sign * corr + mean(v)
-    lhs = nabla if heinz else mc.nabla_entries(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
+        sharp_half = mc.sharp_entries(0.5)
+        nabla = mc.nabla_entries(0.5)
+        corr = np.zeros_like(sharp_half)
+        for k, w_in, w_out in ladder:
+            corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mean(w_in) + mean(w_out))
+        lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
+        sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
+        rhs = lead * (nabla - sharp_half) + sign * corr + mean(v)
+        lhs = nabla if heinz else mc.nabla_entries(v)
     return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
 
 
@@ -164,16 +164,17 @@ def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     ladder = _ladder(branch, [(k, 0.5 ** k, 0.5 ** (k - 1)) for k in range(n, 0, -1)])
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [], ladder, v)
-    if heinz:
-        anchor = mc.nabla_entries(0.5)
-    else:
-        anchor = a.entries if branch == "i" else b.entries
-    corr = np.zeros_like(anchor)
-    for k, w_in, w_out in ladder:
-        corr += 2.0 ** (k - 1) * (anchor - 2.0 * mean(w_in) + mean(w_out))
-    coef = v if branch == "i" else (1.0 - v)
-    rhs = coef * corr + mean(v)
-    lhs = anchor if heinz else mc.nabla_entries(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
+        if heinz:
+            anchor = mc.nabla_entries(0.5)
+        else:
+            anchor = a.entries if branch == "i" else b.entries
+        corr = np.zeros_like(anchor)
+        for k, w_in, w_out in ladder:
+            corr += 2.0 ** (k - 1) * (anchor - 2.0 * mean(w_in) + mean(w_out))
+        coef = v if branch == "i" else (1.0 - v)
+        rhs = coef * corr + mean(v)
+        lhs = anchor if heinz else mc.nabla_entries(v)
     return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
 
 

@@ -22,11 +22,7 @@ SUBSTREAM_CHUNK = 1024
 
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state; returns (new_state, output word)."""
-    state = (state + _GOLDEN) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+    return (state + _GOLDEN) & _MASK, _mix(state)
 
 
 def _mix(z: int) -> int:
@@ -131,9 +127,6 @@ class Xoshiro256StarStar:
     def randint(self, n: int) -> int:
         """Integer in [0, n) via the multiply-shift reduction."""
         return (self.next_u64() * n) >> 64
-
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
 
     def gauss_pair(self) -> tuple[float, float]:
         """Two independent standard normals via Box-Muller."""

@@ -17,7 +17,7 @@ operands are never formed directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 REL_TOL = 1e-9
@@ -39,11 +39,6 @@ def _require_pair(a: float, b: float) -> None:
 def _require_weight(v: float) -> None:
     if not math.isfinite(v):
         raise DomainError(f"weight must be finite, got v={v!r}")
-
-
-def _require_branch(branch: str) -> None:
-    if branch not in ("i", "ii"):
-        raise DomainError(f"branch must be 'i' or 'ii', got {branch!r}")
 
 
 def _require_depth(n: int, minimum: int = 1) -> None:
@@ -69,17 +64,25 @@ class BoundReport:
     hypothesis_ok: bool
     holds: bool
 
+    @property
+    def tol(self) -> float:
+        """The verdict tolerance: the report holds iff gap >= -tol."""
+        return REL_TOL * (abs(self.lhs) + abs(self.rhs))
+
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _report(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok, upper):
+def _report(fam, branch, a, b, v, n, lhs, rhs, upper):
+    """The report of lhs against rhs, flagged by record fam's hypothesis rule."""
     gap = (rhs - lhs) if upper else (lhs - rhs)
     if not math.isfinite(gap):
-        raise OverflowError(f"{family}: gap {gap!r} at a={a!r}, b={b!r}, v={v!r} "
+        raise OverflowError(f"{fam.key}: gap {gap!r} at a={a!r}, b={b!r}, v={v!r} "
                             f"leaves the floating-point range")
-    holds = gap >= -REL_TOL * (abs(lhs) + abs(rhs))
-    return BoundReport(family, branch, a, b, v, n, lhs, rhs, gap, hypothesis_ok, holds)
+    rep = BoundReport(fam.key, branch, a, b, v, n, lhs, rhs, gap,
+                      fam.hypothesis(branch, v, n), True)
+    # tol >= 0, so only a negative gap needs it
+    return rep if gap >= 0.0 or gap >= -rep.tol else replace(rep, holds=False)
 
 
 def _mirrored(rep: BoundReport, a, b, v, branch: str = "ii") -> BoundReport:
@@ -146,11 +149,6 @@ def window_sc_high(n: int) -> tuple[float, float]:
     return (2.0 ** n - 1.0) / 2.0 ** n, 1.0
 
 
-def _outside(v: float, window: tuple[float, float]) -> bool:
-    lo, hi = window
-    return not (lo <= v <= hi)
-
-
 BRANCHES = ("i", "ii")
 
 
@@ -183,6 +181,22 @@ class Family:
         lo, hi = self.window(n) if callable(self.window) else self.window
         return (1.0 - hi, 1.0 - lo) if branch == "ii" else (lo, hi)
 
+    def hypothesis(self, branch: str, v: float, n: Optional[int]) -> bool:
+        """Whether v is inside the branch's depth-n window ("inside") or outside it."""
+        lo, hi = self.bounds(branch, n)
+        return (lo <= v <= hi) == (self.kind == "inside")
+
+
+def _check(key: str, n: Optional[int], branch: str) -> Family:
+    """Scalar family key's record, once n and the branch (or form) fit it."""
+    fam = SCALAR_BY_KEY[key]
+    if fam.min_depth is not None:
+        _require_depth(n, fam.min_depth)
+    if branch not in fam.branches:
+        word = "branch" if fam.branches == BRANCHES else "form"
+        raise DomainError(f"{word} must be {' or '.join(map(repr, fam.branches))}, got {branch!r}")
+    return fam
+
 
 # ---------------------------------------------------------------------------
 # Basic reverse inequalities
@@ -196,8 +210,8 @@ def reverse_young_basic(a: float, b: float, v: float) -> BoundReport:
     """
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v)
-    return _report("reverse-young-basic", "", a, b, v, None, lhs, rhs,
-                   _outside(v, (0.0, 1.0)), upper=True)
+    return _report(SCALAR_BY_KEY["reverse-young-basic"], "", a, b, v, None, lhs, rhs,
+                   upper=True)
 
 
 def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport:
@@ -206,16 +220,11 @@ def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport
     Branch "i" adds v*(sqrt a - sqrt b)^2 and requires v outside [0, 1/2];
     branch "ii" adds (1-v)*(...)^2 and requires v outside [1/2, 1].
     """
-    _require_branch(branch)
+    fam = _check("corollary-one-term", None, branch)
     lhs = young_lhs(a, b, v)
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    if branch == "i":
-        rhs = weighted_geometric(a, b, v) + v * sq
-        hyp = _outside(v, (0.0, 0.5))
-    else:
-        rhs = weighted_geometric(a, b, v) + (1.0 - v) * sq
-        hyp = _outside(v, (0.5, 1.0))
-    return _report("corollary-one-term", branch, a, b, v, None, lhs, rhs, hyp, upper=True)
+    rhs = weighted_geometric(a, b, v) + (v if branch == "i" else 1.0 - v) * sq
+    return _report(fam, branch, a, b, v, None, lhs, rhs, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +255,12 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     for v outside [(2^(n-1)-1)/2^n, 1/2].  With n = 1 the tail sum is
     empty and branch "i" coincides with the one-term bound, branch "ii".
     """
-    _require_depth(n, 1)
     if branch == "ii":
         return _mirrored(theorem_main_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
-    _require_branch(branch)
+    fam = _check("theorem-main-reverse", n, branch)
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_main_reverse(a, b, v, n)
-    return _report("theorem-main-reverse", "i", a, b, v, n, lhs, rhs,
-                   _outside(v, window_dyadic_high(n)), upper=True)
+    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +329,15 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     and requires v in [1/2, 1].  Outside those windows the refinement sum
     is undefined and a DomainError is raised.
     """
-    _require_depth(n, 1)
     if branch == "ii":
         return _mirrored(lemma_sm_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
-    _require_branch(branch)
+    fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    if not 0.0 <= v <= 0.5:
+    if not fam.hypothesis("i", v, n):
         raise DomainError(f"branch i requires v in [0, 1/2], got v={v!r}")
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_sm_reverse(a, b, v, n)
-    return _report("lemma-sm-reverse", "i", a, b, v, n, lhs, rhs, True, upper=True)
+    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +349,8 @@ def kittaneh_manasrah(a: float, b: float, v: float) -> BoundReport:
     lhs = young_lhs(a, b, v)
     r0 = min(v, 1.0 - v)
     rhs = weighted_geometric(a, b, v) + r0 * (math.sqrt(a) - math.sqrt(b)) ** 2
-    return _report("kittaneh-manasrah", "", a, b, v, None, lhs, rhs,
-                   0.0 <= v <= 1.0, upper=False)
+    return _report(SCALAR_BY_KEY["kittaneh-manasrah"], "", a, b, v, None, lhs, rhs,
+                   upper=False)
 
 
 def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
@@ -363,8 +369,8 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     quarter = math.exp(0.25 * (math.log(a) + math.log(b)))
     rhs = (weighted_geometric(a, b, v) + v * (math.sqrt(a) - math.sqrt(b)) ** 2
            + r0 * (math.sqrt(a) - quarter) ** 2)
-    return _report("zhao-wu-forward", "", a, b, v, None, lhs, rhs,
-                   0.0 <= v <= 1.0, upper=False)
+    return _report(SCALAR_BY_KEY["zhao-wu-forward"], "", a, b, v, None, lhs, rhs,
+                   upper=False)
 
 
 def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
@@ -372,13 +378,13 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
 
     Requires v in [0, 1]; the indexed machinery is undefined elsewhere.
     """
-    _require_depth(n, 1)
+    fam = _check("sababheh-choi-forward", n, "")
     _require_weight(v)
-    if not 0.0 <= v <= 1.0:
+    if not fam.hypothesis("", v, n):
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + refinement_sum_s(v, b, a, n)
-    return _report("sababheh-choi-forward", "", a, b, v, n, lhs, rhs, True, upper=False)
+    return _report(fam, "", a, b, v, n, lhs, rhs, upper=False)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +426,9 @@ def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundR
     _require_weight(v)
     lhs = young_lhs(a, b, v)
     geo = weighted_geometric(a, b, v)
-    if form == "lemma":
-        rhs = geo + gap_bound_zw_lemma(a, b, v)
-    elif form == "proposition":
-        rhs = geo + gap_bound_zw_proposition(a, b, v)
-    else:
-        raise DomainError(f"form must be 'lemma' or 'proposition', got {form!r}")
-    return _report("zhao-wu-reverse", form, a, b, v, None, lhs, rhs,
-                   0.0 <= v <= 1.0, upper=True)
+    fam = _check("zhao-wu-reverse", None, form)
+    gap_bound = gap_bound_zw_lemma if form == "lemma" else gap_bound_zw_proposition
+    return _report(fam, form, a, b, v, None, lhs, geo + gap_bound(a, b, v), upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +452,12 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     mirror under (a, b, v) -> (b, a, 1-v) and holds for v outside
     [(2^n-1)/2^n, 1].
     """
-    _require_depth(n, 1)
     if branch == "ii":
         return _mirrored(theorem_extended_sc(b, a, 1.0 - v, n, "i"), a, b, v)
-    _require_branch(branch)
+    fam = _check("theorem-extended-sc", n, branch)
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_extended_sc(a, b, v, n)
-    return _report("theorem-extended-sc", "i", a, b, v, n, lhs, rhs,
-                   _outside(v, window_sc_low(n)), upper=True)
+    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +473,9 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     for branch "i" (v outside [1/2, (2^(n-1)+1)/2^n]); branch "ii" is the
     exact mirror under (a, b, v) -> (b, a, 1-v).  Requires n >= 2.
     """
-    _require_depth(n, 2)
     if branch == "ii":
         return _mirrored(heinz_reverse_main(b, a, 1.0 - v, n, "i"), a, b, v)
-    _require_branch(branch)
+    fam = _check("heinz-reverse-main", n, branch)
     _require_pair(a, b)
     _require_weight(v)
     la, lb = math.log(a), math.log(b)
@@ -490,8 +488,7 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     lhs = 0.5 * (a + b)
     rhs = (heinz_scalar(a, b, v) + (1.0 - v) * (math.sqrt(a) - math.sqrt(b)) ** 2
            + (v - 0.5) * math.exp(0.5 * (la + lb)) * total)
-    return _report("heinz-reverse-main", "i", a, b, v, n, lhs, rhs,
-                   _outside(v, window_dyadic_high(n)), upper=True)
+    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
 
 
 def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -504,10 +501,9 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     for v outside [0, 1/2^n]; branch "ii" is the exact mirror under
     (a, b, v) -> (b, a, 1-v), for v outside [(2^n-1)/2^n, 1].
     """
-    _require_depth(n, 1)
     if branch == "ii":
         return _mirrored(heinz_reverse_sc(b, a, 1.0 - v, n, "i"), a, b, v)
-    _require_branch(branch)
+    fam = _check("heinz-reverse-sc", n, branch)
     _require_pair(a, b)
     _require_weight(v)
     lr = math.log(b) - math.log(a)
@@ -518,8 +514,7 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
         total += 2.0 ** (k - 2) * (a * d1 * d1 + b * d2 * d2)
     lhs = 0.5 * (a + b)
     rhs = heinz_scalar(a, b, v) + v * total
-    return _report("heinz-reverse-sc", "i", a, b, v, n, lhs, rhs,
-                   _outside(v, window_sc_low(n)), upper=True)
+    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -635,40 +630,36 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
     gap normalization and report pairwise dominance among valid bounds.
 
     Depths 2..n of the dyadic and indexed-refinement families are included
-    alongside the one-term and two-term bounds.  Bounds whose formulas are
-    undefined at v (the indexed family outside [0, 1]) are omitted.
+    alongside the one-term and two-term bounds.  The two-term and indexed
+    bounds hold only inside their windows, where the indexed formulas are
+    also defined; elsewhere they are omitted.
     """
     _require_pair(a, b)
     _require_weight(v)
     _require_depth(n, 2)
+    one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
+        "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
     bounds: list[GapBound] = []
 
+    def add(fam, branch, d, value):
+        label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
+        bounds.append(GapBound(label, fam.key, branch, d, value,
+                               fam.hypothesis(branch, v, d)))
+
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    bounds.append(GapBound("corollary-one-term/i", "corollary-one-term", "i", None,
-                           v * sq, _outside(v, (0.0, 0.5))))
-    bounds.append(GapBound("corollary-one-term/ii", "corollary-one-term", "ii", None,
-                           (1.0 - v) * sq, _outside(v, (0.5, 1.0))))
+    add(one, "i", None, v * sq)
+    add(one, "ii", None, (1.0 - v) * sq)
     for d in range(2, n + 1):
-        bounds.append(GapBound(f"theorem-main-reverse/i/n{d}", "theorem-main-reverse",
-                               "i", d, gap_bound_main_reverse(a, b, v, d),
-                               _outside(v, window_dyadic_high(d))))
-        bounds.append(GapBound(f"theorem-main-reverse/ii/n{d}", "theorem-main-reverse",
-                               "ii", d, gap_bound_main_reverse(b, a, 1.0 - v, d),
-                               _outside(v, window_dyadic_low(d))))
-    if 0.0 <= v <= 1.0:
-        bounds.append(GapBound("zhao-wu-reverse/lemma", "zhao-wu-reverse", "lemma",
-                               None, gap_bound_zw_lemma(a, b, v), True))
-        bounds.append(GapBound("zhao-wu-reverse/proposition", "zhao-wu-reverse",
-                               "proposition", None, gap_bound_zw_proposition(a, b, v),
-                               True))
-        for d in range(2, n + 1):
-            if v <= 0.5:
-                bounds.append(GapBound(f"lemma-sm-reverse/i/n{d}", "lemma-sm-reverse",
-                                       "i", d, gap_bound_sm_reverse(a, b, v, d), True))
-            if v >= 0.5:
-                bounds.append(GapBound(f"lemma-sm-reverse/ii/n{d}", "lemma-sm-reverse",
-                                       "ii", d, gap_bound_sm_reverse(b, a, 1.0 - v, d),
-                                       True))
+        add(main, "i", d, gap_bound_main_reverse(a, b, v, d))
+        add(main, "ii", d, gap_bound_main_reverse(b, a, 1.0 - v, d))
+    if zw.hypothesis("lemma", v, None):
+        add(zw, "lemma", None, gap_bound_zw_lemma(a, b, v))
+        add(zw, "proposition", None, gap_bound_zw_proposition(a, b, v))
+    for d in range(2, n + 1):
+        if sm.hypothesis("i", v, d):
+            add(sm, "i", d, gap_bound_sm_reverse(a, b, v, d))
+        if sm.hypothesis("ii", v, d):
+            add(sm, "ii", d, gap_bound_sm_reverse(b, a, 1.0 - v, d))
 
     true_gap = young_lhs(a, b, v) - weighted_geometric(a, b, v)
     valid = [g for g in bounds if g.hypothesis_ok]
@@ -685,3 +676,33 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
         raise OverflowError(f"gap bounds at a={a!r}, b={b!r}, v={v!r} leave the "
                             f"floating-point range")
     return ComparisonReport(a, b, v, n, true_gap, tuple(bounds), tuple(dominance))
+
+
+_INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
+# Every scalar family in suite order, read by the evaluators, the suite rows
+# and the CLI: the one statement of its branches, least depth and window.
+SCALAR_TABLE = (
+    Family("reverse-young-basic", reverse_young_basic, ("",), None,
+           "outside", (0.0, 1.0)),
+    Family("corollary-one-term", corollary_one_term, BRANCHES, None,
+           "outside", (0.0, 0.5)),
+    Family("theorem-main-reverse", theorem_main_reverse, BRANCHES, 1,
+           "outside", window_dyadic_high),
+    Family("lemma-sm-reverse", lemma_sm_reverse, BRANCHES, 1,
+           "inside", (0.0, 0.5), probe=(0.5,), ops=_INDEX_OPS),
+    Family("kittaneh-manasrah", kittaneh_manasrah, ("",), None,
+           "inside", (0.0, 1.0)),
+    Family("zhao-wu-forward", zhao_wu_forward, ("",), None,
+           "inside", (0.0, 1.0)),
+    Family("zhao-wu-reverse", zhao_wu_reverse, ("lemma", "proposition"), None,
+           "inside", (0.0, 1.0), probe=()),
+    Family("sababheh-choi-forward", sababheh_choi_forward, ("",), 1,
+           "inside", (0.0, 1.0), ops=_INDEX_OPS),
+    Family("theorem-extended-sc", theorem_extended_sc, BRANCHES, 1,
+           "outside", window_sc_low),
+    Family("heinz-reverse-main", heinz_reverse_main, BRANCHES, 2,
+           "outside", window_dyadic_high, ops=("heinz_scalar",)),
+    Family("heinz-reverse-sc", heinz_reverse_sc, BRANCHES, 1,
+           "outside", window_sc_low, ops=("heinz_scalar",)),
+)
+SCALAR_BY_KEY = {family.key: family for family in SCALAR_TABLE}

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -277,6 +278,31 @@ def test_check_operator_overflowing_mean_exits_two(capsys, tmp_path, fmt):
                              "--branch", "i", "--v", "1.3", "--n", "1", "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "error: inner eigenvalue power overflows for weight 1.3\n"
+
+
+@pytest.mark.parametrize("entry", ["1e308", "1.7e308"])
+def test_check_operator_entry_past_9e307_exits_two(capsys, tmp_path, entry):
+    h = write(tmp_path / "h.txt", f"1\n{entry}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "check-operator", h, h, "--family", "t6",
+                                 "--branch", "i", "--v", "-2", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: symmetrization overflows: an entry exceeds about 9e307 in magnitude\n"
+
+
+@pytest.mark.parametrize("family", ["t6", "t66", "c3", "c33"])
+@pytest.mark.parametrize("branch", ["i", "ii"])
+def test_check_operator_overflowing_sides_print_only_the_error(capsys, tmp_path, family,
+                                                               branch):
+    a = write(tmp_path / "a.txt", "1\n1e307\n")
+    b = write(tmp_path / "b.txt", "1\n5e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "check-operator", a, b, "--family", family,
+                                 "--branch", branch, "--v", "-6", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_operator_large_weight_has_finite_tolerance(capsys, tmp_path):

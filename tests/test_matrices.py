@@ -63,6 +63,19 @@ def test_asymmetric_input_rejected():
         SymMatrix([[1.0, 2.0], [0.5, 1.0]])
 
 
+@pytest.mark.parametrize("entry", [1e308, 1.7e308, -1.7e308])
+def test_symmetrizing_an_entry_past_9e307_names_the_overflow(entry):
+    # M + M^T overflows although the entry is finite; no RuntimeWarning escapes
+    with pytest.raises(MatrixError, match="symmetrization overflows"):
+        SymMatrix([[entry]])
+
+
+def test_symmetrizing_keeps_the_bits_of_in_range_entries():
+    m = np.array([[8.9e307, 1.0], [1.0 + 1e-13, -3.0]])
+    entries = SymMatrix(m).entries
+    assert np.array_equal(entries, 0.5 * (m + m.T)) and entries[0, 0] == 8.9e307
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(MatrixError):
         SymMatrix([[1.0, 2.0]])

@@ -1,6 +1,7 @@
 """Operator bounds: frozen 1x1 examples, scalar/diagonal consistency, windows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,3 +203,17 @@ def test_side_out_of_range_raises_overflow(lhs):
     a = SpdMatrix(np.eye(2))
     with pytest.raises(OverflowError, match="t66: the Loewner gap at v=2.0 leaves"):
         operators._finish("t66", "i", a, a, 2.0, 1, lhs, np.diag([1e308, 1e308]), True)
+
+
+@pytest.mark.parametrize("family, error", [("t6", OverflowError), ("t66", OverflowError),
+                                           ("c3", MatrixError), ("c33", MatrixError)])
+@pytest.mark.parametrize("branch", ["i", "ii"])
+def test_overflowing_sides_raise_without_runtime_warnings(family, error, branch):
+    # A nabla_-6 B and the correction leave the range; only the error reaches the caller
+    a, b = SpdMatrix.from_entries([[1e307]]), SpdMatrix.from_entries([[5e307]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as caught:
+            OPERATOR_FAMILIES[family](a, b, -6.0, 2, branch)
+    expected = "the Loewner gap" if error is OverflowError else "power overflows"
+    assert expected in str(caught.value)

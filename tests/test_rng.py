@@ -13,6 +13,7 @@ from meanbound.rng import (
     substream_states,
 )
 
+GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 COUNTS = (0, 1, 4, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1,
           5 * SUBSTREAM_CHUNK // 2)
 
@@ -29,6 +30,14 @@ def test_splitmix64_known_answers():
         words.append(word)
     assert words == [6457827717110365317, 3203168211198807973, 9817491932198370423,
                      4593380528125082431, 16408922859458223821]
+
+
+@pytest.mark.parametrize("seed", [0, 1, GOLDEN, 2 ** 63, 2 ** 64 - GOLDEN, 2 ** 64 - 1])
+def test_splitmix64_matches_the_reference_step(seed):
+    state = (seed + GOLDEN) % 2 ** 64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+    assert splitmix64(seed) == (state, z ^ (z >> 31))
 
 
 def test_xoshiro256starstar_known_answers():

@@ -31,7 +31,12 @@ from meanbound.scalar import (
     young_lhs,
     zhao_wu_forward,
     zhao_wu_reverse,
+    window_dyadic_high,
+    window_dyadic_low,
+    window_sc_high,
+    window_sc_low,
 )
+from meanbound.harness import SCALAR_ROWS
 
 import oracles
 
@@ -497,3 +502,121 @@ def test_valid_gap_bounds_dominate_true_gap(a, b, v):
         if bound.hypothesis_ok:
             assert bound.value - rep.true_gap >= \
                 -1e-9 * (abs(bound.value) + abs(rep.true_gap)) - 1e-13 * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# Family table: hypothesis flags, argument checks, verdict tolerance
+# ---------------------------------------------------------------------------
+
+_MIRRORED = {"theorem-main-reverse", "lemma-sm-reverse", "theorem-extended-sc",
+             "heinz-reverse-main", "heinz-reverse-sc"}
+
+
+def _weights_near_windows(n):
+    """Every window endpoint at depth n, its float neighbours and its mirror,
+    with the signed zeros, 1/2 and 1."""
+    windows = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), window_dyadic_high(n),
+               window_dyadic_low(n), window_sc_low(n), window_sc_high(n)]
+    points = {0.0, -0.0, 0.5, 1.0}
+    for end in (end for window in windows for end in window):
+        points |= {end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf),
+                   1.0 - end}
+    return sorted(points) + [-0.0]  # the set keeps only one of the zeros
+
+
+def _written_out_flag(family, branch, v, n):
+    """hypothesis_ok as the window functions give it; None where the
+    evaluator raises because v is outside its domain."""
+    if branch == "ii" and family in _MIRRORED:
+        return _written_out_flag(family, "i", 1.0 - v, n)
+    if family == "zhao-wu-forward" and v > 0.5:
+        v = 1.0 - v  # the weight selects the mirrored side
+    if family in ("theorem-main-reverse", "heinz-reverse-main"):
+        lo, hi = window_dyadic_high(n)
+    elif family in ("theorem-extended-sc", "heinz-reverse-sc"):
+        lo, hi = window_sc_low(n)
+    elif family in ("corollary-one-term", "lemma-sm-reverse"):
+        lo, hi = (0.5, 1.0) if branch == "ii" else (0.0, 0.5)
+    else:
+        lo, hi = 0.0, 1.0
+    if family in ("lemma-sm-reverse", "sababheh-choi-forward"):
+        return True if lo <= v <= hi else None
+    if family in ("kittaneh-manasrah", "zhao-wu-forward", "zhao-wu-reverse"):
+        return lo <= v <= hi
+    return not lo <= v <= hi
+
+
+def test_every_row_flags_the_written_out_window_at_every_depth():
+    for row in SCALAR_ROWS:
+        depths = [None] if row.min_depth is None else range(row.min_depth, scalar.MAX_DEPTH + 1)
+        for n in depths:
+            for v in _weights_near_windows(n or 3):
+                expected = _written_out_flag(row.family, row.branch, v, n)
+                if expected is None:
+                    with pytest.raises(DomainError):
+                        row.evaluate(3.0, 0.5, v, n)
+                else:
+                    rep = row.evaluate(3.0, 0.5, v, n)
+                    assert rep.hypothesis_ok is expected, (row.key, n, v)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_compare_flags_match_the_written_out_windows(n):
+    for v in _weights_near_windows(n):
+        flags = {g.label: g.hypothesis_ok for g in compare_gap_bounds(3.0, 0.5, v, n).bounds}
+        expected = {"corollary-one-term/i": not 0.0 <= v <= 0.5,
+                    "corollary-one-term/ii": not 0.5 <= v <= 1.0}
+        for d in range(2, n + 1):
+            lo, hi = window_dyadic_high(d)
+            expected[f"theorem-main-reverse/i/n{d}"] = not lo <= v <= hi
+            lo, hi = window_dyadic_low(d)
+            expected[f"theorem-main-reverse/ii/n{d}"] = not lo <= v <= hi
+        if 0.0 <= v <= 1.0:  # the two-term and indexed bounds: listed only where valid
+            expected.update({"zhao-wu-reverse/lemma": True,
+                             "zhao-wu-reverse/proposition": True})
+            for d in range(2, n + 1):
+                if v <= 0.5:
+                    expected[f"lemma-sm-reverse/i/n{d}"] = True
+                if v >= 0.5:
+                    expected[f"lemma-sm-reverse/ii/n{d}"] = True
+        assert flags == expected, (n, v)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: heinz_reverse_main(1.0, 2.0, 3.0, 1, "i"),
+     "depth must satisfy 2 <= n <= 30, got n=1"),
+    (lambda: heinz_reverse_main(1.0, 2.0, 3.0, 1, "ii"),
+     "depth must satisfy 2 <= n <= 30, got n=1"),
+    (lambda: sababheh_choi_forward(1.0, 2.0, 0.5, 0),
+     "depth must satisfy 1 <= n <= 30, got n=0"),
+    (lambda: theorem_extended_sc(1.0, 2.0, 3.0, 2, "x"),
+     "branch must be 'i' or 'ii', got 'x'"),
+    (lambda: corollary_one_term(1.0, 2.0, 3.0, ""),
+     "branch must be 'i' or 'ii', got ''"),
+    (lambda: zhao_wu_reverse(1.0, 2.0, 0.5, "ii"),
+     "form must be 'lemma' or 'proposition', got 'ii'"),
+    # the weight is checked first, the operands next, the form last
+    (lambda: zhao_wu_reverse(-1.0, 2.0, math.nan, "x"), "weight must be finite, got v=nan"),
+    (lambda: zhao_wu_reverse(-1.0, 2.0, 0.5, "x"), "operands must be finite and > 0"),
+])
+def test_argument_checks_keep_their_messages(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
+def test_tol_is_the_verdict_tolerance_and_not_a_report_field():
+    reports = [theorem_main_reverse(1.0, 16.0, 0.125, 2, "i"),
+               reverse_young_basic(1.0, 16.0, 0.5),  # inside its window: violated
+               kittaneh_manasrah(5.0, 5.0, 0.3),  # equal operands: gap ~ 0
+               lemma_sm_reverse(2.0, 7.0, 0.75, 3, "ii")]
+    assert not reports[1].holds
+    for rep in reports:
+        assert "tol" not in rep.as_dict()
+        assert rep.tol == scalar.REL_TOL * (abs(rep.lhs) + abs(rep.rhs))
+        assert rep.holds == (rep.gap >= -rep.tol)
+    # gaps of -tol/2 and -3 tol/2: the verdict turns at exactly -tol
+    family = scalar.SCALAR_BY_KEY["reverse-young-basic"]
+    for rhs, holds in ((1.0 - 1e-9, True), (1.0 - 3e-9, False)):
+        rep = scalar._report(family, "", 1.0, 2.0, 3.0, None, 1.0, rhs, upper=True)
+        assert rep.holds is holds and rep.holds == (rep.gap >= -rep.tol)
