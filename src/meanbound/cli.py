@@ -138,7 +138,7 @@ def cmd_check_operator(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rep = scalar.compare_gap_bounds(args.a, args.b, args.v, args.n if args.n else 3)
+    rep = scalar.compare_gap_bounds(args.a, args.b, args.v, 3 if args.n is None else args.n)
     lines = [f"true gap (lhs - geometric): {_short(rep.true_gap)}"]
     for bound in rep.bounds:
         flag = "ok " if bound.hypothesis_ok else "off"

@@ -5,7 +5,8 @@ Every eigendecomposition goes through ``jacobi_eigh``, a thin wrapper of
 LAPACK's symmetric eigensolver (``np.linalg.eigh``).  The weighted
 geometric mean of a pair is built from one Cholesky factorization of A and
 one eigendecomposition, through the congruence covariance of the mean (see
-MeanCalculator).
+MeanCalculator); that one mean kernel also forms every matrix power, as
+A^p = I #_p A.
 
 All matrices are dense float64.  Every operation that returns a matrix
 symmetrizes its result and asserts the pre-symmetrization residual is
@@ -165,14 +166,13 @@ class SpdMatrix:
         return cls(entries, rel_tol=rel_tol)
 
     @classmethod
-    def _trusted(cls, sym_entries: np.ndarray,
-                 decomp: Optional[EigenDecomp] = None) -> "SpdMatrix":
+    def _trusted(cls, sym_entries: np.ndarray) -> "SpdMatrix":
         # positive definiteness guaranteed by the caller's construction
         obj = object.__new__(cls)
         sym_entries = np.ascontiguousarray(sym_entries, dtype=float)
         sym_entries.setflags(write=False)
         obj.entries = sym_entries
-        obj._decomp = decomp
+        obj._decomp = None
         return obj
 
     @property
@@ -197,26 +197,6 @@ class SpdMatrix:
 
     def fro(self) -> float:
         return _fro(self.entries)
-
-
-def _rebuild(decomp: EigenDecomp, lam: np.ndarray) -> np.ndarray:
-    m = (decomp.q * lam) @ decomp.q.T
-    return 0.5 * (m + m.T)
-
-
-def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
-    """Real matrix power Q diag(lam^p) Q^T; defined for any real p."""
-    if not isinstance(a, SpdMatrix):
-        raise MatrixError("spd_power requires an SpdMatrix")
-    if not math.isfinite(p):
-        raise DomainError(f"exponent must be finite, got {p!r}")
-    d = a.decomp
-    with np.errstate(over="ignore"):
-        lam_p = d.lam ** p
-    if not np.all(np.isfinite(lam_p)):
-        raise MatrixError(f"eigenvalue power overflows floating range for p={p}")
-    return SpdMatrix._trusted(_rebuild(d, lam_p),
-                              EigenDecomp(d.q, lam_p) if p >= 0 else None)
 
 
 def _check_dims(a, b) -> None:
@@ -302,11 +282,16 @@ class MeanCalculator:
     def nabla_entries(self, w: float) -> np.ndarray:
         return (1.0 - w) * self.a.entries + w * self.b.entries
 
-    def sharp(self, w: float) -> SpdMatrix:
-        return SpdMatrix._trusted(self.sharp_entries(w))
 
-    def heinz(self, w: float) -> SpdMatrix:
-        return SpdMatrix._trusted(self.heinz_entries(w))
+def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
+    """Real matrix power A^p = I #_p A, for any real p: the identity's Cholesky
+    factor is I, so the kernel forms Q diag(lam^p) Q^T of A's own eigensolve."""
+    if not isinstance(a, SpdMatrix):
+        raise MatrixError("spd_power requires an SpdMatrix")
+    if not math.isfinite(p):
+        raise DomainError(f"exponent must be finite, got {p!r}")
+    eye = SpdMatrix._trusted(np.eye(a.dim))
+    return SpdMatrix._trusted(MeanCalculator(eye, a).sharp_entries(p))
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
@@ -316,13 +301,13 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
     mean lying below the weighted arithmetic mean in Loewner order.
     """
     _require_weight(v)
-    return MeanCalculator(a, b).sharp(v)
+    return SpdMatrix._trusted(MeanCalculator(a, b).sharp_entries(v))
 
 
 def heinz_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
     """Operator Heinz mean: average of the geometric means at v and 1-v."""
     _require_weight(v)
-    return MeanCalculator(a, b).heinz(v)
+    return SpdMatrix._trusted(MeanCalculator(a, b).heinz_entries(v))
 
 
 @dataclass(frozen=True)

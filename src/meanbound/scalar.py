@@ -85,11 +85,15 @@ def _report(fam, branch, a, b, v, n, lhs, rhs, upper):
     return rep if gap >= 0.0 or gap >= -rep.tol else replace(rep, holds=False)
 
 
-def _mirrored(rep: BoundReport, a, b, v, branch: str = "ii") -> BoundReport:
-    """Report rep, evaluated at the mirror point (b, a, 1-v), as taken at (a, b, v).
+def _mirrored(evaluate: Callable, a, b, v, *args, branch: str = "ii") -> BoundReport:
+    """evaluate(b, a, 1-v, *args), the report at the mirror point, as taken
+    at (a, b, v), once the caller's own operands and weight pass.
 
     Every branch-ii bound is the image of its branch i under this one map.
     """
+    _require_pair(a, b)
+    _require_weight(v)
+    rep = evaluate(b, a, 1.0 - v, *args)
     return BoundReport(rep.family, branch, a, b, v, rep.n, rep.lhs, rep.rhs,
                        rep.gap, rep.hypothesis_ok, rep.holds)
 
@@ -255,9 +259,9 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     for v outside [(2^(n-1)-1)/2^n, 1/2].  With n = 1 the tail sum is
     empty and branch "i" coincides with the one-term bound, branch "ii".
     """
-    if branch == "ii":
-        return _mirrored(theorem_main_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
     fam = _check("theorem-main-reverse", n, branch)
+    if branch == "ii":
+        return _mirrored(theorem_main_reverse, a, b, v, n, "i")
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_main_reverse(a, b, v, n)
     return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
@@ -329,12 +333,14 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     and requires v in [1/2, 1].  Outside those windows the refinement sum
     is undefined and a DomainError is raised.
     """
-    if branch == "ii":
-        return _mirrored(lemma_sm_reverse(b, a, 1.0 - v, n, "i"), a, b, v)
     fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    if not fam.hypothesis("i", v, n):
-        raise DomainError(f"branch i requires v in [0, 1/2], got v={v!r}")
+    # decided at branch i's point, the mirror (b, a, 1-v) of branch ii's
+    if not fam.hypothesis("i", v if branch == "i" else 1.0 - v, n):
+        window = "[0, 1/2]" if branch == "i" else "[1/2, 1]"
+        raise DomainError(f"branch {branch} requires v in {window}, got v={v!r}")
+    if branch == "ii":
+        return _mirrored(lemma_sm_reverse, a, b, v, n, "i")
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_sm_reverse(a, b, v, n)
     return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
@@ -362,7 +368,7 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     """
     _require_weight(v)
     if v > 0.5:
-        return _mirrored(zhao_wu_forward(b, a, 1.0 - v), a, b, v, branch="")
+        return _mirrored(zhao_wu_forward, a, b, v, branch="")
     lhs = young_lhs(a, b, v)
     r = min(v, 1.0 - v)
     r0 = min(2.0 * r, 1.0 - 2.0 * r)
@@ -452,9 +458,9 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     mirror under (a, b, v) -> (b, a, 1-v) and holds for v outside
     [(2^n-1)/2^n, 1].
     """
-    if branch == "ii":
-        return _mirrored(theorem_extended_sc(b, a, 1.0 - v, n, "i"), a, b, v)
     fam = _check("theorem-extended-sc", n, branch)
+    if branch == "ii":
+        return _mirrored(theorem_extended_sc, a, b, v, n, "i")
     lhs = young_lhs(a, b, v)
     rhs = weighted_geometric(a, b, v) + gap_bound_extended_sc(a, b, v, n)
     return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
@@ -473,9 +479,9 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     for branch "i" (v outside [1/2, (2^(n-1)+1)/2^n]); branch "ii" is the
     exact mirror under (a, b, v) -> (b, a, 1-v).  Requires n >= 2.
     """
-    if branch == "ii":
-        return _mirrored(heinz_reverse_main(b, a, 1.0 - v, n, "i"), a, b, v)
     fam = _check("heinz-reverse-main", n, branch)
+    if branch == "ii":
+        return _mirrored(heinz_reverse_main, a, b, v, n, "i")
     _require_pair(a, b)
     _require_weight(v)
     la, lb = math.log(a), math.log(b)
@@ -501,9 +507,9 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     for v outside [0, 1/2^n]; branch "ii" is the exact mirror under
     (a, b, v) -> (b, a, 1-v), for v outside [(2^n-1)/2^n, 1].
     """
-    if branch == "ii":
-        return _mirrored(heinz_reverse_sc(b, a, 1.0 - v, n, "i"), a, b, v)
     fam = _check("heinz-reverse-sc", n, branch)
+    if branch == "ii":
+        return _mirrored(heinz_reverse_sc, a, b, v, n, "i")
     _require_pair(a, b)
     _require_weight(v)
     lr = math.log(b) - math.log(a)

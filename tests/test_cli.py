@@ -176,6 +176,26 @@ def test_compare_reference_point(capsys):
     assert "tightest valid bound: theorem-main-reverse/ii/n2 = 1.875" in out
 
 
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_compare_depth_below_two_exits_two(capsys, depth):
+    code, out, err = run_cli(capsys, "compare", "--a", "1", "--b", "16", "--v", "1/8",
+                             "--n", depth)
+    assert (code, out) == (2, "")
+    assert err == f"error: depth must satisfy 2 <= n <= 30, got n={depth}\n"
+
+
+def test_branch_ii_errors_name_the_given_weight(capsys):
+    point = ("--a", "1", "--b", "2", "--v", "0.2", "--n", "2")
+    code, out, err = run_cli(capsys, "bound", "--family", "lemma-sm-reverse",
+                             "--branch", "ii", *point)
+    assert (code, out) == (2, "")
+    assert err == "error: branch ii requires v in [1/2, 1], got v=0.2\n"
+    code, out, _ = run_cli(capsys, "check-scalar", "--family", "lemma-sm-reverse", *point)
+    assert code == 0
+    assert out.splitlines()[1] == ("lemma-sm-reverse/ii: not applicable "
+                                   "(branch ii requires v in [1/2, 1], got v=0.2)")
+
+
 def test_repro_reference_lines(capsys):
     code, out, _ = run_cli(capsys, "repro")
     assert code == 0
@@ -460,3 +480,91 @@ def test_suite_csv_out_writes_the_csv_rows(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [row["key"] for row in rows] == ["kittaneh-manasrah"]
     assert rows[0]["trials"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# Argument and configuration exit paths
+# ---------------------------------------------------------------------------
+
+def test_bound_two_branch_family_without_branch_exits_two(capsys):
+    code, out, err = run_cli(capsys, "bound", "--family", "corollary-one-term",
+                             "--a", "1", "--b", "2", "--v", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: family corollary-one-term requires --branch i|ii\n"
+
+
+def test_check_scalar_unknown_family_exits_two(capsys):
+    code, out, err = run_cli(capsys, "check-scalar", "--family", "nope",
+                             "--a", "1", "--b", "2", "--v", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown family 'nope'\n"
+
+
+def test_check_operator_unknown_family_exits_two(capsys, tmp_path):
+    path = write(tmp_path / "a.txt", "1\n2\n")
+    code, out, err = run_cli(capsys, "check-operator", path, path,
+                             "--family", "nope", "--v", "0.5", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown operator family 'nope'; families: theorem-t6")
+
+
+def test_check_operator_without_depth_exits_two(capsys, tmp_path):
+    path = write(tmp_path / "a.txt", "1\n2\n")
+    code, out, err = run_cli(capsys, "check-operator", path, path,
+                             "--family", "t6", "--v", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: check-operator requires --n\n"
+
+
+def test_suite_config_file_skips_comments_and_blank_lines(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("# a comment line\n\n   \ntrials = 4  # trailing comment\n"
+                   "families = kittaneh-manasrah\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "suite", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["trials"] == 4 and doc["config"]["families"] == ["kittaneh-manasrah"]
+
+
+def test_suite_config_line_without_equals_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("trials 4\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: bad config line 'trials 4'\n"
+
+
+def test_suite_range_flags_land_in_the_report(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--families", "kittaneh-manasrah",
+                           "--trials", "3", "--format", "json",
+                           "--scalar-lo", "0.5", "--scalar-hi", "2",
+                           "--v-lo", "0.25", "--v-hi", "0.75")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["scalar_range"] == [0.5, 2.0] and config["v_range"] == [0.25, 0.75]
+    # one end given: the other keeps its default
+    code, out, _ = run_cli(capsys, "suite", "--families", "kittaneh-manasrah",
+                           "--trials", "3", "--format", "json", "--v-hi", "0.75")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["v_range"] == [-6.0, 0.75] and config["scalar_range"] == [1e-3, 1e3]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--families", ","), "error: families must name at least one family or selector\n"),
+    (("--seed", str(2 ** 64)),
+     f"error: seed must be a 64-bit unsigned integer, got {2 ** 64}\n"),
+])
+def test_suite_empty_families_and_wide_seed_exit_two(capsys, args, message):
+    code, out, err = run_cli(capsys, "suite", "--trials", "2", *args)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_operator_window_covering_the_weight_range_skips_every_trial(capsys):
+    # t6 branch i excludes [1/2, 3/4] at depth 2, which covers v in [0.55, 0.6]
+    code, out, _ = run_cli(capsys, "suite", "--families", "t6", "--depths", "2",
+                           "--v-lo", "0.55", "--v-hi", "0.6", "--trials", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "t6/i: trials=3 passes=0 failures=0 skipped=3 worst_gap=n/a"
+    assert lines[1].startswith("t6/ii: trials=3 passes=3 failures=0 skipped=0 ")

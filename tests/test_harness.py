@@ -1,13 +1,15 @@
 """Harness: sampling, random SPD generation, suites, determinism, replay."""
 
+import builtins
 import dataclasses
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from meanbound import harness
+from meanbound import harness, reporting, scalar
 from meanbound.harness import (
     OPERATOR_ROWS,
     SCALAR_ROWS,
@@ -24,7 +26,7 @@ from meanbound.harness import (
     run_scalar_suite,
     sample_weight,
 )
-from meanbound.matrices import MatrixError
+from meanbound.matrices import LOEWNER_REL_TOL, MatrixError
 from meanbound.operators import OperatorBoundReport
 from meanbound.rng import Xoshiro256StarStar, derive_seed
 from meanbound.scalar import (
@@ -267,6 +269,54 @@ def test_suite_determinism():
     assert doc1 == doc2
     other = run_all(dataclasses.replace(SMALL, seed=43)).to_doc(include_wall_time=False)
     assert other != doc1
+
+
+def _report_text(cfg: SuiteConfig) -> str:
+    return reporting.dumps(run_all(cfg).to_doc(include_wall_time=False))
+
+
+# sha256 of the seed-5 scalar and comparison report: float arithmetic in
+# Python and libm only, no LAPACK, so its bytes are pinned on every supported
+# Python and numpy build (the operator rows are pinned by the verdict digests)
+SCALAR_COMPARISON_REPORT_SHA256 = (
+    "3c05c5a4eda1f540cbdefe9aa35d7ccf1f614f7e983888d42a531611450b5f7a")
+
+
+def test_seeded_report_known_answer():
+    text = _report_text(SuiteConfig(seed=5, trials=40, families=("scalar", "comparison")))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_COMPARISON_REPORT_SHA256
+
+
+def _compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later form it for floats (Neumaier's
+    compensated summation); integer sums as before."""
+    values = list(values)
+    if all(isinstance(x, int) for x in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_comparison_report_keeps_its_bytes_under_compensated_sum(monkeypatch):
+    cfg = SuiteConfig(seed=5, trials=40, families=("comparison",))
+    expected = _report_text(cfg)
+    monkeypatch.setattr(harness, "sum", _compensated_sum, raising=False)
+    assert _report_text(cfg) == expected
+
+
+def test_config_as_dict_lists_the_fields_with_the_tolerances_after_margin():
+    config = SuiteConfig(seed=7, dims=(2, 3), families=("t6",), boundary_probe=True)
+    d = config.as_dict()
+    assert list(d) == ["seed", "trials", "scalar_range", "v_range", "dims", "cond_max",
+                       "depths", "families", "margin", "rel_tol", "loewner_rel",
+                       "grid_points", "boundary_probe"]
+    assert d["scalar_range"] == [1e-3, 1e3] and d["dims"] == [2, 3]
+    assert d["families"] == ["t6"] and d["boundary_probe"] is True
+    assert d["rel_tol"] == scalar.REL_TOL and d["loewner_rel"] == LOEWNER_REL_TOL
 
 
 def test_coverage_spans_every_operation():

@@ -1,5 +1,6 @@
 """Matrix core: eigensolver, SPD type, powers, means, Loewner order."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -170,6 +171,22 @@ def test_spd_power_laws(dim):
     left = spd_power(a, p).entries @ spd_power(a, q).entries
     right = spd_power(a, p + q).entries
     assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(right)
+
+
+# sha256 of spd_power(a, p).entries for a = random_spd(1 + seed % 9, 1e6,
+# Xoshiro256StarStar(seed)), seeds 0..199, over every p of SPD_POWER_EXPONENTS:
+# the bits of Q diag(lam^p) Q^T from A's own eigendecomposition
+SPD_POWER_EXPONENTS = (0.5, 2, -1, 0.3, -2.7, 7, 0, 1)
+SPD_POWER_SHA256 = "7c40df898d801ea5bed1859028a4ed61a7e657c6ed55b6cac746b974a779722a"
+
+
+def test_spd_power_known_answer():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        a = random_spd(1 + seed % 9, 1e6, Xoshiro256StarStar(seed))
+        for p in SPD_POWER_EXPONENTS:
+            digest.update(spd_power(a, p).entries.tobytes())
+    assert digest.hexdigest() == SPD_POWER_SHA256
 
 
 def test_spd_power_overflow():

@@ -598,6 +598,16 @@ def test_compare_flags_match_the_written_out_windows(n):
     # the weight is checked first, the operands next, the form last
     (lambda: zhao_wu_reverse(-1.0, 2.0, math.nan, "x"), "weight must be finite, got v=nan"),
     (lambda: zhao_wu_reverse(-1.0, 2.0, 0.5, "x"), "operands must be finite and > 0"),
+    # a mirrored call names the caller's own arguments and window, checked
+    # in branch i's order: depth, then window, then operands
+    (lambda: lemma_sm_reverse(1, 2, 0.2, 2, "ii"),
+     "branch ii requires v in [1/2, 1], got v=0.2"),
+    (lambda: lemma_sm_reverse(1, 2, 0.8, 2, "i"),
+     "branch i requires v in [0, 1/2], got v=0.8"),
+    (lambda: lemma_sm_reverse(-1.0, 2.0, 0.2, 2, "ii"),
+     "branch ii requires v in [1/2, 1], got v=0.2"),
+    (lambda: heinz_reverse_main(-1.0, 2.0, 3.0, 1, "ii"),
+     "depth must satisfy 2 <= n <= 30, got n=1"),
 ])
 def test_argument_checks_keep_their_messages(call, message):
     with pytest.raises(DomainError) as err:
@@ -620,3 +630,22 @@ def test_tol_is_the_verdict_tolerance_and_not_a_report_field():
     for rhs, holds in ((1.0 - 1e-9, True), (1.0 - 3e-9, False)):
         rep = scalar._report(family, "", 1.0, 2.0, 3.0, None, 1.0, rhs, upper=True)
         assert rep.holds is holds and rep.holds == (rep.gap >= -rep.tol)
+
+
+# every evaluator that mirrors a call to (b, a, 1-v): the branch-ii rows, and
+# zhao-wu-forward, whose weights above 1/2 select its mirrored side
+_MIRRORING_ROWS = [row for row in SCALAR_ROWS
+                   if row.branch == "ii" or row.family == "zhao-wu-forward"]
+
+
+@pytest.mark.parametrize("row", _MIRRORING_ROWS, ids=lambda row: row.key)
+@pytest.mark.parametrize("a, b, v, message", [
+    (-1.0, 2.0, 0.7, "operands must be finite and > 0, got a=-1.0, b=2.0"),
+    (1.0, math.inf, 0.7, "operands must be finite and > 0, got a=1.0, b=inf"),
+    (1.0, 2.0, math.inf, "weight must be finite, got v=inf"),
+])
+def test_mirrored_calls_name_the_callers_arguments(row, a, b, v, message):
+    with pytest.raises(DomainError) as err:
+        row.evaluate(a, b, v, row.min_depth)
+    assert str(err.value) == message
+
