@@ -66,19 +66,30 @@ def sample_weight(region: Region, v_range: tuple, margin: float,
             f"region {region.kind} [{region.lo}, {region.hi}] is empty after "
             f"clipping to {list(v_range)} with margin {margin}"
         )
-    return _sample_pieces(pieces, rng)
+    return _sample_pieces(_spread(pieces), rng.random())
 
 
-def _sample_pieces(pieces: list, rng: Xoshiro256StarStar) -> float:
-    """Uniform draw over nonempty clipped pieces from Region.intervals."""
-    total = sum(hi - lo for lo, hi in pieces)
-    x = rng.random() * total
-    for lo, hi in pieces:
-        width = hi - lo
-        if x < width or (lo, hi) == pieces[-1]:
-            return lo + min(x, width)
+def _spread(pieces: list) -> tuple:
+    """Nonempty clipped pieces from Region.intervals as (((lo, width), ...),
+    total width), the form _sample_pieces draws from."""
+    spread = tuple((lo, hi - lo) for lo, hi in pieces)
+    total = sum(width for _, width in spread)
+    if not math.isfinite(total):  # every draw would land on the last endpoint
+        raise ConfigError(f"weight pieces {pieces} are wider than the floating-point range")
+    return spread, total
+
+
+def _sample_pieces(source: tuple, u: float) -> float:
+    """The point a fraction u in [0, 1) of the way through a _spread's
+    pieces; rounding that carries it past the last piece stops at its end."""
+    spread, total = source
+    x = u * total
+    for lo, width in spread[:-1]:
+        if x < width:
+            return lo + x
         x -= width
-    raise AssertionError("unreachable")
+    lo, width = spread[-1]
+    return lo + min(x, width)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +153,10 @@ class SuiteConfig:
         if not (0.0 < lo < hi) or not math.isfinite(hi):
             raise ConfigError(f"scalar_range must satisfy 0 < lo < hi, got {self.scalar_range}")
         vlo, vhi = self.v_range
-        if not (vlo < vhi) or not (math.isfinite(vlo) and math.isfinite(vhi)):
-            raise ConfigError(f"v_range must satisfy lo < hi, got {self.v_range}")
+        # a width past the float range would send every draw to the last endpoint
+        if not (vlo < vhi and math.isfinite(vhi - vlo)):
+            raise ConfigError(f"v_range must satisfy lo < hi with a finite width hi - lo, "
+                              f"got {self.v_range}")
         if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive integers, got {self.dims}")
         if not (1.0 <= self.cond_max < math.inf):
@@ -310,18 +323,20 @@ def _pick(seq, rng: Xoshiro256StarStar):
 
 def _weight_sources(cfg: SuiteConfig, row: FamilyRow, depths: list) -> dict:
     """Per depth, what a trial's weight is drawn from: the boundary-probe
-    points, or the row's hypothesis region clipped to the configured v range;
-    None when there is nothing to draw and the trial is skipped."""
+    points, or the _spread of the row's hypothesis region clipped to the
+    configured v range; None when there is nothing to draw and the trial is
+    skipped."""
     if cfg.boundary_probe:
         return {n: row.probe(n) or None for n in depths}
-    return {n: row.region(n).intervals(cfg.v_range, cfg.margin) or None for n in depths}
+    return {n: _spread(pieces) if (pieces := row.region(n).intervals(cfg.v_range, cfg.margin))
+            else None for n in depths}
 
 
 def _draw_weight(source, probing: bool, rng: Xoshiro256StarStar):
     """The trial's weight from its depth's source (see _weight_sources)."""
     if source is None:
         return None
-    return _pick(source, rng) if probing else _sample_pieces(source, rng)
+    return _pick(source, rng) if probing else _sample_pieces(source, rng.random())
 
 
 def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
@@ -390,22 +405,27 @@ def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
 def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     depths = _depth_candidates(cfg, row)
     sources = _weight_sources(cfg, row, depths)
+    # each depth with its weight source, picked as _pick(depths, rng) picks
+    picks = [(n, sources[n]) for n in depths]
+    count = len(picks)
     # derive_seed(seed, key, trial) is derive_seed(derive_seed(seed, key), trial)
     row_seed = derive_seed(cfg.seed, fnv1a64("scalar/" + row.key))
     # a and b as rng.log_uniform(*cfg.scalar_range) draws them
     llo, lhi = (math.log(end) for end in cfg.scalar_range)
+    width = lhi - llo
     probing = cfg.boundary_probe
+    evaluate = row.evaluate
     for state in substream_states(row_seed, cfg.trials):
         rng = Xoshiro256StarStar(state)
-        n = _pick(depths, rng)
-        a = math.exp(llo + (lhi - llo) * rng.random())
-        b = math.exp(llo + (lhi - llo) * rng.random())
-        v = _draw_weight(sources[n], probing, rng)
+        n, source = picks[rng.randint(count)] if count > 1 else picks[0]
+        a = math.exp(llo + width * rng.random())
+        b = math.exp(llo + width * rng.random())
+        v = _draw_weight(source, probing, rng)
         if v is None:
             yield None, None, None
             continue
         try:
-            rep = row.evaluate(a, b, v, n)
+            rep = evaluate(a, b, v, n)
         except Exception as exc:  # recorded, never fatal
             ok, gap, cause = False, None, f"{type(exc).__name__}: {exc}"
         else:

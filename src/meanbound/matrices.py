@@ -17,8 +17,7 @@ tighter 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,8 +105,7 @@ class SymMatrix:
         return _fro(self.entries)
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
+class EigenDecomp(NamedTuple):
     """Spectral factorization A = Q diag(lam) Q^T, eigenvalues ascending."""
 
     q: np.ndarray
@@ -310,8 +308,7 @@ def heinz_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
     return SpdMatrix._trusted(MeanCalculator(a, b).heinz_entries(v))
 
 
-@dataclass(frozen=True)
-class LoewnerVerdict:
+class LoewnerVerdict(NamedTuple):
     """Result of an A <= B test: smallest eigenvalue of B - A vs a tolerance."""
 
     min_eig_diff: float
@@ -319,7 +316,7 @@ class LoewnerVerdict:
     holds: bool
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from .scalar import (
 DEGENERATE_REL_TOL = 1e-13  # ||A - B||_F below this of ||A||_F short-circuits
 
 
-@dataclass(frozen=True)
-class OperatorBoundReport:
+class OperatorBoundReport(NamedTuple):
     """Loewner verdict for one operator bound instance."""
 
     family: str
@@ -63,7 +61,7 @@ class OperatorBoundReport:
     fingerprint_b: str
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def matrix_fingerprint(m: SpdMatrix) -> str:

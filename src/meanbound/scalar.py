@@ -17,7 +17,7 @@ operands are never formed directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 REL_TOL = 1e-9
@@ -41,6 +41,11 @@ def _require_weight(v: float) -> None:
         raise DomainError(f"weight must be finite, got v={v!r}")
 
 
+def _require_point(a: float, b: float, v: float) -> None:
+    _require_pair(a, b)
+    _require_weight(v)
+
+
 def _require_depth(n: int, minimum: int = 1) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"depth must be an integer, got n={n!r}")
@@ -48,8 +53,7 @@ def _require_depth(n: int, minimum: int = 1) -> None:
         raise DomainError(f"depth must satisfy {minimum} <= n <= {MAX_DEPTH}, got n={n}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One inequality evaluation with an oriented slack."""
 
     family: str
@@ -70,42 +74,35 @@ class BoundReport:
         return REL_TOL * (abs(self.lhs) + abs(self.rhs))
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-def _report(fam, branch, a, b, v, n, lhs, rhs, upper):
-    """The report of lhs against rhs, flagged by record fam's hypothesis rule."""
-    gap = (rhs - lhs) if upper else (lhs - rhs)
-    if not math.isfinite(gap):
-        raise OverflowError(f"{fam.key}: gap {gap!r} at a={a!r}, b={b!r}, v={v!r} "
-                            f"leaves the floating-point range")
-    rep = BoundReport(fam.key, branch, a, b, v, n, lhs, rhs, gap,
-                      fam.hypothesis(branch, v, n), True)
-    # tol >= 0, so only a negative gap needs it
-    return rep if gap >= 0.0 or gap >= -rep.tol else replace(rep, holds=False)
-
-
-def _mirrored(evaluate: Callable, a, b, v, *args, branch: str = "ii") -> BoundReport:
-    """evaluate(b, a, 1-v, *args), the report at the mirror point, as taken
-    at (a, b, v), once the caller's own operands and weight pass.
-
-    Every branch-ii bound is the image of its branch i under this one map.
+def _report(fam, branch, a, b, v, n, lhs, rhs, upper, hyp=None, mirrored=False):
+    """The report at (a, b, v) of lhs against rhs, evaluated at (a, b, v) or,
+    ``mirrored``, at (b, a, 1 - v) as branch i: the one mirror rule of every
+    branch-ii bound.  An overflowing gap names the point evaluated; the
+    hypothesis flag hyp defaults to record fam's rule at that point.
     """
-    _require_pair(a, b)
-    _require_weight(v)
-    rep = evaluate(b, a, 1.0 - v, *args)
-    return BoundReport(rep.family, branch, a, b, v, rep.n, rep.lhs, rep.rhs,
-                       rep.gap, rep.hypothesis_ok, rep.holds)
+    gap = (rhs - lhs) if upper else (lhs - rhs)
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    if not math.isfinite(gap):
+        raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
+                            f"leaves the floating-point range")
+    if hyp is None:
+        hyp = fam.hypothesis("i" if mirrored else branch, w, n)
+    rep = BoundReport(fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, True)
+    # tol >= 0, so only a negative gap needs it
+    return rep if gap >= 0.0 or gap >= -rep.tol else rep._replace(holds=False)
 
 
 # ---------------------------------------------------------------------------
 # Elementary means
 # ---------------------------------------------------------------------------
 
-def young_lhs(a: float, b: float, v: float) -> float:
-    """Weighted arithmetic mean (1-v)*a + v*b."""
-    _require_pair(a, b)
-    _require_weight(v)
+# The unchecked forms below serve evaluators that have checked their
+# arguments once already.
+
+def _young(a, b, v):
     lhs = (1.0 - v) * a + v * b
     if not math.isfinite(lhs):
         raise OverflowError(f"weighted arithmetic mean at a={a!r}, b={b!r}, v={v!r} "
@@ -113,19 +110,31 @@ def young_lhs(a: float, b: float, v: float) -> float:
     return lhs
 
 
+def _geometric(a, b, v):
+    return math.exp((1.0 - v) * math.log(a) + v * math.log(b))
+
+
+def _heinz(la, lb, v):
+    """The Heinz mean at v of the operands with logs la and lb."""
+    return 0.5 * (math.exp((1.0 - v) * la + v * lb) + math.exp(v * la + (1.0 - v) * lb))
+
+
+def young_lhs(a: float, b: float, v: float) -> float:
+    """Weighted arithmetic mean (1-v)*a + v*b."""
+    _require_point(a, b, v)
+    return _young(a, b, v)
+
+
 def weighted_geometric(a: float, b: float, v: float) -> float:
     """Weighted geometric mean a^(1-v) * b^v, via exp/log for any real v."""
-    _require_pair(a, b)
-    _require_weight(v)
-    return math.exp((1.0 - v) * math.log(a) + v * math.log(b))
+    _require_point(a, b, v)
+    return _geometric(a, b, v)
 
 
 def heinz_scalar(a: float, b: float, v: float) -> float:
     """Heinz mean (a^(1-v) b^v + a^v b^(1-v)) / 2; symmetric in v <-> 1-v."""
-    _require_pair(a, b)
-    _require_weight(v)
-    la, lb = math.log(a), math.log(b)
-    return 0.5 * (math.exp((1.0 - v) * la + v * lb) + math.exp(v * la + (1.0 - v) * lb))
+    _require_point(a, b, v)
+    return _heinz(math.log(a), math.log(b), v)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +187,8 @@ class Family:
     name: Optional[str] = None
     probe: Optional[tuple] = None
     ops: tuple = ()
+    # (branch, n) -> bounds(branch, n), filled as hypothesis meets them
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bounds(self, branch: str, n: Optional[int]) -> tuple[float, float]:
         """The branch's window at depth n; branch ii's is the image (1 - hi,
@@ -187,7 +198,11 @@ class Family:
 
     def hypothesis(self, branch: str, v: float, n: Optional[int]) -> bool:
         """Whether v is inside the branch's depth-n window ("inside") or outside it."""
-        lo, hi = self.bounds(branch, n)
+        key = (branch, n)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = self.bounds(branch, n)
+        lo, hi = span
         return (lo <= v <= hi) == (self.kind == "inside")
 
 
@@ -212,10 +227,10 @@ def reverse_young_basic(a: float, b: float, v: float) -> BoundReport:
     At v in {0, 1} the two sides coincide; the hypothesis flag is false
     there but the report is still evaluated.
     """
-    lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v)
-    return _report(SCALAR_BY_KEY["reverse-young-basic"], "", a, b, v, None, lhs, rhs,
-                   upper=True)
+    _require_point(a, b, v)
+    fam = SCALAR_BY_KEY["reverse-young-basic"]
+    lhs = _young(a, b, v)
+    return _report(fam, "", a, b, v, None, lhs, _geometric(a, b, v), True)
 
 
 def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport:
@@ -225,10 +240,11 @@ def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport
     branch "ii" adds (1-v)*(...)^2 and requires v outside [1/2, 1].
     """
     fam = _check("corollary-one-term", None, branch)
-    lhs = young_lhs(a, b, v)
+    _require_point(a, b, v)
+    lhs = _young(a, b, v)
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    rhs = weighted_geometric(a, b, v) + (v if branch == "i" else 1.0 - v) * sq
-    return _report(fam, branch, a, b, v, None, lhs, rhs, upper=True)
+    rhs = _geometric(a, b, v) + (v if branch == "i" else 1.0 - v) * sq
+    return _report(fam, branch, a, b, v, None, lhs, rhs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +276,12 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     empty and branch "i" coincides with the one-term bound, branch "ii".
     """
     fam = _check("theorem-main-reverse", n, branch)
-    if branch == "ii":
-        return _mirrored(theorem_main_reverse, a, b, v, n, "i")
-    lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v) + gap_bound_main_reverse(a, b, v, n)
-    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
+    _require_point(a, b, v)
+    mirrored = branch == "ii"
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    lhs = _young(x, y, w)
+    rhs = _geometric(x, y, w) + gap_bound_main_reverse(x, y, w, n)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +295,19 @@ class RefinementIndex(NamedTuple):
     s: float
 
 
+def _require_unit_weight(v: float) -> None:
+    _require_weight(v)
+    if not 0.0 <= v <= 1.0:
+        raise DomainError(f"refinement indices require v in [0, 1], got v={v!r}")
+
+
 def sababheh_indices(v: float, k: int) -> RefinementIndex:
     """Indices j_k = floor(2^(k-1) v), r_k = floor(2^k v) and the alternating
     coefficient s_k = (-1)^r_k 2^(k-1) v + (-1)^(r_k+1) floor((r_k+1)/2).
 
     Defined for v in [0, 1] only (the floor formulas are used nowhere else).
     """
-    _require_weight(v)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"refinement indices require v in [0, 1], got v={v!r}")
+    _require_unit_weight(v)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > 2 * MAX_DEPTH:
         raise DomainError(f"index level must satisfy 1 <= k <= {2 * MAX_DEPTH}, got {k!r}")
     j = math.floor(2.0 ** (k - 1) * v)
@@ -307,14 +328,18 @@ def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
     """
     _require_pair(a, b)
     _require_depth(n, 1)
+    _require_unit_weight(v)
     dl = math.log(a) - math.log(b)
     total = 0.0
-    for k in range(1, n + 1):
-        idx = sababheh_indices(v, k)
-        scale = 2.0 ** k
-        q1 = math.exp(dl * (idx.j / scale))
-        q2 = math.exp(dl * ((idx.j + 1) / scale))
-        total += idx.s * b * (q1 - q2) ** 2
+    for k in range(1, n + 1):  # sababheh_indices(v, k), inline
+        half, scale = 2.0 ** (k - 1), 2.0 ** k
+        j = math.floor(half * v)
+        r = math.floor(scale * v)
+        sign = -1.0 if r % 2 else 1.0
+        s = sign * half * v - sign * ((r + 1) // 2)
+        q1 = math.exp(dl * (j / scale))
+        q2 = math.exp(dl * ((j + 1) / scale))
+        total += s * b * (q1 - q2) ** 2
     return total
 
 
@@ -335,15 +360,17 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    # decided at branch i's point, the mirror (b, a, 1-v) of branch ii's
-    if not fam.hypothesis("i", v if branch == "i" else 1.0 - v, n):
+    mirrored = branch == "ii"
+    w = 1.0 - v if mirrored else v
+    # decided, like the flag, at branch i's point, the mirror (b, a, 1-v) of branch ii's
+    if not fam.hypothesis("i", w, n):
         window = "[0, 1/2]" if branch == "i" else "[1/2, 1]"
         raise DomainError(f"branch {branch} requires v in {window}, got v={v!r}")
-    if branch == "ii":
-        return _mirrored(lemma_sm_reverse, a, b, v, n, "i")
-    lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v) + gap_bound_sm_reverse(a, b, v, n)
-    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
+    _require_pair(a, b)
+    x, y = (b, a) if mirrored else (a, b)
+    lhs = _young(x, y, w)
+    rhs = _geometric(x, y, w) + gap_bound_sm_reverse(x, y, w, n)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, hyp=True, mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +379,12 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
 
 def kittaneh_manasrah(a: float, b: float, v: float) -> BoundReport:
     """One-term forward refinement with r0 = min(v, 1-v); valid on v in [0, 1]."""
-    lhs = young_lhs(a, b, v)
+    _require_point(a, b, v)
+    fam = SCALAR_BY_KEY["kittaneh-manasrah"]
+    lhs = _young(a, b, v)
     r0 = min(v, 1.0 - v)
-    rhs = weighted_geometric(a, b, v) + r0 * (math.sqrt(a) - math.sqrt(b)) ** 2
-    return _report(SCALAR_BY_KEY["kittaneh-manasrah"], "", a, b, v, None, lhs, rhs,
-                   upper=False)
+    rhs = _geometric(a, b, v) + r0 * (math.sqrt(a) - math.sqrt(b)) ** 2
+    return _report(fam, "", a, b, v, None, lhs, rhs, False)
 
 
 def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
@@ -367,16 +395,17 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     (a, b, v) -> (b, a, 1-v).  Both branches coincide at v = 1/2.
     """
     _require_weight(v)
-    if v > 0.5:
-        return _mirrored(zhao_wu_forward, a, b, v, branch="")
-    lhs = young_lhs(a, b, v)
-    r = min(v, 1.0 - v)
+    _require_pair(a, b)
+    fam = SCALAR_BY_KEY["zhao-wu-forward"]
+    mirrored = v > 0.5
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    lhs = _young(x, y, w)
+    r = min(w, 1.0 - w)
     r0 = min(2.0 * r, 1.0 - 2.0 * r)
-    quarter = math.exp(0.25 * (math.log(a) + math.log(b)))
-    rhs = (weighted_geometric(a, b, v) + v * (math.sqrt(a) - math.sqrt(b)) ** 2
-           + r0 * (math.sqrt(a) - quarter) ** 2)
-    return _report(SCALAR_BY_KEY["zhao-wu-forward"], "", a, b, v, None, lhs, rhs,
-                   upper=False)
+    quarter = math.exp(0.25 * (math.log(x) + math.log(y)))
+    rhs = (_geometric(x, y, w) + w * (math.sqrt(x) - math.sqrt(y)) ** 2
+           + r0 * (math.sqrt(x) - quarter) ** 2)
+    return _report(fam, "", a, b, v, None, lhs, rhs, False, mirrored=mirrored)
 
 
 def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
@@ -388,9 +417,10 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
     _require_weight(v)
     if not fam.hypothesis("", v, n):
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
-    lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v) + refinement_sum_s(v, b, a, n)
-    return _report(fam, "", a, b, v, n, lhs, rhs, upper=False)
+    _require_pair(a, b)
+    lhs = _young(a, b, v)
+    rhs = _geometric(a, b, v) + refinement_sum_s(v, b, a, n)
+    return _report(fam, "", a, b, v, n, lhs, rhs, False, hyp=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +460,12 @@ def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundR
     false.
     """
     _require_weight(v)
-    lhs = young_lhs(a, b, v)
-    geo = weighted_geometric(a, b, v)
+    _require_pair(a, b)
+    lhs = _young(a, b, v)
+    geo = _geometric(a, b, v)
     fam = _check("zhao-wu-reverse", None, form)
     gap_bound = gap_bound_zw_lemma if form == "lemma" else gap_bound_zw_proposition
-    return _report(fam, form, a, b, v, None, lhs, geo + gap_bound(a, b, v), upper=True)
+    return _report(fam, form, a, b, v, None, lhs, geo + gap_bound(a, b, v), True)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +490,12 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     [(2^n-1)/2^n, 1].
     """
     fam = _check("theorem-extended-sc", n, branch)
-    if branch == "ii":
-        return _mirrored(theorem_extended_sc, a, b, v, n, "i")
-    lhs = young_lhs(a, b, v)
-    rhs = weighted_geometric(a, b, v) + gap_bound_extended_sc(a, b, v, n)
-    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
+    _require_point(a, b, v)
+    mirrored = branch == "ii"
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    lhs = _young(x, y, w)
+    rhs = _geometric(x, y, w) + gap_bound_extended_sc(x, y, w, n)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +512,20 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     exact mirror under (a, b, v) -> (b, a, 1-v).  Requires n >= 2.
     """
     fam = _check("heinz-reverse-main", n, branch)
-    if branch == "ii":
-        return _mirrored(heinz_reverse_main, a, b, v, n, "i")
-    _require_pair(a, b)
-    _require_weight(v)
-    la, lb = math.log(a), math.log(b)
+    _require_point(a, b, v)
+    mirrored = branch == "ii"
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    la, lb = math.log(x), math.log(y)
     lr = lb - la
     total = 0.0
     for k in range(2, n + 1):
         d1 = math.expm1(-lr / 2.0 ** k)
         d2 = math.expm1(lr / 2.0 ** k)
         total += 2.0 ** (k - 2) * (d1 * d1 + d2 * d2)
-    lhs = 0.5 * (a + b)
-    rhs = (heinz_scalar(a, b, v) + (1.0 - v) * (math.sqrt(a) - math.sqrt(b)) ** 2
-           + (v - 0.5) * math.exp(0.5 * (la + lb)) * total)
-    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
+    lhs = 0.5 * (x + y)
+    rhs = (_heinz(la, lb, w) + (1.0 - w) * (math.sqrt(x) - math.sqrt(y)) ** 2
+           + (w - 0.5) * math.exp(0.5 * (la + lb)) * total)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 
 def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -508,19 +539,19 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     (a, b, v) -> (b, a, 1-v), for v outside [(2^n-1)/2^n, 1].
     """
     fam = _check("heinz-reverse-sc", n, branch)
-    if branch == "ii":
-        return _mirrored(heinz_reverse_sc, a, b, v, n, "i")
-    _require_pair(a, b)
-    _require_weight(v)
-    lr = math.log(b) - math.log(a)
+    _require_point(a, b, v)
+    mirrored = branch == "ii"
+    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    la, lb = math.log(x), math.log(y)
+    lr = lb - la
     total = 0.0
     for k in range(1, n + 1):
         d1 = math.expm1(lr / 2.0 ** k)
         d2 = math.expm1(-lr / 2.0 ** k)
-        total += 2.0 ** (k - 2) * (a * d1 * d1 + b * d2 * d2)
-    lhs = 0.5 * (a + b)
-    rhs = heinz_scalar(a, b, v) + v * total
-    return _report(fam, "i", a, b, v, n, lhs, rhs, upper=True)
+        total += 2.0 ** (k - 2) * (x * d1 * d1 + y * d2 * d2)
+    lhs = 0.5 * (x + y)
+    rhs = _heinz(la, lb, w) + w * total
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +568,7 @@ def log_limit_gap(a: float, b: float, n: int) -> float:
 
 def limit_inequality_slack(a: float, b: float, v: float) -> float:
     """Slack x - 1 - ln x at x = (b/a)^(v - 1/2); nonnegative for all real v."""
-    _require_pair(a, b)
-    _require_weight(v)
+    _require_point(a, b, v)
     lx = (v - 0.5) * (math.log(b) - math.log(a))
     return math.exp(lx) - 1.0 - lx
 
@@ -585,8 +615,7 @@ def comparison_poly_g(x: float, v: float) -> float:
 # Side-by-side gap-bound comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapBound:
+class GapBound(NamedTuple):
     """One family's upper bound on (1-v)a + vb - a^(1-v) b^v."""
 
     label: str
@@ -597,11 +626,10 @@ class GapBound:
     hypothesis_ok: bool
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """All applicable gap bounds at one point, in a common normalization.
 
     ``true_gap`` is the bounded quantity (1-v)a + vb - a^(1-v) b^v itself;
@@ -640,8 +668,7 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
     bounds hold only inside their windows, where the indexed formulas are
     also defined; elsewhere they are omitted.
     """
-    _require_pair(a, b)
-    _require_weight(v)
+    _require_point(a, b, v)
     _require_depth(n, 2)
     one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
         "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
@@ -667,16 +694,11 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
         if sm.hypothesis("ii", v, d):
             add(sm, "ii", d, gap_bound_sm_reverse(b, a, 1.0 - v, d))
 
-    true_gap = young_lhs(a, b, v) - weighted_geometric(a, b, v)
-    valid = [g for g in bounds if g.hypothesis_ok]
-    dominance = []
-    for gi in valid:
-        for gj in valid:
-            if gi.label == gj.label:
-                continue
-            margin = gj.value - gi.value
-            if margin >= 0.0:
-                dominance.append((gi.label, gj.label, margin))
+    true_gap = _young(a, b, v) - _geometric(a, b, v)
+    valid = [(g.label, g.value) for g in bounds if g.hypothesis_ok]
+    dominance = [(tighter, looser, margin)
+                 for tighter, low in valid for looser, high in valid
+                 if tighter != looser and (margin := high - low) >= 0.0]
     values = [true_gap, *(g.value for g in bounds), *(m for _, _, m in dominance)]
     if not all(map(math.isfinite, values)):
         raise OverflowError(f"gap bounds at a={a!r}, b={b!r}, v={v!r} leave the "

@@ -560,6 +560,18 @@ def test_suite_empty_families_and_wide_seed_exit_two(capsys, args, message):
     assert (code, out, err) == (2, "", message)
 
 
+def test_suite_weight_range_wider_than_the_float_range_exits_two(capsys):
+    # a width of 2e308 overflowed, and every draw landed on the last endpoint
+    code, out, err = run_cli(capsys, "suite", "--families", "reverse-young-basic",
+                             "--trials", "5", "--v-lo=-1e308", "--v-hi=1e308")
+    assert (code, out) == (2, "")
+    assert err == ("error: v_range must satisfy lo < hi with a finite width hi - lo, "
+                   "got (-1e+308, 1e+308)\n")
+    code, _, _ = run_cli(capsys, "suite", "--families", "reverse-young-basic",
+                         "--trials", "5", "--v-lo=-8e307", "--v-hi=8e307")
+    assert code == 1  # a finite width: the draws overflow the evaluator, as recorded
+
+
 def test_operator_window_covering_the_weight_range_skips_every_trial(capsys):
     # t6 branch i excludes [1/2, 3/4] at depth 2, which covers v in [0.55, 0.6]
     code, out, _ = run_cli(capsys, "suite", "--families", "t6", "--depths", "2",

@@ -91,6 +91,13 @@ def test_sample_weight_empty_region():
         sample_weight(Region("outside", 0.0, 1.0), (0.1, 0.9), 1e-6, rng)
 
 
+def test_sample_weight_rejects_pieces_wider_than_the_float_range():
+    rng = Xoshiro256StarStar(7)
+    with pytest.raises(ConfigError, match="wider than the floating-point range"):
+        sample_weight(Region("outside", 0.0, 1.0), (-1e308, 1e308), 1e-6, rng)
+    assert sample_weight(Region("outside", 0.0, 1.0), (-8e307, 8e307), 1e-6, rng) < 8e307
+
+
 def test_sample_weight_inside_region_margin():
     rng = Xoshiro256StarStar(11)
     region = Region("inside", 0.0, 0.5)

@@ -53,3 +53,53 @@ def test_to_csv_union_of_keys_and_values():
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.5,"
     assert lines[2] == "2,,true"
+
+
+# ---------------------------------------------------------------------------
+# Report types: immutable tuples whose as_dict lists the declared fields
+# ---------------------------------------------------------------------------
+
+def _reports():
+    import numpy as np
+
+    from meanbound import matrices, operators, scalar
+
+    a = matrices.SpdMatrix.from_entries([[2.0, 0.5], [0.5, 1.0]])
+    b = matrices.SpdMatrix.from_entries([[1.0, 0.2], [0.2, 3.0]])
+    comparison = scalar.compare_gap_bounds(1.0, 16.0, 0.125, 3)
+    return [scalar.theorem_main_reverse(1.0, 16.0, 0.125, 2, "ii"), comparison,
+            comparison.bounds[0], operators.theorem_t6(a, b, 2.5, 2, "i"),
+            matrices.eigh(np.eye(2)), matrices.loewner_leq(a, b)]
+
+
+def test_report_types_are_immutable_tuples_listing_their_fields():
+    from meanbound.scalar import BoundReport, ComparisonReport
+
+    for rep in _reports():
+        assert isinstance(rep, tuple)
+        field = rep._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rep, field, getattr(rep, field))
+        with pytest.raises(AttributeError):
+            rep.extra = 1
+        if not hasattr(rep, "as_dict"):  # EigenDecomp
+            continue
+        doc = rep.as_dict()
+        assert list(doc) == list(rep._fields)
+        if not isinstance(rep, ComparisonReport):  # its as_dict unpacks the tuples
+            assert list(doc.values()) == list(rep)
+        if isinstance(rep, BoundReport):  # tol is a property, not a field
+            assert "tol" not in doc and rep.tol > 0.0
+    bound = _reports()[0]
+    assert bound._replace(holds=False) == (*bound[:-1], False)
+
+
+def test_suite_records_still_take_dataclasses_replace():
+    import dataclasses
+
+    from meanbound.harness import SCALAR_ROWS, SuiteConfig
+
+    cfg = dataclasses.replace(SuiteConfig(), seed=7, depths=(2,))
+    assert (cfg.seed, cfg.depths, cfg.trials) == (7, (2,), SuiteConfig().trials)
+    row = dataclasses.replace(SCALAR_ROWS[0], key="renamed")
+    assert (row.key, row.evaluate) == ("renamed", SCALAR_ROWS[0].evaluate)

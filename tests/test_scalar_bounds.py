@@ -1,12 +1,13 @@
 """Scalar bound families: frozen examples, oracle cross-checks, properties."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanbound import scalar
+from meanbound import reporting, scalar
 from meanbound.scalar import (
     DomainError,
     compare_gap_bounds,
@@ -649,3 +650,45 @@ def test_mirrored_calls_name_the_callers_arguments(row, a, b, v, message):
         row.evaluate(a, b, v, row.min_depth)
     assert str(err.value) == message
 
+
+
+# ---------------------------------------------------------------------------
+# Known answers: every report field, every dominance label and margin
+# ---------------------------------------------------------------------------
+
+def _digest(records) -> str:
+    return hashlib.sha256(reporting.dumps(records).encode()).hexdigest()
+
+
+# sha256 of compare_gap_bounds(1, t, v, n).as_dict() over the grid of the
+# compare/bound-validity claim (20 ratios x 21 weights) at n = 2, 3, 4, and of
+# row.evaluate(a, b, v, n).as_dict() (or the DomainError message) for every
+# scalar row on a lattice that takes in branch ii, weights outside each
+# hypothesis, window endpoints, bad operands and weights, and depths 1-6
+COMPARE_GRID_SHA256 = (
+    "3f5b2a6074aa8f7397ef1e11895f1742cd0a1d677872d110e2d2eb91524a3d20")
+ROW_LATTICE_SHA256 = (
+    "cb57ff95705ee028e3e0f7a0e391d91d08195c60811196258d5854ea3124a739")
+_LATTICE_A = (-1.0, 0.03, 1.0, 7.0)
+_LATTICE_B = (0.5, 1.0, 250.0)
+_LATTICE_V = (-2.5, -0.25, 0.0, 1 / 32, 0.1, 0.25, 3 / 8, 0.45, 0.5, 17 / 32, 9 / 16,
+              5 / 8, 0.7, 0.75, 31 / 32, 1.0, 1.3, 4.0, math.inf)
+
+
+def test_compare_and_row_reports_known_answer():
+    from meanbound.harness import _lin_grid, _log_grid
+
+    compared = [compare_gap_bounds(1.0, t, v, n).as_dict()
+                for n in (2, 3, 4)
+                for t in _log_grid(1e-3, 1e3, 20) for v in _lin_grid(0.0, 1.0, 21)]
+    records = []
+    for row in SCALAR_ROWS:
+        for a in _LATTICE_A:
+            for b in _LATTICE_B:
+                for v in _LATTICE_V:
+                    for n in range(1, 7):
+                        try:
+                            records.append(row.evaluate(a, b, v, n).as_dict())
+                        except DomainError as exc:
+                            records.append({"row": row.key, "error": str(exc)})
+    assert (_digest(compared), _digest(records)) == (COMPARE_GRID_SHA256, ROW_LATTICE_SHA256)
