@@ -259,9 +259,7 @@ def _build_suite_config(args) -> SuiteConfig:
         if lo in values or hi in values:
             base = getattr(SuiteConfig, name)
             values[name] = (values.pop(lo, base[0]), values.pop(hi, base[1]))
-    cfg = SuiteConfig(**values)
-    cfg.validate()
-    return cfg
+    return SuiteConfig(**values)
 
 
 def cmd_suite(args) -> int:

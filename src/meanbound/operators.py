@@ -29,6 +29,7 @@ from .matrices import (
     MatrixError,
     MeanCalculator,
     SpdMatrix,
+    _check_dims,
     _fro,
     jacobi_eigh,
 )
@@ -94,8 +95,7 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     hyp = family.hypothesis(branch, v, n)
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
         raise MatrixError("operator bounds require SpdMatrix operands")
-    if a.dim != b.dim:
-        raise MatrixError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_dims(a, b)
     if _fro(a.entries - b.entries) <= DEGENERATE_REL_TOL * a.fro():
         tol = LOEWNER_REL_TOL * 2.0 * a.fro()
         return hyp, OperatorBoundReport(key, branch, a.dim, v, n, 0.0, tol, hyp, True,

@@ -25,6 +25,7 @@ from meanbound.matrices import (
     geometric_mean,
     heinz_mean,
     jacobi_eigh,
+    load_spd_matrix,
     loewner_leq,
     parse_matrix_text,
     spd_power,
@@ -82,6 +83,38 @@ def test_bad_shapes_rejected():
         SymMatrix([[1.0, 2.0]])
     with pytest.raises(MatrixError):
         SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, entries", [
+    (SymMatrix, [[1.0, 2.0], [3.0]]),
+    (SpdMatrix, [[1.0, 0.0], [0.0]]),
+    (SymMatrix, [["a"]]),
+    (SymMatrix, [[1j]]),
+    (lambda m: loewner_leq(m, [[1.0]]), [[1.0], [2.0, 3.0]]),
+])
+def test_ragged_or_non_numeric_entries_raise_matrix_error(build, entries):
+    with pytest.raises(MatrixError, match="numbers in equal rows"):
+        build(entries)
+
+
+def test_spd_matrix_is_a_sym_matrix_carrying_its_input_residual():
+    spd = SpdMatrix([[2.0, 1.0 + 1e-14], [1.0, 2.0]])
+    assert isinstance(spd, SymMatrix)
+    assert spd.entries[0, 1] == spd.entries[1, 0]
+    assert spd.asym_residual == SymMatrix([[2.0, 1.0 + 1e-14], [1.0, 2.0]]).asym_residual > 0.0
+    assert not spd.entries.flags.writeable
+    assert eigh(spd) is spd.decomp
+
+
+def test_trusted_and_arithmetic_mean_results_are_read_only_with_zero_residual():
+    a, b = random_spd_np(3), random_spd_np(3)
+    sym = SymMatrix._trusted(np.eye(3))
+    spd = SpdMatrix._trusted(np.eye(3))
+    nabla = arithmetic_mean(a, b, 0.25)
+    assert type(sym) is SymMatrix and type(spd) is SpdMatrix and type(nabla) is SymMatrix
+    for m in (sym, spd, nabla):
+        assert m.asym_residual == 0.0 and not m.entries.flags.writeable
+    assert eigh(spd) is spd.decomp and spd.certified_min_eig == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +450,8 @@ def test_loewner_examples():
         loewner_leq(random_spd_np(2), random_spd_np(3))
     with pytest.raises(MatrixError):
         loewner_leq(a, a, tol=-1.0)
+    with pytest.raises(MatrixError, match="tolerance must be >= 0, got nan"):
+        loewner_leq(a, a, tol=math.nan)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -455,3 +490,37 @@ def test_parse_rejects_bad_input():
         parse_matrix_text("2\n1.0 0.5\n0.9 1.0\n")
     with pytest.raises(MatrixError):
         parse_matrix_text("")
+
+
+# sha256 over FILE_KNOWN_ANSWER_COUNT generated matrix files (dims 1-24,
+# asymmetry inside SYM_INPUT_TOL): the entries and eigendecomposition of
+# load_spd_matrix(path), then the entries and asym_residual of
+# parse_matrix_text(text), file by file
+FILE_KNOWN_ANSWER_COUNT = 400
+FILE_KNOWN_ANSWER_SHA256 = "1d8dbd221c4f78f2b5f5665dd50e6995246c5e6f9416d1287c6696e3f947fc1f"
+
+
+def _asymmetric_file_text(seed: int) -> str:
+    """A random SPD matrix at scale 10^(seed % 7 - 3) with each entry above
+    the diagonal moved by up to 1e-13 of the largest entry, as file text."""
+    rng = Xoshiro256StarStar(seed)
+    m = random_spd(1 + seed % 24, 1e4, rng).entries * 10.0 ** (seed % 7 - 3)
+    step = 1e-13 * float(np.max(np.abs(m)))
+    for j, k in zip(*np.triu_indices(m.shape[0], 1)):
+        m[j, k] += rng.uniform(-step, step)
+    return format_matrix_text(m)
+
+
+def test_matrix_file_known_answer(tmp_path):
+    digest = hashlib.sha256()
+    for seed in range(FILE_KNOWN_ANSWER_COUNT):
+        text = _asymmetric_file_text(seed)
+        path = tmp_path / f"m{seed}.txt"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_spd_matrix(path)
+        for array in (loaded.entries, loaded.decomp.lam, loaded.decomp.q):
+            digest.update(array.tobytes())
+        parsed = parse_matrix_text(text)
+        digest.update(parsed.entries.tobytes())
+        digest.update(np.float64(parsed.asym_residual).tobytes())
+    assert digest.hexdigest() == FILE_KNOWN_ANSWER_SHA256

@@ -210,7 +210,7 @@ def test_side_out_of_range_raises_overflow(lhs):
 @pytest.mark.parametrize("branch", ["i", "ii"])
 def test_overflowing_sides_raise_without_runtime_warnings(family, error, branch):
     # A nabla_-6 B and the correction leave the range; only the error reaches the caller
-    a, b = SpdMatrix.from_entries([[1e307]]), SpdMatrix.from_entries([[5e307]])
+    a, b = SpdMatrix([[1e307]]), SpdMatrix([[5e307]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error) as caught:

@@ -64,8 +64,8 @@ def _reports():
 
     from meanbound import matrices, operators, scalar
 
-    a = matrices.SpdMatrix.from_entries([[2.0, 0.5], [0.5, 1.0]])
-    b = matrices.SpdMatrix.from_entries([[1.0, 0.2], [0.2, 3.0]])
+    a = matrices.SpdMatrix([[2.0, 0.5], [0.5, 1.0]])
+    b = matrices.SpdMatrix([[1.0, 0.2], [0.2, 3.0]])
     comparison = scalar.compare_gap_bounds(1.0, 16.0, 0.125, 3)
     return [scalar.theorem_main_reverse(1.0, 16.0, 0.125, 2, "ii"), comparison,
             comparison.bounds[0], operators.theorem_t6(a, b, 2.5, 2, "i"),

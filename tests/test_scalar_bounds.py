@@ -505,6 +505,20 @@ def test_valid_gap_bounds_dominate_true_gap(a, b, v):
                 -1e-9 * (abs(bound.value) + abs(rep.true_gap)) - 1e-13 * (a + b)
 
 
+@settings(max_examples=60)
+@given(a=positive, b=positive, v=unit_weight, n=st.integers(min_value=2, max_value=6))
+def test_dominance_lists_every_ordered_pair_of_valid_bounds_once(a, b, v, n):
+    rep = compare_gap_bounds(a, b, v, n)
+    values = {g.label: g.value for g in rep.bounds if g.hypothesis_ok}
+    for tighter, looser, margin in rep.dominance:
+        assert tighter != looser and tighter in values and looser in values
+        assert margin == values[looser] - values[tighter] >= 0.0
+    expected = {(t, l) for t in values for l in values
+                if t != l and values[l] - values[t] >= 0.0}
+    pairs = [(t, l) for t, l, _ in rep.dominance]
+    assert len(pairs) == len(expected) and set(pairs) == expected
+
+
 # ---------------------------------------------------------------------------
 # Family table: hypothesis flags, argument checks, verdict tolerance
 # ---------------------------------------------------------------------------
