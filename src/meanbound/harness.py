@@ -130,6 +130,31 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
 # Suite configuration
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _seq_of(item: Callable) -> Callable:
+    return lambda x: isinstance(x, (list, tuple)) and all(map(item, x))
+
+
+# each setting's type, checked before its value: no bool is a number here and
+# no string a list of names
+_SETTING_TYPES = (
+    (("seed", "trials", "grid_points"), _is_int, "an integer"),
+    (("cond_max", "margin"), _is_real, "a real number"),
+    (("scalar_range", "v_range"), lambda x: _seq_of(_is_real)(x) and len(x) == 2,
+     "a pair of real numbers"),
+    (("dims", "depths"), _seq_of(_is_int), "a list or tuple of integers"),
+    (("families",), _seq_of(lambda name: isinstance(name, str)), "a list or tuple of names"),
+    (("boundary_probe",), lambda x: isinstance(x, bool), "True or False"),
+)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -145,9 +170,13 @@ class SuiteConfig:
     boundary_probe: bool = False
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2 ** 64:
+        for names, is_type, words in _SETTING_TYPES:
+            for name in names:
+                if not is_type(value := getattr(self, name)):
+                    raise ConfigError(f"{name} must be {words}, got {value!r}")
+        if self.seed < 0 or self.seed >= 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
         lo, hi = self.scalar_range
         if not (0.0 < lo < hi) or not math.isfinite(hi):
@@ -157,13 +186,11 @@ class SuiteConfig:
         if not (vlo < vhi and math.isfinite(vhi - vlo)):
             raise ConfigError(f"v_range must satisfy lo < hi with a finite width hi - lo, "
                               f"got {self.v_range}")
-        if not self.dims or any((not isinstance(d, int)) or d < 1 for d in self.dims):
+        if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive integers, got {self.dims}")
         if not (1.0 <= self.cond_max < math.inf):
             raise ConfigError(f"cond_max must be finite and >= 1, got {self.cond_max}")
-        if not self.depths or any(
-            (not isinstance(n, int)) or n < 1 or n > scalar.MAX_DEPTH for n in self.depths
-        ):
+        if not self.depths or any(n < 1 or n > scalar.MAX_DEPTH for n in self.depths):
             raise ConfigError(f"depths must lie in 1..{scalar.MAX_DEPTH}, got {self.depths}")
         if not (0.0 <= self.margin < math.inf):
             raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
@@ -366,11 +393,16 @@ def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
     return RowResult(key, family, branch, trials, passes, failures, skipped, worst, records)
 
 
-def _run_suite(cfg: SuiteConfig, kind: str, kinds: tuple) -> SuiteReport:
-    """Validate cfg once and tally every selected row of ``kinds`` in one
-    pass; the report's wall time is the whole pass."""
+def _run_suite(cfg: SuiteConfig, kind: str) -> SuiteReport:
+    """Validate cfg once and tally every selected row of one kind, or of all
+    (the comparison claims when cfg.families selects them), in one pass; the
+    report's wall time is the whole pass."""
     start = time.perf_counter()
     cfg.validate()
+    kinds = (kind,)
+    if kind == "all":
+        comparison = ("comparison",) if {"all", "comparison"} & set(cfg.families) else ()
+        kinds = ("scalar", "operator") + comparison
     coverage: dict = {}
     results = [_tally(*row, coverage) for part in kinds for row in _kind_rows(cfg, part)]
     for result in results:  # not per cell: a wrapper there slows the grids
@@ -399,7 +431,7 @@ def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
     false (gap below -REL_TOL * (|lhs| + |rhs|)); evaluation errors are
     failures with a cause.
     """
-    return _run_suite(cfg, "scalar", ("scalar",))
+    return _run_suite(cfg, "scalar")
 
 
 def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
@@ -442,7 +474,7 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
     """Sample random SPD pairs for each operator row and collect Loewner verdicts."""
-    return _run_suite(cfg, "operator", ("operator",))
+    return _run_suite(cfg, "operator")
 
 
 def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
@@ -664,11 +696,10 @@ def _comparison_claims() -> list:
 def run_comparison_suite(cfg: SuiteConfig) -> SuiteReport:
     """Grid checks of the stated orderings between bound families, the
     comparison polynomials, and the logarithmic limit behavior."""
-    return _run_suite(cfg, "comparison", ("comparison",))
+    return _run_suite(cfg, "comparison")
 
 
 def run_all(cfg: SuiteConfig) -> SuiteReport:
     """Run the scalar, operator, and comparison rows selected by cfg.families
     in one pass."""
-    comparison = ("comparison",) if {"all", "comparison"} & set(cfg.families) else ()
-    return _run_suite(cfg, "all", ("scalar", "operator") + comparison)
+    return _run_suite(cfg, "all")

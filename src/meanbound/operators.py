@@ -2,10 +2,10 @@
 
 Each family builds the two sides of an operator inequality from weighted
 means of one SPD pair and compares them through the smallest eigenvalue
-of RHS - LHS.  The correction sums use exact dyadic weights such as
-(2^(k-1)+1)/2^k, representable without rounding, and are accumulated from
-k = n down to the first term before the dominant weighted-geometric-mean
-term is added, so results are reproducible bit for bit.
+of RHS - LHS.  The correction weights come from the family's window, its
+moving edge at depths k and k - 1 (exact dyadic weights such as
+(2^(k-1)+1)/2^k).  The terms are summed from k = n down to the first before
+the weighted-geometric-mean term is added, so results repeat bit for bit.
 
 The first correction term of the dyadic families is the operator image of
 (1-v)(sqrt a - sqrt b)^2, namely 2(1-v)(A nabla B - A # B) with the
@@ -103,12 +103,13 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     return hyp, None
 
 
-def _ladder(branch, terms) -> list:
-    """The (k, w_in, w_out) correction terms of a branch, k = n down to the
-    first; branch ii mirrors the weights to 1 - w, exact at every allowed depth."""
-    if branch == "ii":
-        return [(k, 1.0 - w_in, 1.0 - w_out) for k, w_in, w_out in terms]
-    return terms
+def _ladder(record, branch, n, first) -> list:
+    """The (k, w_in, w_out) correction terms of a branch, k = n down to first:
+    the moving edge of the record's window at depths k and k - 1, its upper
+    edge for branch i and, for branch ii, the lower edge ``bounds`` mirrors."""
+    side = 1 if branch == "i" else 0
+    edges = [record.bounds(branch, k)[side] for k in range(n, first - 2, -1)]
+    return list(zip(range(n, first - 1, -1), edges, edges[1:]))
 
 
 def _mean_pass(mc, heinz, head, ladder, v) -> Callable:
@@ -131,9 +132,7 @@ def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
-    ladder = _ladder(branch, [(k, (2.0 ** (k - 1) + 1.0) / 2.0 ** k,
-                               (2.0 ** (k - 2) + 1.0) / 2.0 ** (k - 1))
-                              for k in range(n, 1, -1)])
+    ladder = _ladder(OPERATOR_BY_NAME[key], branch, n, 2)
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [0.5], ladder, v)
     with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
@@ -159,7 +158,7 @@ def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
-    ladder = _ladder(branch, [(k, 0.5 ** k, 0.5 ** (k - 1)) for k in range(n, 0, -1)])
+    ladder = _ladder(OPERATOR_BY_NAME[key], branch, n, 1)
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [], ladder, v)
     with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
@@ -229,4 +228,3 @@ OPERATOR_TABLE = (
 )
 OPERATOR_BY_NAME = {name: family for family in OPERATOR_TABLE
                     for name in (family.key, family.name)}
-OPERATOR_FAMILIES = {family.key: family.evaluate for family in OPERATOR_TABLE}

@@ -251,12 +251,25 @@ def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport
 # Main extended-range reverse bound (dyadic-root correction sum)
 # ---------------------------------------------------------------------------
 
-def _dyadic_tail_sum(lr: float, n: int) -> float:
-    """sum_{k=2..n} 2^(k-2) * (exp(lr / 2^k) - 1)^2, empty for n = 1."""
+# The two root sums of every dyadic correction, over d_k = (b/a)^(1/2^k) - 1
+# at lr = ln(b/a); a factor stays inside the sum, where it was stated.
+
+def _root_sum(lr: float, n: int, first: int, c: float) -> float:
+    """sum_{k=first..n} 2^(k-first) * c * d_k^2, empty for n < first."""
     total = 0.0
-    for k in range(2, n + 1):
+    for k in range(first, n + 1):
         d = math.expm1(lr / 2.0 ** k)
-        total += 2.0 ** (k - 2) * d * d
+        total += 2.0 ** (k - first) * c * d * d
+    return total
+
+
+def _two_sided_root_sum(lr: float, n: int, first: int, p: float, q: float) -> float:
+    """sum_{k=first..n} 2^(k-2) * (p * d_k^2 + q * e_k^2), e_k being d_k at a/b."""
+    total = 0.0
+    for k in range(first, n + 1):
+        d = math.expm1(lr / 2.0 ** k)
+        e = math.expm1(-lr / 2.0 ** k)
+        total += 2.0 ** (k - 2) * (p * d * d + q * e * e)
     return total
 
 
@@ -264,7 +277,8 @@ def gap_bound_main_reverse(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction (1-v)(sqrt a - sqrt b)^2 + (2v-1) sqrt(ab) * tail(n)."""
     la, lb = math.log(a), math.log(b)
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    return (1.0 - v) * sq + (2.0 * v - 1.0) * math.exp(0.5 * (la + lb)) * _dyadic_tail_sum(lb - la, n)
+    return ((1.0 - v) * sq
+            + (2.0 * v - 1.0) * math.exp(0.5 * (la + lb)) * _root_sum(lb - la, n, 2, 1.0))
 
 
 def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -474,12 +488,7 @@ def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundR
 
 def gap_bound_extended_sc(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction v * sum_{k=1..n} 2^(k-1) a ((b/a)^(1/2^k) - 1)^2."""
-    lr = math.log(b) - math.log(a)
-    total = 0.0
-    for k in range(1, n + 1):
-        d = math.expm1(lr / 2.0 ** k)
-        total += 2.0 ** (k - 1) * a * d * d
-    return v * total
+    return v * _root_sum(math.log(b) - math.log(a), n, 1, a)
 
 
 def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -516,15 +525,9 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     mirrored = branch == "ii"
     x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
     la, lb = math.log(x), math.log(y)
-    lr = lb - la
-    total = 0.0
-    for k in range(2, n + 1):
-        d1 = math.expm1(-lr / 2.0 ** k)
-        d2 = math.expm1(lr / 2.0 ** k)
-        total += 2.0 ** (k - 2) * (d1 * d1 + d2 * d2)
     lhs = 0.5 * (x + y)
     rhs = (_heinz(la, lb, w) + (1.0 - w) * (math.sqrt(x) - math.sqrt(y)) ** 2
-           + (w - 0.5) * math.exp(0.5 * (la + lb)) * total)
+           + (w - 0.5) * math.exp(0.5 * (la + lb)) * _two_sided_root_sum(lb - la, n, 2, 1.0, 1.0))
     return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 
@@ -543,14 +546,8 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     mirrored = branch == "ii"
     x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
     la, lb = math.log(x), math.log(y)
-    lr = lb - la
-    total = 0.0
-    for k in range(1, n + 1):
-        d1 = math.expm1(lr / 2.0 ** k)
-        d2 = math.expm1(-lr / 2.0 ** k)
-        total += 2.0 ** (k - 2) * (x * d1 * d1 + y * d2 * d2)
     lhs = 0.5 * (x + y)
-    rhs = _heinz(la, lb, w) + w * total
+    rhs = _heinz(la, lb, w) + w * _two_sided_root_sum(lb - la, n, 1, x, y)
     return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
 
 

@@ -195,6 +195,24 @@ def test_config_rejects_non_finite_settings(field, value):
         dataclasses.replace(SMALL, **{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("families", None), ("families", 5), ("families", "t6"), ("families", ("t6", 6)),
+    ("dims", 5), ("dims", (True,)), ("depths", 5), ("depths", (2.0,)),
+    ("scalar_range", 5), ("scalar_range", (1.0, 2.0, 3.0)), ("v_range", None),
+    ("v_range", ("0", "1")), ("grid_points", "3"), ("grid_points", 3.5),
+    ("margin", "x"), ("cond_max", None), ("boundary_probe", "no"),
+    ("seed", True), ("trials", True), ("trials", 2.0),
+])
+def test_config_rejects_settings_of_the_wrong_type(field, value):
+    # a wrong type is a ConfigError naming the setting, from validate and from
+    # run_all alike, never a bare TypeError or a setting taken as another type
+    cfg = dataclasses.replace(SMALL, **{field: value})
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        run_all(cfg)
+
+
 def test_depth_requirement_mismatch():
     cfg = SuiteConfig(trials=5, depths=(1,), families=("heinz-reverse-main",))
     with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Operator bounds: frozen 1x1 examples, scalar/diagonal consistency, windows."""
 
+import hashlib
 import math
 import warnings
 
@@ -9,7 +10,8 @@ import pytest
 from meanbound import operators, scalar
 from meanbound.matrices import MatrixError, SpdMatrix
 from meanbound.operators import (
-    OPERATOR_FAMILIES,
+    OPERATOR_BY_NAME,
+    OPERATOR_TABLE,
     corollary_c3,
     corollary_c33,
     matrix_fingerprint,
@@ -124,7 +126,7 @@ def test_fingerprints_identify_matrices():
 @pytest.mark.parametrize("branch", ["i", "ii"])
 def test_scalar_consistency_one_by_one(family, branch):
     rng = Xoshiro256StarStar(1234)
-    fn = OPERATOR_FAMILIES[family]
+    fn = OPERATOR_BY_NAME[family].evaluate
     twin = SCALAR_TWINS[family]
     for _ in range(50):
         a = rng.log_uniform(1e-3, 1e3)
@@ -141,7 +143,7 @@ def test_scalar_consistency_one_by_one(family, branch):
 @pytest.mark.parametrize("family", ["t6", "t66", "c3", "c33"])
 def test_diagonal_consistency(family):
     rng = Xoshiro256StarStar(99)
-    fn = OPERATOR_FAMILIES[family]
+    fn = OPERATOR_BY_NAME[family].evaluate
     twin = SCALAR_TWINS[family]
     for _ in range(25):
         dim = 2 + rng.randint(3)
@@ -173,11 +175,11 @@ def test_congruence_covariance_probe_diagonal():
     assert scaled.min_eig_gap == pytest.approx(expected, rel=1e-10)
 
 
-@pytest.mark.parametrize("family,branch", [(f, br) for f in OPERATOR_FAMILIES
+@pytest.mark.parametrize("family,branch", [(f.key, br) for f in OPERATOR_TABLE
                                            for br in ("i", "ii")])
 def test_random_spd_loewner_validity_smoke(family, branch):
     rng = Xoshiro256StarStar(2024)
-    fn = OPERATOR_FAMILIES[family]
+    fn = OPERATOR_BY_NAME[family].evaluate
     windows = {
         ("t6", "i"): scalar.window_dyadic_high, ("t6", "ii"): scalar.window_dyadic_low,
         ("c3", "i"): scalar.window_dyadic_high, ("c3", "ii"): scalar.window_dyadic_low,
@@ -214,6 +216,34 @@ def test_overflowing_sides_raise_without_runtime_warnings(family, error, branch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error) as caught:
-            OPERATOR_FAMILIES[family](a, b, -6.0, 2, branch)
+            OPERATOR_BY_NAME[family].evaluate(a, b, -6.0, 2, branch)
     expected = "the Loewner gap" if error is OverflowError else "power overflows"
     assert expected in str(caught.value)
+
+
+# sha256 over every operator report (or error message) of the four families,
+# both branches and depths from the least to 6, on one random_spd pair per
+# dim 1-8 at cond 1e4 and one pair whose means leave the floating-point range,
+# at weights on both sides of each window, at its edges and inside it;
+# repr keeps each float's exact bits
+OPERATOR_REPORTS_SHA256 = (
+    "ea88b0bc7616329e8d308bd8617bea687e3f7243f66b1afd01cb1ff075ca0de5")
+
+
+def test_operator_reports_known_answer():
+    rng = Xoshiro256StarStar(13)
+    pairs = [(random_spd(dim, 1e4, rng), random_spd(dim, 1e4, rng)) for dim in range(1, 9)]
+    pairs.append((SpdMatrix([[1e307]]), SpdMatrix([[5e307]])))
+    digest = hashlib.sha256()
+    for family in OPERATOR_TABLE:
+        for branch in family.branches:
+            for n in range(family.min_depth, 7):
+                lo, hi = family.bounds(branch, n)
+                for a, b in pairs:
+                    for v in (-6.0, lo - 0.125, lo, 0.5 * (lo + hi), hi, hi + 0.125):
+                        try:
+                            out = tuple(family.evaluate(a, b, v, n, branch))
+                        except (MatrixError, OverflowError) as exc:
+                            out = str(exc)
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == OPERATOR_REPORTS_SHA256

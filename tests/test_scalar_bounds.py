@@ -706,3 +706,37 @@ def test_compare_and_row_reports_known_answer():
                         except DomainError as exc:
                             records.append({"row": row.key, "error": str(exc)})
     assert (_digest(compared), _digest(records)) == (COMPARE_GRID_SHA256, ROW_LATTICE_SHA256)
+
+
+# sha256 over the dyadic root sums at depths past the lattice above: every
+# report (or error message) of the four root-sum families, both branches, and
+# gap_bound_main_reverse / gap_bound_extended_sc, at depths 7-30, operands from
+# 1e-300 to 1e300 and ratios b/a out to e^+-700, weights on both sides of
+# every window; repr keeps each float's exact bits
+DEEP_DYADIC_SHA256 = (
+    "1aa4137f281a985aae0b770572cabe9b094bce2c9d8ca4ad8ce5feaa1871741c")
+_DEEP_A = (1e-300, 1.0, 1e300)
+_DEEP_LOG_RATIO = (-700.0, -40.0, -3.0, 0.0, 1e-6, 3.0, 40.0, 700.0)
+_DEEP_V = (-3.0, 2.0 ** -30, 0.25, 0.5 + 2.0 ** -30, 1.0 - 2.0 ** -30, 1.0, 4.0)
+_DEEP_ROWS = (theorem_main_reverse, theorem_extended_sc, heinz_reverse_main, heinz_reverse_sc)
+
+
+def test_deep_dyadic_sums_known_answer():
+    digest = hashlib.sha256()
+    for a in _DEEP_A:
+        for lr in _DEEP_LOG_RATIO:
+            b = a * math.exp(lr)
+            for v in _DEEP_V:
+                for n in range(7, scalar.MAX_DEPTH + 1):
+                    for evaluate in _DEEP_ROWS:
+                        for branch in ("i", "ii"):
+                            try:
+                                out = tuple(evaluate(a, b, v, n, branch))
+                            except (DomainError, OverflowError) as exc:
+                                out = str(exc)
+                            digest.update(repr(out).encode())
+                    if math.isfinite(b) and b > 0.0:
+                        out = (scalar.gap_bound_main_reverse(a, b, v, n),
+                               scalar.gap_bound_extended_sc(a, b, v, n))
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == DEEP_DYADIC_SHA256
