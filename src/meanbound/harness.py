@@ -104,10 +104,10 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     log-uniform in [cond_max^-1/2, cond_max^1/2].  Fully determined by the
     generator state.
     """
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    if cond_max < 1.0:
-        raise ConfigError(f"cond_max must be >= 1, got {cond_max}")
+    if not _is_int(dim) or dim < 1:
+        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
+    if not (_is_real(cond_max) and 1.0 <= cond_max < math.inf):
+        raise ConfigError(f"cond_max must be finite and >= 1, got {cond_max!r}")
     # rng.log_uniform(cond_max ** -0.5, cond_max ** 0.5), its logs taken once
     llo, lhi = math.log(cond_max ** -0.5), math.log(cond_max ** 0.5)
     if dim == 1:
@@ -447,7 +447,9 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     width = lhi - llo
     probing = cfg.boundary_probe
     evaluate = row.evaluate
-    for state in substream_states(row_seed, cfg.trials):
+    # a trial draws at most four words (depth, a, b, v): all come from the
+    # lockstep pass, and the generator steps itself only past them
+    for state in substream_states(row_seed, cfg.trials, ahead=4):
         rng = Xoshiro256StarStar(state)
         n, source = picks[rng.randint(count)] if count > 1 else picks[0]
         a = math.exp(llo + width * rng.random())
@@ -482,6 +484,8 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     sources = _weight_sources(cfg, row, depths)
     row_seed = derive_seed(cfg.seed, fnv1a64("operator/" + row.key))
     probing = cfg.boundary_probe
+    # no read-ahead: a trial draws dozens of words in random_spd, and over
+    # a row of few trials a lockstep pass of few lanes cost more than it saved
     for state in substream_states(row_seed, cfg.trials):
         rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)

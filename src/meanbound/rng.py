@@ -5,7 +5,11 @@ unsigned arithmetic, so identically-seeded streams reproduce across
 platforms and implementations.  Suites derive one independent substream
 per trial from (seed, row key, trial index) via :func:`derive_seed`;
 :func:`substream_states` computes a row's trial states in numpy ``uint64``,
-bit for bit the same.
+bit for bit the same.  With a read-ahead depth k it also runs each trial's
+first k xoshiro256** steps in that pass, all trials in lockstep, and the
+generator built from its tuple serves those words before stepping itself.
+:meth:`Xoshiro256StarStar.next_u64` stays the definition of a step; the
+lockstep pass must give the same words.
 """
 
 from __future__ import annotations
@@ -67,29 +71,62 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64_31)
 
 
-def substream_states(base: int, count: int):
+# numpy uint64 forms of the xoshiro256** multipliers and shifts: with numpy
+# 1.x a uint64 array mixed with a Python int is promoted to float64
+_U64_5, _U64_9 = np.uint64(5), np.uint64(9)
+_U64_7, _U64_57 = np.uint64(7), np.uint64(57)
+_U64_17, _U64_45, _U64_19 = np.uint64(17), np.uint64(45), np.uint64(19)
+
+
+def _step(state: np.ndarray) -> np.ndarray:
+    """One Xoshiro256StarStar.next_u64 on every column of a (4, trials)
+    uint64 state, in place; returns the output word of every trial."""
+    s0, s1, s2, s3 = state  # row views: the updates below write to state
+    x = s1 * _U64_5
+    result = ((x << _U64_7) | (x >> _U64_57)) * _U64_9
+    t = s1 << _U64_17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[...] = (s3 << _U64_45) | (s3 >> _U64_19)
+    return result
+
+
+def substream_states(base: int, count: int, ahead: int = 0):
     """Yield, for t in range(count), the (s0, s1, s2, s3) state of
     ``Xoshiro256StarStar(derive_seed(base, t))``, computed in numpy
-    SUBSTREAM_CHUNK trials at a time."""
+    SUBSTREAM_CHUNK trials at a time.
+
+    With ``ahead`` = k > 0, each tuple is instead the state after that
+    generator's first k outputs, followed by those k outputs in order;
+    ``Xoshiro256StarStar`` built from it draws the same stream."""
     base = np.uint64(base & _MASK)
     for start in range(0, count, SUBSTREAM_CHUNK):
         trials = np.arange(start, min(count, start + SUBSTREAM_CHUNK), dtype=np.uint64)
         seeds = _finalize((trials ^ base) + _U64_GOLDEN)  # derive_seed(base, t)
         words = _finalize(seeds + _U64_WORD_STEPS)  # row i: s_i of every trial
         words[0, ~words.any(axis=0)] = 1  # all-zero state is absorbing
+        if ahead:
+            words = np.vstack([words] + [_step(words) for _ in range(ahead)])
         yield from zip(*words.tolist())
 
 
 class Xoshiro256StarStar:
     """xoshiro256** 1.0; state seeded by four successive splitmix64 words,
-    or given as an (s0, s1, s2, s3) tuple from :func:`substream_states`."""
+    or given as an (s0, s1, s2, s3, *read_ahead) tuple from
+    :func:`substream_states`, whose read-ahead words are drawn first."""
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+    __slots__ = ("s0", "s1", "s2", "s3", "_ahead")
 
     def __init__(self, seed):
         if isinstance(seed, tuple):
-            self.s0, self.s1, self.s2, self.s3 = seed
+            self.s0, self.s1, self.s2, self.s3, *ahead = seed
+            ahead.reverse()  # next_u64 pops from the end
+            self._ahead = ahead
             return
+        self._ahead = []
         state = seed & _MASK
         state, self.s0 = splitmix64(state)
         state, self.s1 = splitmix64(state)
@@ -99,6 +136,8 @@ class Xoshiro256StarStar:
             self.s0 = 1
 
     def next_u64(self) -> int:
+        if self._ahead:
+            return self._ahead.pop()
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
         x = (s1 * 5) & _MASK
         # rotl(x, 7) * 9 mod 2**64; the bits that x << 7 lifts past bit 63
@@ -125,7 +164,9 @@ class Xoshiro256StarStar:
         return math.exp(self.uniform(math.log(lo), math.log(hi)))
 
     def randint(self, n: int) -> int:
-        """Integer in [0, n) via the multiply-shift reduction."""
+        """Integer in [0, n) via the multiply-shift reduction; n >= 1."""
+        if n < 1:
+            raise ValueError(f"randint needs n >= 1, got {n}")
         return (self.next_u64() * n) >> 64
 
     def gauss_pair(self) -> tuple[float, float]:

@@ -166,6 +166,14 @@ def test_random_spd_known_answer(seed, dim, digest):
     assert hashlib.sha256(entries.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("dim,cond_max", [
+    (2, math.inf), (2, math.nan), (2, "1e4"), (2.0, 1e4), (True, 1e4)])
+def test_random_spd_takes_the_suite_settings_rule(dim, cond_max):
+    # an integer dim >= 1 (no bool) and 1 <= cond_max < inf, as validate asks
+    with pytest.raises(ConfigError, match="^(dim|cond_max) must be"):
+        random_spd(dim, cond_max, Xoshiro256StarStar(1))
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -310,6 +318,33 @@ SCALAR_COMPARISON_REPORT_SHA256 = (
 def test_seeded_report_known_answer():
     text = _report_text(SuiteConfig(seed=5, trials=40, families=("scalar", "comparison")))
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_COMPARISON_REPORT_SHA256
+
+
+@pytest.mark.parametrize("probe,draws,per_trial", [
+    (False, 2600, {3: 280, 4: 440}),
+    (True, 2440, {2: 80, 3: 280, 4: 360})])
+def test_scalar_trials_draw_through_one_generator_each(monkeypatch, probe, draws, per_trial):
+    # every draw goes through the module-level generator class, one per
+    # trial, so a wrapper put there (as a tracer does) sees them all; the
+    # counts are those of the step-by-step generator
+    made = []
+
+    class Counting(harness.Xoshiro256StarStar):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            made.append(self)
+
+        def next_u64(self):
+            self.draws += 1
+            return super().next_u64()
+
+    monkeypatch.setattr(harness, "Xoshiro256StarStar", Counting)
+    cfg = SuiteConfig(seed=5, trials=40, families=("scalar",), boundary_probe=probe)
+    report = run_scalar_suite(cfg)
+    assert len(made) == sum(row.trials for row in report.rows) == 40 * len(SCALAR_ROWS)
+    assert sum(rng.draws for rng in made) == draws
+    assert Counter(rng.draws for rng in made) == per_trial
 
 
 def _compensated_sum(values, start=0):

@@ -16,6 +16,8 @@ from meanbound.rng import (
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 COUNTS = (0, 1, 4, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1,
           5 * SUBSTREAM_CHUNK // 2)
+# read-ahead depths: none, the scalar trial's four words, and more
+AHEADS = (0, 4, 7)
 
 
 def state(rng):
@@ -49,38 +51,57 @@ def test_xoshiro256starstar_known_answers():
         10595114339597558777, 2904607092377533576]
 
 
-def assert_substreams_match(seed, key, count):
-    """Every state of substream_states(derive_seed(seed, key), count) is the
-    state derive_seed(seed, key, t) seeds, and gives the same first words."""
+def assert_substreams_match(seed, key, count, ahead):
+    """Every tuple of substream_states(derive_seed(seed, key), count, ahead)
+    gives a generator with the first words of derive_seed(seed, key, t)'s;
+    without read-ahead it is that generator's state.  Sixteen words run past
+    every read-ahead, so the state after it is checked too."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        states = list(substream_states(derive_seed(seed, key), count))
+        states = list(substream_states(derive_seed(seed, key), count, ahead))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(states) == count
     for trial, given_state in enumerate(states):
+        assert len(given_state) == 4 + ahead
         fast = Xoshiro256StarStar(given_state)
         reference = Xoshiro256StarStar(derive_seed(seed, key, trial))
-        assert state(fast) == state(reference), trial
+        if not ahead:
+            assert state(fast) == state(reference), trial
         assert ([fast.next_u64() for _ in range(16)]
                 == [reference.next_u64() for _ in range(16)]), trial
 
 
+@pytest.mark.parametrize("ahead", AHEADS)
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("seed,key", list(itertools.product(
     (0, 1, 2 ** 64 - 1), ("scalar/reverse-young-basic", 0, 2 ** 64 - 1))))
-def test_substream_states_match_derive_seed(seed, key, count):
-    assert_substreams_match(seed, key, count)
+def test_substream_states_match_derive_seed(seed, key, count, ahead):
+    assert_substreams_match(seed, key, count, ahead)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        key=st.one_of(st.text(max_size=12), st.integers(0, 2 ** 64 - 1)),
-       count=st.sampled_from(COUNTS))
-def test_substream_states_match_derive_seed_drawn(seed, key, count):
-    assert_substreams_match(seed, key, count)
+       count=st.sampled_from(COUNTS), ahead=st.sampled_from(AHEADS))
+def test_substream_states_match_derive_seed_drawn(seed, key, count, ahead):
+    assert_substreams_match(seed, key, count, ahead)
 
 
 def test_substream_states_work_chunk_by_chunk():
     # a count no single array could hold still yields its first state at once
     first = next(substream_states(5, 10 ** 15))
     assert first == state(Xoshiro256StarStar(derive_seed(5, 0)))
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_randint_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        Xoshiro256StarStar(5).randint(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 2 ** 63])
+def test_randint_is_the_multiply_shift_of_next_u64(n):
+    rng, words = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    draws = [rng.randint(n) for _ in range(200)]
+    assert draws == [(words.next_u64() * n) >> 64 for _ in range(200)]
+    assert all(0 <= k < n for k in draws)
