@@ -254,7 +254,12 @@ class MeanCalculator:
         Each power is taken as ``lam ** w`` on its own, so numpy's scalar
         fast paths (w = 0.5, 2, -1) give the bits a lone weight gets; the
         products and their symmetrization then run over the whole stack.
-        The checks still run per weight in the order given: the first
+
+        One screen over the stack stands in for the per-weight checks: it
+        passes when every product's sum of squares is finite and every
+        residual ||M - M^T||_F / 2 is at most a quarter of SYM_OP_TOL *
+        ||M||_F, a margin for summing in another order than ``_fro``.
+        Otherwise the checks run per weight in the order given: the first
         weight whose symmetrized product is not finite (its power or the
         product overflowed) or whose product is asymmetric beyond
         SYM_OP_TOL raises, after the weights before it are cached.
@@ -266,6 +271,15 @@ class MeanCalculator:
             powers = np.array([self._lam ** w for w in new])
             stack = (self._w * powers[:, None, :]) @ self._w.T
             sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+            skew = stack - stack.transpose(0, 2, 1)
+            skew_sq = (skew * skew).sum(axis=(1, 2))
+            stack_sq = (stack * stack).sum(axis=(1, 2))
+            # unsquared norms, so a negative tolerance fails the screen
+            screened = (np.isfinite(stack_sq).all() and
+                        (0.5 * np.sqrt(skew_sq) <= 0.25 * SYM_OP_TOL * np.sqrt(stack_sq)).all())
+        if screened:
+            self._cache.update(zip(new, sym))
+            return
         finite = np.isfinite(sym).all(axis=(1, 2))
         for w, m, out, ok in zip(new, stack, sym, finite):
             if not ok:

@@ -18,6 +18,7 @@ exceed both operands in Loewner order; no clamping is applied anywhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Callable, NamedTuple
@@ -103,13 +104,16 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
     return hyp, None
 
 
-def _ladder(record, branch, n, first) -> list:
+@functools.lru_cache(maxsize=256)
+def _ladder(key, branch, n, first) -> tuple:
     """The (k, w_in, w_out) correction terms of a branch, k = n down to first:
-    the moving edge of the record's window at depths k and k - 1, its upper
-    edge for branch i and, for branch ii, the lower edge ``bounds`` mirrors."""
+    the moving edge of the family's window at depths k and k - 1, its upper
+    edge for branch i and, for branch ii, the lower edge ``bounds`` mirrors.
+    Memoized: a suite row asks for the same few ladders trial after trial."""
+    record = OPERATOR_BY_NAME[key]
     side = 1 if branch == "i" else 0
     edges = [record.bounds(branch, k)[side] for k in range(n, first - 2, -1)]
-    return list(zip(range(n, first - 1, -1), edges, edges[1:]))
+    return tuple(zip(range(n, first - 1, -1), edges, edges[1:]))
 
 
 def _mean_pass(mc, heinz, head, ladder, v) -> Callable:
@@ -132,7 +136,7 @@ def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
-    ladder = _ladder(OPERATOR_BY_NAME[key], branch, n, 2)
+    ladder = _ladder(key, branch, n, 2)
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [0.5], ladder, v)
     with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
@@ -158,7 +162,7 @@ def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     hyp, short = _prepare(key, a, b, v, n, branch)
     if short is not None:
         return short
-    ladder = _ladder(OPERATOR_BY_NAME[key], branch, n, 1)
+    ladder = _ladder(key, branch, n, 1)
     mc = MeanCalculator(a, b)
     mean = _mean_pass(mc, heinz, [], ladder, v)
     with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow

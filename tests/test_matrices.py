@@ -354,7 +354,7 @@ def test_sharp_is_congruence_covariant(dim):
             assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def per_weight_sharp(mc, weights):
+def per_weight_sharp(mc, weights, tol=SYM_OP_TOL):
     """Reference: the mean kernel one weight at a time, checks in weight order."""
     out = []
     for w in weights:
@@ -362,7 +362,7 @@ def per_weight_sharp(mc, weights):
             lam_w = mc._lam ** w
         if not np.all(np.isfinite(lam_w)):
             raise MatrixError(f"inner eigenvalue power overflows for weight {w}")
-        out.append(_symmetrize((mc._w * lam_w) @ mc._w.T, SYM_OP_TOL)[0])
+        out.append(_symmetrize((mc._w * lam_w) @ mc._w.T, tol)[0])
     return out
 
 
@@ -423,6 +423,94 @@ def test_stacked_pass_keeps_the_per_weight_asymmetry_check(monkeypatch):
     with pytest.raises(MatrixError, match="asymmetry residual"):
         mc.prime([0.25, 0.5, 2.0])
     assert not mc._cache
+
+
+def count_exact_checks(monkeypatch):
+    """Count the per-weight symmetry checks (the screen's fallback) of prime."""
+    calls = []
+    exact = matrices._asymmetry
+
+    def counted(m, rel_tol):
+        calls.append(rel_tol)
+        return exact(m, rel_tol)
+
+    monkeypatch.setattr(matrices, "_asymmetry", counted)
+    return calls
+
+
+def relative_residual(m):
+    # the exact check's ratio ||M - M^T||_F / 2 over ||M||_F
+    return 0.5 * _fro(m - m.T) / _fro(m)
+
+
+def stack_around_its_largest_residual(mc):
+    """STACK_WEIGHTS reordered so that the weight whose product is the most
+    asymmetric sits mid-stack, after weights strictly less asymmetric;
+    returns (weights, index of that weight, its relative residual)."""
+    rho = {w: relative_residual((mc._w * mc._lam ** w) @ mc._w.T) for w in STACK_WEIGHTS}
+    top = max(rho, key=rho.get)
+    below = [w for w in STACK_WEIGHTS if rho[w] < 0.5 * rho[top]]
+    rest = [w for w in STACK_WEIGHTS if w != top and w not in below]
+    half = len(below) // 2
+    assert rho[top] > 0.0 and half >= 2
+    return below[:half] + [top] + below[half:] + rest, half, rho[top]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_screen_falls_back_to_the_exact_checks(monkeypatch):
+    # tolerance 1.5 rho: every weight passes the exact check, but the
+    # screen asks for a quarter of it, which the top weight misses
+    a = random_spd(4, 1e4, Xoshiro256StarStar(11))
+    b = random_spd(4, 1e4, Xoshiro256StarStar(12))
+    mc = MeanCalculator(a, b)
+    weights, _, rho = stack_around_its_largest_residual(mc)
+    calls = count_exact_checks(monkeypatch)
+    monkeypatch.setattr(matrices, "SYM_OP_TOL", 1.5 * rho)
+    mc.prime(weights)
+    assert len(calls) == len(weights)
+    expected = per_weight_sharp(mc, weights, tol=1.5 * rho)
+    assert [mc._cache[w].tobytes() for w in weights] == [m.tobytes() for m in expected]
+
+
+def test_stacked_screen_fallback_raises_at_the_same_weight(monkeypatch):
+    # tolerance just below rho: the weights before the top one pass, the
+    # top one raises the per-weight message and nothing after it is cached
+    a = random_spd(4, 1e4, Xoshiro256StarStar(11))
+    b = random_spd(4, 1e4, Xoshiro256StarStar(12))
+    mc = MeanCalculator(a, b)
+    weights, top, rho = stack_around_its_largest_residual(mc)
+    tol = rho * (1.0 - 1e-9)
+    monkeypatch.setattr(matrices, "SYM_OP_TOL", tol)
+    with pytest.raises(MatrixError) as expected:
+        per_weight_sharp(mc, weights, tol=tol)
+    with pytest.raises(MatrixError, match="asymmetry residual") as got:
+        mc.prime(weights)
+    assert str(got.value) == str(expected.value)
+    assert list(mc._cache) == weights[:top]
+
+
+def test_stacked_screen_at_the_default_tolerance_skips_the_exact_checks(monkeypatch):
+    a = random_spd(8, 1e4, Xoshiro256StarStar(11))
+    b = random_spd(8, 1e4, Xoshiro256StarStar(12))
+    mc = MeanCalculator(a, b)
+    calls = count_exact_checks(monkeypatch)
+    mc.prime(STACK_WEIGHTS)
+    assert not calls
+    assert list(mc._cache) == STACK_WEIGHTS
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_screen_falls_back_when_squares_overflow(monkeypatch):
+    # A #_w B is 1e160 at w = 0.5 and 1e155 at 0.25: finite, but the screen's
+    # sums of squares overflow, so the exact checks (which rescale) run
+    a, b = SpdMatrix(np.array([[1e150]])), SpdMatrix(np.array([[1e170]]))
+    mc = MeanCalculator(a, b)
+    calls = count_exact_checks(monkeypatch)
+    mc.prime([0.5, 0.25])
+    assert len(calls) == 2
+    expected = per_weight_sharp(mc, [0.5, 0.25])
+    assert [mc._cache[w].tobytes() for w in (0.5, 0.25)] == [m.tobytes() for m in expected]
+    assert mc._cache[0.5][0, 0] == pytest.approx(1e160, rel=1e-12)
 
 
 def test_mean_kernel_rejects_indefinite_operands():
