@@ -634,21 +634,19 @@ def _claim_limit_log(cfg: SuiteConfig):
 
 
 def _claim_bound_validity(cfg: SuiteConfig):
-    # Every hypothesis-valid gap bound must dominate the true gap.  The
-    # dominance pairs need no check here: compare_gap_bounds keeps a pair
-    # only when its margin, the same subtraction, is >= 0.
+    # Every hypothesis-valid gap bound must dominate the true gap; the pairs
+    # compare_gap_bounds adds need no check, as it keeps only margins >= 0.
     for t in _log_grid(*cfg.scalar_range, 20):
         for v in _lin_grid(0.0, 1.0, 21):
-            rep = scalar.compare_gap_bounds(1.0, t, v, n=3)
+            true_gap, bounds = scalar.gap_bounds(1.0, t, v, 3)
             ok = True
             worst = math.inf
-            for bound in rep.bounds:
-                if not bound.hypothesis_ok:
+            for _, value, hypothesis_ok in bounds:
+                if not hypothesis_ok:
                     continue
-                slack = bound.value - rep.true_gap
+                slack = value - true_gap
                 worst = min(worst, slack)
-                if slack < (-1e-9 * (abs(bound.value) + abs(rep.true_gap))
-                            - 1e-13 * (1.0 + t)):
+                if slack < -1e-9 * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
                     ok = False
             yield ok, (None if worst is math.inf else worst), {"ratio": t, "v": v}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 REL_TOL = 1e-9
@@ -643,64 +644,80 @@ class ComparisonReport(NamedTuple):
     dominance: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "v": self.v,
-            "n": self.n,
-            "true_gap": self.true_gap,
-            "bounds": [g.as_dict() for g in self.bounds],
-            "dominance": [
-                {"tighter": t, "looser": l, "margin": m} for (t, l, m) in self.dominance
-            ],
-        }
+        return {**self._asdict(), "bounds": [g.as_dict() for g in self.bounds],
+                "dominance": [{"tighter": t, "looser": l, "margin": m}
+                              for (t, l, m) in self.dominance]}
+
+
+@lru_cache(maxsize=None)  # n is checked first: at most MAX_DEPTH - 1 tables
+def _gap_slots(n: int) -> dict:
+    """label -> (label, depth, lo, hi, inside, mirrored, branch-i gap bound,
+    (label, family, branch, depth)) of each bound gap_bounds lists at depth
+    n, in order; [lo, hi] is the window Family.hypothesis reads."""
+    one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
+        "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
+    depths = range(2, n + 1)
+    one_term = lambda a, b, v: v * (math.sqrt(a) - math.sqrt(b)) ** 2
+    rows = ([(one, branch, None, one_term) for branch in BRANCHES]
+            + [(main, branch, d, gap_bound_main_reverse) for d in depths for branch in BRANCHES]
+            + [(zw, "lemma", None, gap_bound_zw_lemma),
+               (zw, "proposition", None, gap_bound_zw_proposition)]
+            + [(sm, branch, d, gap_bound_sm_reverse) for d in depths for branch in BRANCHES])
+    table = {}
+    for fam, branch, d, fn in rows:
+        label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
+        table[label] = (label, d, *fam.bounds(branch, d), fam.kind == "inside",
+                        branch == "ii", fn, (label, fam.key, branch, d))
+    return table
+
+
+def _require_finite_gaps(a, b, v, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"gap bounds at a={a!r}, b={b!r}, v={v!r} leave the "
+                            f"floating-point range")
+
+
+def gap_bounds(a: float, b: float, v: float, n: int = 3) -> tuple:
+    """The true gap (1-v)a + vb - a^(1-v) b^v at (a, b, v) and, as a list of
+    (label, value, hypothesis_ok), every bound compare_gap_bounds lists there.
+
+    A branch-ii bound is its branch-i formula at (b, a, 1-v).  A bound that
+    holds outside a window is listed at every v; one that holds inside it
+    (the two-term and indexed bounds) only there, where the indexed
+    formulas are defined.
+    """
+    _require_point(a, b, v)
+    _require_depth(n, 2)
+    w = 1.0 - v
+    bounds, values = [], []
+    for label, d, lo, hi, inside, mirrored, fn, _ in _gap_slots(n).values():
+        ok = (lo <= v <= hi) == inside  # Family.hypothesis, its window read once
+        if ok or not inside:
+            if mirrored:
+                value = fn(b, a, w) if d is None else fn(b, a, w, d)
+            else:
+                value = fn(a, b, v) if d is None else fn(a, b, v, d)
+            values.append(value)
+            bounds.append((label, value, ok))
+    true_gap = _young(a, b, v) - _geometric(a, b, v)
+    _require_finite_gaps(a, b, v, [true_gap, *values])
+    return true_gap, bounds
 
 
 def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonReport:
     """Evaluate every applicable reverse bound at (a, b, v) in the common
-    gap normalization and report pairwise dominance among valid bounds.
-
-    Depths 2..n of the dyadic and indexed-refinement families are included
-    alongside the one-term and two-term bounds.  The two-term and indexed
-    bounds hold only inside their windows, where the indexed formulas are
-    also defined; elsewhere they are omitted.
-    """
-    _require_point(a, b, v)
-    _require_depth(n, 2)
-    one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
-        "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
-    bounds: list[GapBound] = []
-
-    def add(fam, branch, d, value):
-        label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
-        bounds.append(GapBound(label, fam.key, branch, d, value,
-                               fam.hypothesis(branch, v, d)))
-
-    sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    add(one, "i", None, v * sq)
-    add(one, "ii", None, (1.0 - v) * sq)
-    for d in range(2, n + 1):
-        add(main, "i", d, gap_bound_main_reverse(a, b, v, d))
-        add(main, "ii", d, gap_bound_main_reverse(b, a, 1.0 - v, d))
-    if zw.hypothesis("lemma", v, None):
-        add(zw, "lemma", None, gap_bound_zw_lemma(a, b, v))
-        add(zw, "proposition", None, gap_bound_zw_proposition(a, b, v))
-    for d in range(2, n + 1):
-        if sm.hypothesis("i", v, d):
-            add(sm, "i", d, gap_bound_sm_reverse(a, b, v, d))
-        if sm.hypothesis("ii", v, d):
-            add(sm, "ii", d, gap_bound_sm_reverse(b, a, 1.0 - v, d))
-
-    true_gap = _young(a, b, v) - _geometric(a, b, v)
-    valid = [(g.label, g.value) for g in bounds if g.hypothesis_ok]
+    gap normalization (see gap_bounds) and report pairwise dominance among
+    valid bounds: depths 2..n of the dyadic and indexed-refinement families
+    alongside the one-term and two-term bounds."""
+    true_gap, listed = gap_bounds(a, b, v, n)
+    valid = [(label, value) for label, value, ok in listed if ok]
     dominance = [(tighter, looser, margin)
                  for tighter, low in valid for looser, high in valid
                  if tighter != looser and (margin := high - low) >= 0.0]
-    values = [true_gap, *(g.value for g in bounds), *(m for _, _, m in dominance)]
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"gap bounds at a={a!r}, b={b!r}, v={v!r} leave the "
-                            f"floating-point range")
-    return ComparisonReport(a, b, v, n, true_gap, tuple(bounds), tuple(dominance))
+    _require_finite_gaps(a, b, v, [m for _, _, m in dominance])
+    slots = _gap_slots(n)
+    bounds = tuple(GapBound(*slots[label][-1], value, ok) for label, value, ok in listed)
+    return ComparisonReport(a, b, v, n, true_gap, bounds, tuple(dominance))
 
 
 _INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
