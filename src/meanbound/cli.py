@@ -15,6 +15,7 @@ overflow the floating-point range.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -187,45 +188,21 @@ def cmd_repro(args) -> int:
     return 0 if tighter_ok else 1
 
 
-def _name_list(text: str) -> tuple:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-def _int_list(text: str) -> tuple:
-    return tuple(map(int, _name_list(text)))
-
-
-def _boolean(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(text)
-    return text.lower() == "true"
-
-
-# Every suite setting once: its config-file key (the flag is --key with
-# dashes), the cast of its text, and the flag's help.  Flags and the file
-# both give text; $MEANBOUND_SEED wins over --seed, a flag over the file.
-_SUITE_SETTINGS = (
-    ("families", _name_list, "comma list of families, or all/scalar/operator/comparison"),
-    ("trials", int, None),
-    ("seed", int, f"overridden by ${_SEED_ENV} when set"),
-    ("scalar_lo", float, None),
-    ("scalar_hi", float, None),
-    ("v_lo", float, None),
-    ("v_hi", float, None),
-    ("dims", _int_list, "comma list, e.g. 1,2,4,8"),
-    ("depths", _int_list, "comma list, e.g. 1,2,3,4,5,6"),
-    ("cond_max", float, None),
-    ("margin", float, None),
-    ("grid_points", int, None),
-    ("boundary_probe", _boolean, "sample exactly at window endpoints and expect equality"),
-)
-_RANGES = (("scalar_range", "scalar_lo", "scalar_hi"), ("v_range", "v_lo", "v_hi"))
+def _suite_keys() -> list:
+    """(key, field, end, cast, help) of each config-file key, in field order;
+    a pair <stem>_range gives <stem>_lo and <stem>_hi (end 0 and 1)."""
+    keys = []
+    for f in dataclasses.fields(SuiteConfig):
+        stem = f.name.removesuffix("_range")
+        ends = ((stem + "_lo", 0), (stem + "_hi", 1)) if stem != f.name else ((f.name, None),)
+        keys += [(key, f.name, end, f.metadata["cast"], f.metadata["help"]) for key, end in ends]
+    return keys
 
 
 def _config_from_file(path: str) -> dict:
     """Flat key = value file; keys match the suite flags."""
     values: dict = {}
-    known = [key for key, _, _ in _SUITE_SETTINGS]
+    known = [key for key, *_ in _suite_keys()]
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
@@ -242,23 +219,24 @@ def _config_from_file(path: str) -> dict:
 
 
 def _build_suite_config(args) -> SuiteConfig:
+    # flags and the file both give text; $MEANBOUND_SEED wins over --seed, a flag over the file
     sources = (("$" + _SEED_ENV, {"seed": os.environ.get(_SEED_ENV) or None}),
                ("flag", vars(args)),
                ("config file", _config_from_file(args.config) if args.config else {}))
     values: dict = {}
-    for key, cast, _ in _SUITE_SETTINGS:
+    for key, name, end, cast, _ in _suite_keys():
         for source, given in sources:
             text = given.get(key)
             if text is not None:
                 try:
-                    values[key] = cast(text)
+                    value = cast(text)
                 except ValueError:
                     raise ConfigError(f"{key!r} ({source}): cannot parse {text!r}") from None
+                if end is not None:  # one end of a pair: the other keeps its default
+                    pair = values.get(name, getattr(SuiteConfig, name))
+                    value = (value, pair[1]) if end == 0 else (pair[0], value)
+                values[name] = value
                 break
-    for name, lo, hi in _RANGES:
-        if lo in values or hi in values:
-            base = getattr(SuiteConfig, name)
-            values[name] = (values.pop(lo, base[0]), values.pop(hi, base[1]))
     return SuiteConfig(**values)
 
 
@@ -341,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_suite = sub.add_parser("suite", help="run the randomized verification suites")
-    for key, cast, text in _SUITE_SETTINGS:
+    for key, name, _, _, text in _suite_keys():
         flag = "--" + key.replace("_", "-")
-        if cast is _boolean:  # a bare switch, given as the text "true"
+        if isinstance(getattr(SuiteConfig, name), bool):  # a bare switch, given as "true"
             p_suite.add_argument(flag, action="store_const", const="true", help=text)
         else:
             p_suite.add_argument(flag, help=text)

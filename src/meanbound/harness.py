@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -104,10 +105,10 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     log-uniform in [cond_max^-1/2, cond_max^1/2].  Fully determined by the
     generator state.
     """
-    if not _is_int(dim) or dim < 1:
+    # dims and cond_max as SuiteConfig states them, dim as a one-entry dims
+    if not (_is_int(dim) and _SETTINGS["dims"]["ok"]((dim,))):
         raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
-    if not (_is_real(cond_max) and 1.0 <= cond_max < math.inf):
-        raise ConfigError(f"cond_max must be finite and >= 1, got {cond_max!r}")
+    _check([("cond_max", cond_max, _SETTINGS["cond_max"])])
     # rng.log_uniform(cond_max ** -0.5, cond_max ** 0.5), its logs taken once
     llo, lhi = math.log(cond_max ** -0.5), math.log(cond_max ** 0.5)
     if dim == 1:
@@ -135,67 +136,84 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    # an int past the float range would overflow where it meets a float
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _seq_of(item: Callable) -> Callable:
     return lambda x: isinstance(x, (list, tuple)) and all(map(item, x))
 
 
-# each setting's type, checked before its value: no bool is a number here and
-# no string a list of names
-_SETTING_TYPES = (
-    (("seed", "trials", "grid_points"), _is_int, "an integer"),
-    (("cond_max", "margin"), _is_real, "a real number"),
-    (("scalar_range", "v_range"), lambda x: _seq_of(_is_real)(x) and len(x) == 2,
-     "a pair of real numbers"),
-    (("dims", "depths"), _seq_of(_is_int), "a list or tuple of integers"),
-    (("families",), _seq_of(lambda name: isinstance(name, str)), "a list or tuple of names"),
-    (("boundary_probe",), lambda x: isinstance(x, bool), "True or False"),
-)
+def _name_list(text: str) -> tuple:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+# a setting's kind: type rule, words of its message, text cast (of each end,
+# for a pair); no bool is a number here and no string a list of names
+_INT = (_is_int, "an integer", int)
+_REAL = (_is_real, "a real number", float)
+_PAIR = (lambda x: _seq_of(_is_real)(x) and len(x) == 2, "a pair of real numbers", float)
+_INTS = (_seq_of(_is_int), "a list or tuple of integers",
+         lambda text: tuple(map(int, _name_list(text))))
+_NAMES = (_seq_of(lambda x: isinstance(x, str)), "a list or tuple of names", _name_list)
+_BOOL = (lambda x: isinstance(x, bool), "True or False",
+         lambda text: bool(("false", "true").index(text.lower())))  # ValueError on other text
+
+
+def _setting(default, kind: tuple, must: str = "", ok=None, help: Optional[str] = None):
+    """A SuiteConfig field: its default; as metadata its kind, value rule and help."""
+    is_type, words, cast = kind
+    return field(default=default, metadata={"is_type": is_type, "words": words, "cast": cast,
+                                            "must": must, "ok": ok, "help": help})
+
+
+def _check(settings: list) -> None:
+    """Raise the ConfigError of the first rule a (name, value, metadata) breaks;
+    type rules go first, so no value rule sees a value of another type."""
+    for name, value, meta in settings:
+        if not meta["is_type"](value):
+            raise ConfigError(f"{name} must be {meta['words']}, got {value!r}")
+    for name, value, meta in settings:
+        if meta["ok"] is not None and not meta["ok"](value):
+            raise ConfigError(f"{name} must {meta['must']}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    seed: int = 42
-    trials: int = 1000
-    scalar_range: tuple = (1e-3, 1e3)
-    v_range: tuple = (-6.0, 6.0)
-    dims: tuple = (1, 2, 4, 8)
-    cond_max: float = 1e4
-    depths: tuple = (1, 2, 3, 4, 5, 6)
-    families: tuple = ("all",)
-    margin: float = 1e-6
-    grid_points: int = 50
-    boundary_probe: bool = False
+    """The settings of a suite run, each stated once, as its field.
+
+    ``_setting`` makes each field: its default and, as metadata, its kind
+    (type rule, type-message words, text cast), its value rule with the words
+    of that rule's message, and its flag help.  ``validate``, ``random_spd``,
+    the CLI flags and the config-file keys read the fields, so adding a
+    setting means adding one field; field order is the report's order."""
+
+    seed: int = _setting(42, _INT, "be a 64-bit unsigned integer", lambda s: 0 <= s < 2 ** 64,
+                         help="overridden by $MEANBOUND_SEED when set")
+    trials: int = _setting(1000, _INT, "be >= 1", lambda trials: trials >= 1)
+    scalar_range: tuple = _setting((1e-3, 1e3), _PAIR, "satisfy 0 < lo < hi",
+                                   lambda r: 0.0 < r[0] < r[1] and math.isfinite(r[1]))
+    # a width past the float range would send every draw to the last endpoint
+    v_range: tuple = _setting((-6.0, 6.0), _PAIR, "satisfy lo < hi with a finite width hi - lo",
+                              lambda r: r[0] < r[1] and math.isfinite(r[1] - r[0]))
+    dims: tuple = _setting((1, 2, 4, 8), _INTS, "be positive integers",
+                           lambda ds: bool(ds) and all(d >= 1 for d in ds),
+                           help="comma list, e.g. 1,2,4,8")
+    cond_max: float = _setting(1e4, _REAL, "be finite and >= 1", lambda c: 1.0 <= c < math.inf)
+    depths: tuple = _setting((1, 2, 3, 4, 5, 6), _INTS, f"lie in 1..{scalar.MAX_DEPTH}",
+                             lambda ns: bool(ns) and all(1 <= n <= scalar.MAX_DEPTH for n in ns),
+                             help="comma list, e.g. 1,2,3,4,5,6")
+    # no value rule: validate checks the names last, with messages of their own
+    families: tuple = _setting(("all",), _NAMES,
+                               help="comma list of families, or all/scalar/operator/comparison")
+    margin: float = _setting(1e-6, _REAL, "be finite and >= 0", lambda m: 0.0 <= m < math.inf)
+    # the x grids take grid_points - 1 >= 2 points
+    grid_points: int = _setting(50, _INT, "be >= 3", lambda points: points >= 3)
+    boundary_probe: bool = _setting(False, _BOOL,
+                                    help="sample exactly at window endpoints and expect equality")
 
     def validate(self) -> None:
-        for names, is_type, words in _SETTING_TYPES:
-            for name in names:
-                if not is_type(value := getattr(self, name)):
-                    raise ConfigError(f"{name} must be {words}, got {value!r}")
-        if self.seed < 0 or self.seed >= 2 ** 64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials!r}")
-        lo, hi = self.scalar_range
-        if not (0.0 < lo < hi) or not math.isfinite(hi):
-            raise ConfigError(f"scalar_range must satisfy 0 < lo < hi, got {self.scalar_range}")
-        vlo, vhi = self.v_range
-        # a width past the float range would send every draw to the last endpoint
-        if not (vlo < vhi and math.isfinite(vhi - vlo)):
-            raise ConfigError(f"v_range must satisfy lo < hi with a finite width hi - lo, "
-                              f"got {self.v_range}")
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be positive integers, got {self.dims}")
-        if not (1.0 <= self.cond_max < math.inf):
-            raise ConfigError(f"cond_max must be finite and >= 1, got {self.cond_max}")
-        if not self.depths or any(n < 1 or n > scalar.MAX_DEPTH for n in self.depths):
-            raise ConfigError(f"depths must lie in 1..{scalar.MAX_DEPTH}, got {self.depths}")
-        if not (0.0 <= self.margin < math.inf):
-            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
-        if self.grid_points < 3:  # the x grids take grid_points - 1 >= 2 points
-            raise ConfigError(f"grid_points must be >= 3, got {self.grid_points}")
+        _check([(f.name, getattr(self, f.name), f.metadata) for f in fields(self)])
         if not self.families:
             raise ConfigError("families must name at least one family or selector")
         unknown = [f for f in self.families if f not in _KNOWN_FAMILY_SELECTORS]
@@ -213,6 +231,9 @@ class SuiteConfig:
             if f.name == "margin":
                 out.update(rel_tol=scalar.REL_TOL, loewner_rel=LOEWNER_REL_TOL)
         return out
+
+
+_SETTINGS = {f.name: f.metadata for f in fields(SuiteConfig)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, formats, matrix files, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
+import re
 import warnings
 
 import pytest
 
+from meanbound import harness
 from meanbound.cli import main, parse_number
-from meanbound.harness import SCALAR_ROWS
+from meanbound.harness import SCALAR_ROWS, SuiteConfig, SuiteReport
 from meanbound.operators import OPERATOR_TABLE
 
 
@@ -548,6 +551,64 @@ def test_suite_range_flags_land_in_the_report(capsys):
     assert code == 0
     config = json.loads(out)["config"]
     assert config["v_range"] == [-6.0, 0.75] and config["scalar_range"] == [1e-3, 1e3]
+
+
+# one value off the default per setting, with the text of each of its keys
+SETTING_TEXTS = {
+    "seed": (7, {"seed": "7"}),
+    "trials": (3, {"trials": "3"}),
+    "scalar_range": ((0.5, 2.0), {"scalar_lo": "0.5", "scalar_hi": "2"}),
+    "v_range": ((-1.5, 2.5), {"v_lo": "-1.5", "v_hi": "2.5"}),
+    "dims": ((2, 3), {"dims": "2,3"}),
+    "cond_max": (100.0, {"cond_max": "100"}),
+    "depths": ((2, 5), {"depths": "2, 5"}),
+    "families": (("t6", "scalar"), {"families": "t6,scalar"}),
+    "margin": (1e-3, {"margin": "1e-3"}),
+    "grid_points": (7, {"grid_points": "7"}),
+    "boundary_probe": (True, {"boundary_probe": "true"}),
+}
+
+
+def test_setting_texts_cover_every_setting():
+    assert list(SETTING_TEXTS) == [f.name for f in dataclasses.fields(SuiteConfig)]
+
+
+@pytest.mark.parametrize("name", list(SETTING_TEXTS))
+def test_each_setting_lands_in_the_report_from_its_flag_and_its_file_key(
+        capsys, tmp_path, monkeypatch, name):
+    # the suite itself is stubbed: the report's config is what the CLI built
+    monkeypatch.delenv("MEANBOUND_SEED", raising=False)
+    monkeypatch.setattr(harness, "run_all", lambda cfg: (
+        cfg.validate(), SuiteReport("all", cfg.as_dict(), [], {}, 0.0))[1])
+    value, texts = SETTING_TEXTS[name]
+    expected = SuiteConfig(**{name: value}).as_dict()
+    assert expected != SuiteConfig().as_dict()
+    flags = []
+    for key, text in texts.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, text]  # a bool is a bare switch
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()),
+                   encoding="utf-8")
+    for args in (flags, ["--config", str(cfg)]):
+        code, out, _ = run_cli(capsys, "suite", *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"] == expected
+
+
+def test_suite_flags_are_the_settings_and_the_output_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["suite", "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    expected = {"--config", "--format", "--out"}
+    for f in dataclasses.fields(SuiteConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if flag.endswith("-range"):  # a pair: one flag per end
+            stem = flag[: -len("range")]
+            expected |= {stem + "lo", stem + "hi"}
+        else:
+            expected.add(flag)
+    assert flags == expected
 
 
 @pytest.mark.parametrize("args, message", [

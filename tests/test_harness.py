@@ -168,7 +168,8 @@ def test_random_spd_known_answer(seed, dim, digest):
 
 
 @pytest.mark.parametrize("dim,cond_max", [
-    (2, math.inf), (2, math.nan), (2, "1e4"), (2.0, 1e4), (True, 1e4)])
+    (2, math.inf), (2, math.nan), (2, "1e4"), (2.0, 1e4), (True, 1e4),
+    pytest.param(2, 10 ** 400, id="2-huge-int")])
 def test_random_spd_takes_the_suite_settings_rule(dim, cond_max):
     # an integer dim >= 1 (no bool) and 1 <= cond_max < inf, as validate asks
     with pytest.raises(ConfigError, match="^(dim|cond_max) must be"):
@@ -197,6 +198,25 @@ def test_config_validation():
     SMALL.validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 2 ** 64, f"seed must be a 64-bit unsigned integer, got {2 ** 64}"),
+    ("trials", 0, "trials must be >= 1, got 0"),
+    ("scalar_range", (1.0, 0.1), "scalar_range must satisfy 0 < lo < hi, got (1.0, 0.1)"),
+    ("v_range", [2.0, 2.0],
+     "v_range must satisfy lo < hi with a finite width hi - lo, got [2.0, 2.0]"),
+    ("dims", (2, 0), "dims must be positive integers, got (2, 0)"),
+    ("cond_max", 0.5, "cond_max must be finite and >= 1, got 0.5"),
+    ("depths", (31,), "depths must lie in 1..30, got (31,)"),
+    ("margin", -1e-6, "margin must be finite and >= 0, got -1e-06"),
+    ("grid_points", 2, "grid_points must be >= 3, got 2"),
+])
+def test_config_value_rule_messages(field, value, message):
+    # one bad value per rule, each with the exact words its error gives
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(SMALL, **{field: value}).validate()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("field", ["cond_max", "margin"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_config_rejects_non_finite_settings(field, value):
@@ -211,6 +231,11 @@ def test_config_rejects_non_finite_settings(field, value):
     ("v_range", ("0", "1")), ("grid_points", "3"), ("grid_points", 3.5),
     ("margin", "x"), ("cond_max", None), ("boundary_probe", "no"),
     ("seed", True), ("trials", True), ("trials", 2.0),
+    # an int past the float range is no real number: it overflowed where it met a float
+    pytest.param("v_range", (0, 10 ** 400), id="v_range-huge-int"),
+    pytest.param("scalar_range", (1, 10 ** 400), id="scalar_range-huge-int"),
+    pytest.param("cond_max", 10 ** 400, id="cond_max-huge-int"),
+    pytest.param("margin", 10 ** 400, id="margin-huge-int"),
 ])
 def test_config_rejects_settings_of_the_wrong_type(field, value):
     # a wrong type is a ConfigError naming the setting, from validate and from
