@@ -107,7 +107,7 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     """
     # dims and cond_max as SuiteConfig states them, dim as a one-entry dims
     if not (_is_int(dim) and _SETTINGS["dims"]["ok"]((dim,))):
-        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
+        raise ConfigError(f"dim must be an integer >= 1, got {scalar._shown(dim)}")
     _check([("cond_max", cond_max, _SETTINGS["cond_max"])])
     # rng.log_uniform(cond_max ** -0.5, cond_max ** 0.5), its logs taken once
     llo, lhi = math.log(cond_max ** -0.5), math.log(cond_max ** 0.5)
@@ -172,10 +172,10 @@ def _check(settings: list) -> None:
     type rules go first, so no value rule sees a value of another type."""
     for name, value, meta in settings:
         if not meta["is_type"](value):
-            raise ConfigError(f"{name} must be {meta['words']}, got {value!r}")
+            raise ConfigError(f"{name} must be {meta['words']}, got {scalar._shown(value)}")
     for name, value, meta in settings:
         if meta["ok"] is not None and not meta["ok"](value):
-            raise ConfigError(f"{name} must {meta['must']}, got {value!r}")
+            raise ConfigError(f"{name} must {meta['must']}, got {scalar._shown(value)}")
 
 
 @dataclass(frozen=True)

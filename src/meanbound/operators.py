@@ -6,6 +6,8 @@ of RHS - LHS.  The correction weights come from the family's window, its
 moving edge at depths k and k - 1 (exact dyadic weights such as
 (2^(k-1)+1)/2^k).  The terms are summed from k = n down to the first before
 the weighted-geometric-mean term is added, so results repeat bit for bit.
+The four families share one body, which alone writes its four branch
+coefficients per branch: mirroring them changes bits (2(1 - (1 - v)) != 2v).
 
 The first correction term of the dyadic families is the operator image of
 (1-v)(sqrt a - sqrt b)^2, namely 2(1-v)(A nabla B - A # B) with the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,77 +107,57 @@ def _prepare(key, a, b, v, n, branch) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _ladder(key, branch, n, first) -> tuple:
-    """The (k, w_in, w_out) correction terms of a branch, k = n down to first:
-    the moving edge of the family's window at depths k and k - 1, its upper
-    edge for branch i and, for branch ii, the lower edge ``bounds`` mirrors.
-    Memoized: a suite row asks for the same few ladders trial after trial."""
+def _ladder(key, branch, n) -> tuple:
+    """The (k, w_in, w_out) correction terms of a branch, k = n down to the
+    family's least depth: the moving edge of its window at depths k and
+    k - 1, its upper edge for branch i and, for branch ii, the lower edge
+    ``bounds`` mirrors.  Memoized: a suite row asks for the same few ladders
+    trial after trial."""
     record = OPERATOR_BY_NAME[key]
+    first = record.min_depth
     side = 1 if branch == "i" else 0
     edges = [record.bounds(branch, k)[side] for k in range(n, first - 2, -1)]
     return tuple(zip(range(n, first - 1, -1), edges, edges[1:]))
 
 
-def _mean_pass(mc, heinz, head, ladder, v) -> Callable:
-    """Compute every mean an evaluation uses in one stacked pass, listed in
-    first-use order (a Heinz mean at w uses w, then 1 - w); return the
-    mean the correction reads, now served from the cache."""
+def _correction_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
+    """The one body of the four families: A nabla_v B <= lead + coef *
+    sum_{k=n..first} 2^(k-first) (anchor - 2 mean(w_in) + mean(w_out)) + mean(v),
+    first being the family's least depth and mean(w) A #_w B.  The dyadic
+    shape (first 2) anchors at A # B and leads with 2(1-v)(A nabla B - A # B)
+    for branch i; the one-sided shape (first 1) anchors at A for branch i, B
+    for branch ii, with no lead.  ``heinz`` puts Heinz means in place of mean
+    and A nabla B in place of the lhs A nabla_v B and the one-sided anchor."""
+    hyp, short = _prepare(key, a, b, v, n, branch)
+    if short is not None:
+        return short
+    first = OPERATOR_BY_NAME[key].min_depth
+    dyadic = first == 2
+    ladder = _ladder(key, branch, n)
+    mc = MeanCalculator(a, b)
+    # every mean in one stacked pass, in first-use order (a Heinz mean at w
+    # uses w, then 1 - w); the correction then reads them from the cache
+    head = [0.5] if dyadic else []
     weights = [*head, *(w for _, w_in, w_out in ladder for w in (w_in, w_out)), v]
     if heinz:
         weights = [x for w in weights for x in (w, 1.0 - w)]
     mc.prime(weights)
-    return mc.heinz_entries if heinz else mc.sharp_entries
-
-
-def _dyadic_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
-    """Shared body of theorem_t6 and, with ``heinz``, corollary_c3.
-
-    ``heinz`` puts Heinz means in place of the geometric means of the
-    correction and the unweighted A nabla B in place of the lhs A nabla_v B.
-    """
-    hyp, short = _prepare(key, a, b, v, n, branch)
-    if short is not None:
-        return short
-    ladder = _ladder(key, branch, n, 2)
-    mc = MeanCalculator(a, b)
-    mean = _mean_pass(mc, heinz, [0.5], ladder, v)
+    mean = mc.heinz_entries if heinz else mc.sharp_entries
     with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
-        sharp_half = mc.sharp_entries(0.5)
         nabla = mc.nabla_entries(0.5)
-        corr = np.zeros_like(sharp_half)
-        for k, w_in, w_out in ladder:
-            corr += 2.0 ** (k - 2) * (sharp_half - 2.0 * mean(w_in) + mean(w_out))
-        lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
-        sign = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
-        rhs = lead * (nabla - sharp_half) + sign * corr + mean(v)
-        lhs = nabla if heinz else mc.nabla_entries(v)
-    return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
-
-
-def _one_sided_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
-    """Shared body of theorem_t66 and, with ``heinz``, corollary_c33.
-
-    ``heinz`` puts Heinz means in place of the geometric means of the
-    correction, and the unweighted A nabla B in place of both the anchor
-    (A for branch i, B for branch ii) and the lhs A nabla_v B.
-    """
-    hyp, short = _prepare(key, a, b, v, n, branch)
-    if short is not None:
-        return short
-    ladder = _ladder(key, branch, n, 1)
-    mc = MeanCalculator(a, b)
-    mean = _mean_pass(mc, heinz, [], ladder, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finish reports overflow
-        if heinz:
-            anchor = mc.nabla_entries(0.5)
+        lead = None
+        if dyadic:
+            anchor = mc.sharp_entries(0.5)
+            lead = (2.0 * (1.0 - v) if branch == "i" else 2.0 * v) * (nabla - anchor)
+            coef = (2.0 * v - 1.0) if branch == "i" else (1.0 - 2.0 * v)
         else:
-            anchor = a.entries if branch == "i" else b.entries
+            anchor = nabla if heinz else (a if branch == "i" else b).entries
+            coef = v if branch == "i" else (1.0 - v)
         corr = np.zeros_like(anchor)
         for k, w_in, w_out in ladder:
-            corr += 2.0 ** (k - 1) * (anchor - 2.0 * mean(w_in) + mean(w_out))
-        coef = v if branch == "i" else (1.0 - v)
-        rhs = coef * corr + mean(v)
-        lhs = anchor if heinz else mc.nabla_entries(v)
+            corr += 2.0 ** (k - first) * (anchor - 2.0 * mean(w_in) + mean(w_out))
+        rhs = (coef * corr if lead is None else lead + coef * corr) + mean(v)
+        lhs = nabla if heinz else mc.nabla_entries(v)
     return _finish(key, branch, a, b, v, n, lhs, rhs, hyp)
 
 
@@ -187,7 +169,7 @@ def theorem_t6(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     weights (2^(k-1)+1)/2^k; branch "ii" (v outside [(2^(n-1)-1)/2^n, 1/2])
     the low ones.  Requires n >= 2.
     """
-    return _dyadic_sum("t6", a, b, v, n, branch, heinz=False)
+    return _correction_sum("t6", a, b, v, n, branch, heinz=False)
 
 
 def theorem_t66(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -198,7 +180,7 @@ def theorem_t66(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     branch "ii" (v outside [(2^n-1)/2^n, 1]) the mirrored weights anchored
     at B.
     """
-    return _one_sided_sum("t66", a, b, v, n, branch, heinz=False)
+    return _correction_sum("t66", a, b, v, n, branch, heinz=False)
 
 
 def corollary_c3(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -209,7 +191,7 @@ def corollary_c3(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     geometric means with Heinz means at the same dyadic weights.
     Requires n >= 2.
     """
-    return _dyadic_sum("c3", a, b, v, n, branch, heinz=True)
+    return _correction_sum("c3", a, b, v, n, branch, heinz=True)
 
 
 def corollary_c33(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
@@ -219,7 +201,7 @@ def corollary_c33(a: SpdMatrix, b: SpdMatrix, v: float, n: int,
     Hypothesis windows match theorem_t66; the anchors are the unweighted
     arithmetic mean and the Heinz means at the mirrored dyadic weights.
     """
-    return _one_sided_sum("c33", a, b, v, n, branch, heinz=True)
+    return _correction_sum("c33", a, b, v, n, branch, heinz=True)
 
 
 # Every operator family in suite order, read by the evaluators, the suite

@@ -32,6 +32,18 @@ class DomainError(ValueError):
     """Inputs outside a function's mathematical domain."""
 
 
+def _shown(value) -> str:
+    """repr(value), save that an int too long to print (sys.get_int_max_str_digits)
+    shows as its bit length, also inside a list or tuple."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        text = ", ".join(map(_shown, value))  # a list or tuple holding such an int
+        return f"[{text}]" if isinstance(value, list) else f"({text}{',' * (len(value) == 1)})"
+
+
 def _require_pair(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"operands must be finite and > 0, got a={a!r}, b={b!r}")
@@ -51,7 +63,7 @@ def _require_depth(n: int, minimum: int = 1) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"depth must be an integer, got n={n!r}")
     if n < minimum or n > MAX_DEPTH:
-        raise DomainError(f"depth must satisfy {minimum} <= n <= {MAX_DEPTH}, got n={n}")
+        raise DomainError(f"depth must satisfy {minimum} <= n <= {MAX_DEPTH}, got n={_shown(n)}")
 
 
 class BoundReport(NamedTuple):
@@ -324,7 +336,7 @@ def sababheh_indices(v: float, k: int) -> RefinementIndex:
     """
     _require_unit_weight(v)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > 2 * MAX_DEPTH:
-        raise DomainError(f"index level must satisfy 1 <= k <= {2 * MAX_DEPTH}, got {k!r}")
+        raise DomainError(f"index level must satisfy 1 <= k <= {2 * MAX_DEPTH}, got {_shown(k)}")
     j = math.floor(2.0 ** (k - 1) * v)
     r = math.floor(2.0 ** k * v)
     sign = -1.0 if r % 2 else 1.0
@@ -344,6 +356,11 @@ def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
     _require_pair(a, b)
     _require_depth(n, 1)
     _require_unit_weight(v)
+    return _refinement_sum(v, a, b, n)
+
+
+def _refinement_sum(v: float, a: float, b: float, n: int) -> float:
+    """refinement_sum_s for arguments its caller has checked."""
     dl = math.log(a) - math.log(b)
     total = 0.0
     for k in range(1, n + 1):  # sababheh_indices(v, k), inline
@@ -362,7 +379,7 @@ def gap_bound_sm_reverse(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction (1-v)(sqrt a - sqrt b)^2 - S_n(2v, sqrt(ab), b)."""
     sq = (math.sqrt(a) - math.sqrt(b)) ** 2
     groot = math.exp(0.5 * (math.log(a) + math.log(b)))
-    return (1.0 - v) * sq - refinement_sum_s(2.0 * v, groot, b, n)
+    return (1.0 - v) * sq - _refinement_sum(2.0 * v, groot, b, n)
 
 
 def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -434,7 +451,7 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
     _require_pair(a, b)
     lhs = _young(a, b, v)
-    rhs = _geometric(a, b, v) + refinement_sum_s(v, b, a, n)
+    rhs = _geometric(a, b, v) + _refinement_sum(v, b, a, n)
     return _report(fam, "", a, b, v, n, lhs, rhs, False, hyp=True)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -40,6 +41,11 @@ from meanbound.scalar import (
 )
 
 SMALL = SuiteConfig(trials=40, grid_points=10)
+# an interpreter that limits int-to-text conversion (4300 digits by default)
+# cannot print 10 ** 5000, so messages show such an int by its bit length
+LIMITED_INT_TEXT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+    reason="this interpreter prints ints of any length")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,8 @@ def test_random_spd_bad_args():
         random_spd(0, 1e4, Xoshiro256StarStar(1))
     with pytest.raises(ConfigError):
         random_spd(2, 0.5, Xoshiro256StarStar(1))
+    with pytest.raises(ConfigError, match="^dim must be an integer >= 1, got "):
+        random_spd(-10 ** 5000, 1e4, Xoshiro256StarStar(1))
 
 
 # sha256 of random_spd(dim, 1e4, Xoshiro256StarStar(seed)).entries: the
@@ -209,6 +217,17 @@ def test_config_validation():
     ("depths", (31,), "depths must lie in 1..30, got (31,)"),
     ("margin", -1e-6, "margin must be finite and >= 0, got -1e-06"),
     ("grid_points", 2, "grid_points must be >= 3, got 2"),
+    # an int too long to print is shown by its bit length, not a bare ValueError
+    pytest.param("seed", 10 ** 5000, "seed must be a 64-bit unsigned integer, got "
+                 "<int of 16610 bits>", marks=LIMITED_INT_TEXT, id="seed-huge-int"),
+    pytest.param("margin", 10 ** 5000, "margin must be a real number, got <int of 16610 bits>",
+                 marks=LIMITED_INT_TEXT, id="margin-huge-int"),
+    pytest.param("trials", -10 ** 5000, "trials must be >= 1, got <negative int of 16610 bits>",
+                 marks=LIMITED_INT_TEXT, id="trials-huge-negative-int"),
+    pytest.param("depths", (10 ** 5000,), "depths must lie in 1..30, got "
+                 "(<int of 16610 bits>,)", marks=LIMITED_INT_TEXT, id="depths-huge-int"),
+    pytest.param("dims", [-10 ** 5000], "dims must be positive integers, got "
+                 "[<negative int of 16610 bits>]", marks=LIMITED_INT_TEXT, id="dims-huge-int"),
 ])
 def test_config_value_rule_messages(field, value, message):
     # one bad value per rule, each with the exact words its error gives

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from meanbound import operators, scalar
-from meanbound.matrices import MatrixError, SpdMatrix
+from meanbound.matrices import (
+    MatrixError,
+    SpdMatrix,
+    arithmetic_mean,
+    geometric_mean,
+    heinz_mean,
+)
 from meanbound.operators import (
     OPERATOR_BY_NAME,
     OPERATOR_TABLE,
@@ -112,6 +118,10 @@ def test_input_validation():
         theorem_t66(spd(2), spd(2), 0.1, 1, "x")
     with pytest.raises(DomainError):
         theorem_t66(spd(2), spd(2), math.nan, 1, "i")
+    # an int too long to print: the depth check still names it
+    a = spd(2)
+    with pytest.raises(DomainError, match="^depth must satisfy 2 <= n <= 30, got n="):
+        theorem_t6(a, a, 0.2, 10 ** 5000, "i")
 
 
 def test_fingerprints_identify_matrices():
@@ -219,6 +229,63 @@ def test_overflowing_sides_raise_without_runtime_warnings(family, error, branch)
             OPERATOR_BY_NAME[family].evaluate(a, b, -6.0, 2, branch)
     expected = "the Loewner gap" if error is OverflowError else "power overflows"
     assert expected in str(caught.value)
+
+
+def _reference_gap(key, pair, means, v, n, branch):
+    """min eig(rhs - lhs) and ||lhs||_F + ||rhs||_F of the paper's statement,
+    built from the public means; ``means`` memoizes them per weight."""
+    a, b = pair
+    dyadic, heinz = key in ("t6", "c3"), key in ("c3", "c33")
+
+    def mean(w):
+        if w not in means:
+            means[w] = (heinz_mean if heinz else geometric_mean)(a, b, w).entries
+        return means[w]
+
+    def sharp(w):
+        if ("sharp", w) not in means:
+            means["sharp", w] = geometric_mean(a, b, w).entries
+        return means["sharp", w]
+
+    def edge(k):  # the correction weight of depth k, mirrored for branch ii
+        w = (2.0 ** (k - 1) + 1.0) / 2.0 ** k if dyadic else 2.0 ** -k
+        return w if branch == "i" else 1.0 - w
+
+    nabla = arithmetic_mean(a, b, 0.5).entries
+    lhs = nabla if heinz else arithmetic_mean(a, b, v).entries
+    if dyadic:  # t6, c3: the terms k = n..2 about A # B, after a lead term
+        lead = 2.0 * (1.0 - v) if branch == "i" else 2.0 * v
+        coef = 2.0 * v - 1.0 if branch == "i" else 1.0 - 2.0 * v
+        corr = sum(2.0 ** (k - 2) * (sharp(0.5) - 2.0 * mean(edge(k)) + mean(edge(k - 1)))
+                   for k in range(n, 1, -1))
+        rhs = mean(v) + lead * (nabla - sharp(0.5)) + coef * corr
+    else:  # t66, c33: the terms k = n..1 about A, B or A nabla B
+        anchor = nabla if heinz else (a if branch == "i" else b).entries
+        coef = v if branch == "i" else 1.0 - v
+        corr = sum(2.0 ** (k - 1) * (anchor - 2.0 * mean(edge(k)) + mean(edge(k - 1)))
+                   for k in range(n, 0, -1))
+        rhs = mean(v) + coef * corr
+    return np.linalg.eigvalsh(rhs - lhs)[0], np.linalg.norm(lhs) + np.linalg.norm(rhs)
+
+
+def test_operator_reports_match_the_paper_statements():
+    # a portable pin of the values on non-commuting pairs: every family,
+    # branch, and depth least, 3 and 6, at weights about each window edge
+    rng = Xoshiro256StarStar(29)
+    pairs = [(random_spd(dim, 1e4, rng), random_spd(dim, 1e4, rng)) for dim in range(2, 9)]
+    for family in OPERATOR_TABLE:
+        for pair in pairs:
+            for branch in family.branches:
+                means = {}
+                for n in (family.min_depth, 3, 6):
+                    lo, hi = family.bounds(branch, n)
+                    for v in (-6.0, lo - 0.125, lo, lo + 0.125, 0.5 * (lo + hi),
+                              hi - 0.125, hi, hi + 0.125, 6.0):
+                        rep = family.evaluate(*pair, v, n, branch)
+                        ref, scale = _reference_gap(family.key, pair, means, v, n, branch)
+                        case = (family.key, branch, pair[0].dim, v, n)
+                        assert abs(rep.min_eig_gap - ref) <= 1e-13 * scale, case
+                        assert rep.holds == (ref >= -rep.tol), case
 
 
 # sha256 over every operator report (or error message) of the four families,

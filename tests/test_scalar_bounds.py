@@ -674,6 +674,10 @@ def test_compare_flags_match_the_written_out_windows(n):
      "branch ii requires v in [1/2, 1], got v=0.2"),
     (lambda: heinz_reverse_main(-1.0, 2.0, 3.0, 1, "ii"),
      "depth must satisfy 2 <= n <= 30, got n=1"),
+    # an int too long to print still gives the DomainError that names it
+    (lambda: theorem_main_reverse(1, 2, 0.2, 10 ** 5000, "i"),
+     "depth must satisfy 1 <= n <= 30, got n="),
+    (lambda: sababheh_indices(0.5, 10 ** 5000), "index level must satisfy 1 <= k <= 60, got "),
 ])
 def test_argument_checks_keep_their_messages(call, message):
     with pytest.raises(DomainError) as err:
