@@ -257,11 +257,15 @@ _BASE_OPS = ("young_lhs", "weighted_geometric")
 
 def _evaluator(fn, takes_depth: bool, branch: str) -> Callable:
     """fn as a row evaluator (a, b, v, n), passing n and the branch or form
-    only to the families that take them."""
-    extra = (branch,) if branch else ()
+    only to the families that take them: one lambda per shape, so that a
+    call unpacks nothing."""
     if takes_depth:
-        return lambda a, b, v, n: fn(a, b, v, n, *extra)
-    return lambda a, b, v, n: fn(a, b, v, *extra)
+        if branch:
+            return lambda a, b, v, n: fn(a, b, v, n, branch)
+        return lambda a, b, v, n: fn(a, b, v, n)
+    if branch:
+        return lambda a, b, v, n: fn(a, b, v, branch)
+    return lambda a, b, v, n: fn(a, b, v)
 
 
 def _rows(table: tuple, base_ops: tuple) -> list:
@@ -380,20 +384,14 @@ def _weight_sources(cfg: SuiteConfig, row: FamilyRow, depths: list) -> dict:
             else None for n in depths}
 
 
-def _draw_weight(source, probing: bool, rng: Xoshiro256StarStar):
-    """The trial's weight from its depth's source (see _weight_sources)."""
-    if source is None:
-        return None
-    return _pick(source, rng) if probing else _sample_pieces(source, rng.random())
-
-
 def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
     """The one place a row's outcomes are counted.
 
     ``outcomes`` yields one (ok, margin, details) per trial: ok is True for
     a pass, False for a failure, recorded as {"row", "trial", **details},
-    and None for a skip.  The worst margin is the least over the
-    passes; every trial counts toward the coverage of ``ops``.
+    and None for a skip; only a failure builds its details.  The worst
+    margin is the least over the passes; every trial counts toward the
+    coverage of ``ops``.
     """
     passes = failures = skipped = 0
     worst: Optional[float] = None
@@ -475,10 +473,10 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
         n, source = picks[rng.randint(count)] if count > 1 else picks[0]
         a = math.exp(llo + width * rng.random())
         b = math.exp(llo + width * rng.random())
-        v = _draw_weight(source, probing, rng)
-        if v is None:
+        if source is None:
             yield None, None, None
             continue
+        v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
         try:
             rep = evaluate(a, b, v, n)
         except Exception as exc:  # recorded, never fatal
@@ -511,10 +509,11 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
         rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)
         n = _pick(depths, rng)
-        v = _draw_weight(sources[n], probing, rng)
-        if v is None:
+        source = sources[n]
+        if source is None:
             yield None, None, None
             continue
+        v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
         mat_a = random_spd(dim, cfg.cond_max, rng)
         mat_b = random_spd(dim, cfg.cond_max, rng)
         try:
@@ -572,7 +571,8 @@ def _claim_dominance(key, tighter, looser, v_window, ops):
                 high = looser(1.0, t, v)
                 margin = high - low
                 ok = margin >= -1e-9 * (abs(low) + abs(high))
-                yield ok, margin, {"ratio": t, "v": v, "tighter": low, "looser": high}
+                yield ok, margin, (None if ok else
+                                   {"ratio": t, "v": v, "tighter": low, "looser": high})
 
     return key, ops, runner
 
@@ -586,11 +586,12 @@ def _poly_grid_claim(key, poly, op):
             values = [poly(x, v) for x in xs]
             best = min(range(len(xs)), key=lambda i: values[i])
             for x, val in zip(xs, values):
-                scale = _poly_scale(x, v)
-                yield val >= -1e-12 * scale, val, {"x": x, "v": v, "value": val}
+                ok = val >= -1e-12 * _poly_scale(x, v)
+                yield ok, val, None if ok else {"x": x, "v": v, "value": val}
             at_one = values[xs.index(1.0)]
             ok = xs[best] == 1.0 and abs(at_one) <= 1e-12
-            yield ok, at_one, {"x": 1.0, "v": v, "min_at": xs[best], "value_at_one": at_one}
+            yield ok, at_one, (None if ok else
+                               {"x": 1.0, "v": v, "min_at": xs[best], "value_at_one": at_one})
 
     return key, (op,), runner
 
@@ -610,7 +611,8 @@ def _claim_quartic(cfg: SuiteConfig):
             for term in terms:  # left to right: sum() compensates from Python 3.12 on
                 value += term
                 scale += abs(term)
-            yield value >= -1e-9 * (scale + 1.0), value, {"t": t, "v": v, "value": value}
+            ok = value >= -1e-9 * (scale + 1.0)
+            yield ok, value, None if ok else {"t": t, "v": v, "value": value}
 
 
 def _claim_factorizations(cfg: SuiteConfig):
@@ -619,11 +621,13 @@ def _claim_factorizations(cfg: SuiteConfig):
         f_val = scalar.comparison_poly_f(x, 0.75)
         f_ref = x * x * (x - 1.0) ** 2 * (2.0 * x + 1.0)
         ok = abs(f_val - f_ref) <= 1e-12 * _poly_scale(x, 0.75)
-        yield ok, f_val - f_ref, {"poly": "f", "x": x, "value": f_val, "reference": f_ref}
+        yield ok, f_val - f_ref, (None if ok else
+                                  {"poly": "f", "x": x, "value": f_val, "reference": f_ref})
         g_val = scalar.comparison_poly_g(x, 0.75)
         g_ref = (x - 1.0) ** 2 * (x ** 4 + x ** 3 + 1.5 * x * x + x + 0.5)
         ok = abs(g_val - g_ref) <= 1e-12 * _poly_scale(x, 0.75)
-        yield ok, g_val - g_ref, {"poly": "g", "x": x, "value": g_val, "reference": g_ref}
+        yield ok, g_val - g_ref, (None if ok else
+                                  {"poly": "g", "x": x, "value": g_val, "reference": g_ref})
 
 
 def _claim_limit_delta(cfg: SuiteConfig):
@@ -635,7 +639,8 @@ def _claim_limit_delta(cfg: SuiteConfig):
         for n in range(5, 20):
             rate = deltas[n] / deltas[n + 1]
             ok = rate >= 1.9 and deltas[n] <= log_ratio ** 2 * 2.0 ** (1 - n)
-            yield ok, rate, {"ratio": ratio, "n": n, "delta": deltas[n], "rate": rate}
+            yield ok, rate, (None if ok else
+                             {"ratio": ratio, "n": n, "delta": deltas[n], "rate": rate})
 
 
 def _claim_limit_log(cfg: SuiteConfig):
@@ -644,14 +649,14 @@ def _claim_limit_log(cfg: SuiteConfig):
     for x in xs:
         slack = scalar.fundamental_log_slack(x)
         ok = slack >= 0.0 and (slack >= 1e-12 or abs(x - 1.0) < 1e-6)
-        yield ok, slack, {"x": x, "slack": slack}
+        yield ok, slack, None if ok else {"x": x, "slack": slack}
     for exponent in _lin_grid(-2.0, 2.0, 8):
         ratio = 10.0 ** exponent
         for v in _lin_grid(-6.0, 6.0, 25):
             slack = scalar.limit_inequality_slack(1.0, ratio, v)
             x = math.exp((v - 0.5) * math.log(ratio))
             ok = slack >= 0.0 and (slack >= 1e-12 or abs(x - 1.0) < 1e-6)
-            yield ok, slack, {"ratio": ratio, "v": v, "slack": slack}
+            yield ok, slack, None if ok else {"ratio": ratio, "v": v, "slack": slack}
 
 
 def _claim_bound_validity(cfg: SuiteConfig):
@@ -669,7 +674,8 @@ def _claim_bound_validity(cfg: SuiteConfig):
                 worst = min(worst, slack)
                 if slack < -1e-9 * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
                     ok = False
-            yield ok, (None if worst is math.inf else worst), {"ratio": t, "v": v}
+            worst = None if worst is math.inf else worst
+            yield ok, worst, None if ok else {"ratio": t, "v": v}
 
 
 def _gap_bound(fn, branch: str, depth: int):

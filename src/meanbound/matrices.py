@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .scalar import DomainError, _require_weight
+from .scalar import DomainError, _finite, _require_weight, _shown
 
 SYM_INPUT_TOL = 1e-12      # constructor / parser symmetry tolerance
 SYM_OP_TOL = 1e-10         # internal operation symmetry tolerance
@@ -299,8 +299,8 @@ def spd_power(a: SpdMatrix, p: float) -> SpdMatrix:
     factor is I, so the kernel forms Q diag(lam^p) Q^T of A's own eigensolve."""
     if not isinstance(a, SpdMatrix):
         raise MatrixError("spd_power requires an SpdMatrix")
-    if not math.isfinite(p):
-        raise DomainError(f"exponent must be finite, got {p!r}")
+    if not _finite(p):
+        raise DomainError(f"exponent must be finite, got {_shown(p)}")
     eye = SpdMatrix._trusted(np.eye(a.dim))
     return SpdMatrix._trusted(MeanCalculator(eye, a).sharp_entries(p))
 

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .scalar import _shown
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi  # Box-Muller's angle factor, formed once
@@ -166,8 +168,8 @@ class Xoshiro256StarStar:
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via the multiply-shift reduction; n >= 1."""
-        if n < 1:
-            raise ValueError(f"randint needs n >= 1, got {n}")
+        if n < 1:  # an int too long to print shows as its bit length
+            raise ValueError(f"randint needs n >= 1, got {_shown(n)}")
         return (self.next_u64() * n) >> 64
 
     def gauss_pair(self) -> tuple[float, float]:

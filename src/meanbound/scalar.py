@@ -44,14 +44,36 @@ def _shown(value) -> str:
         return f"[{text}]" if isinstance(value, list) else f"({text}{',' * (len(value) == 1)})"
 
 
+def _finite(x) -> bool:
+    """math.isfinite(x), False for an int past the float range, where it raises
+    OverflowError; the checks of every evaluation inline it."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _require_pair(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"operands must be finite and > 0, got a={a!r}, b={b!r}")
+    try:
+        if math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0:
+            return
+    except OverflowError:
+        pass
+    raise DomainError(f"operands must be finite and > 0, got a={_shown(a)}, b={_shown(b)}")
 
 
 def _require_weight(v: float) -> None:
-    if not math.isfinite(v):
-        raise DomainError(f"weight must be finite, got v={v!r}")
+    try:
+        if math.isfinite(v):
+            return
+    except OverflowError:
+        pass
+    raise DomainError(f"weight must be finite, got v={_shown(v)}")
+
+
+def _require_positive(x: float) -> None:
+    if not (_finite(x) and x > 0.0):
+        raise DomainError(f"x must be finite and > 0, got {_shown(x)}")
 
 
 def _require_point(a: float, b: float, v: float) -> None:
@@ -84,28 +106,35 @@ class BoundReport(NamedTuple):
     @property
     def tol(self) -> float:
         """The verdict tolerance: the report holds iff gap >= -tol."""
-        return REL_TOL * (abs(self.lhs) + abs(self.rhs))
+        return _tol(self.lhs, self.rhs)
 
     def as_dict(self) -> dict:
         return self._asdict()
+
+
+def _tol(lhs: float, rhs: float) -> float:
+    """BoundReport.tol of a report with sides lhs and rhs."""
+    return REL_TOL * (abs(lhs) + abs(rhs))
 
 
 def _report(fam, branch, a, b, v, n, lhs, rhs, upper, hyp=None, mirrored=False):
     """The report at (a, b, v) of lhs against rhs, evaluated at (a, b, v) or,
     ``mirrored``, at (b, a, 1 - v) as branch i: the one mirror rule of every
     branch-ii bound.  An overflowing gap names the point evaluated; the
-    hypothesis flag hyp defaults to record fam's rule at that point.
+    hypothesis flag hyp defaults to record fam's rule at that point.  The
+    verdict reads the expression of ``BoundReport.tol``, and the report is
+    built once, its verdict in place.
     """
     gap = (rhs - lhs) if upper else (lhs - rhs)
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
     if not math.isfinite(gap):
+        x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
         raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
                             f"leaves the floating-point range")
     if hyp is None:
-        hyp = fam.hypothesis("i" if mirrored else branch, w, n)
-    rep = BoundReport(fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, True)
+        hyp = fam.hypothesis("i", 1.0 - v, n) if mirrored else fam.hypothesis(branch, v, n)
     # tol >= 0, so only a negative gap needs it
-    return rep if gap >= 0.0 or gap >= -rep.tol else rep._replace(holds=False)
+    holds = gap >= 0.0 or gap >= -_tol(lhs, rhs)
+    return tuple.__new__(BoundReport, (fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, holds))
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +619,7 @@ def limit_inequality_slack(a: float, b: float, v: float) -> float:
 
 def fundamental_log_slack(x: float) -> float:
     """Slack x - 1 - ln x of the fundamental logarithm inequality, x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
+    _require_positive(x)
     return x - 1.0 - math.log(x)
 
 
@@ -605,8 +633,7 @@ def comparison_poly_f(x: float, v: float) -> float:
     Nonnegative for x > 0 when v is in [3/4, 1]; vanishes at x = 1 for
     every v and factors as x^2 (x-1)^2 (2x+1) at v = 3/4.
     """
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
+    _require_positive(x)
     _require_weight(v)
     return ((8.0 * v - 4.0) * x ** 5 + (3.0 - 8.0 * v) * x ** 4
             + (4.0 - 4.0 * v) * x ** 2 + (4.0 * v - 3.0))
@@ -618,8 +645,7 @@ def comparison_poly_g(x: float, v: float) -> float:
     Nonnegative for x > 0 when v is in [3/4, 1]; vanishes at x = 1 and
     factors as (x-1)^2 (x^4 + x^3 + (3/2)x^2 + x + 1/2) at v = 3/4.
     """
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
+    _require_positive(x)
     _require_weight(v)
     return ((4.0 * v - 2.0) * x ** 6 + (2.0 - 4.0 * v) * x ** 5
             + (2.0 * v - 1.0) * x ** 4 + (2.0 - 4.0 * v) * x ** 3

@@ -655,6 +655,46 @@ def test_comparison_failure_recording_via_canary_claim(monkeypatch):
     assert rep.coverage == {"canary_op": 2}
 
 
+# the inputs a failing cell of each claim records; the ratio-quartic claim
+# reads no scalar function, so NaN values cannot make it fail
+_CELL_DETAILS = {
+    "dominance": [("ratio", "v", "tighter", "looser")],
+    "poly/f-grid": [("x", "v", "value"), ("x", "v", "min_at", "value_at_one")],
+    "poly/g-grid": [("x", "v", "value"), ("x", "v", "min_at", "value_at_one")],
+    "poly/factorizations": [("poly", "x", "value", "reference")],
+    "limit/delta-decay": [("ratio", "n", "delta", "rate")],
+    "limit/log-inequality": [("x", "slack"), ("ratio", "v", "slack")],
+    "compare/bound-validity": [("ratio", "v")],
+}
+
+
+def test_grid_cells_record_their_inputs_only_when_they_fail(monkeypatch):
+    # every public scalar value NaN, and a true gap of 1e300 above every
+    # bound, so each claim but the ratio quartic fails cell by cell
+    class NanScalar:
+        def __getattr__(self, name):
+            value = getattr(scalar, name)
+            if name == "gap_bounds":
+                return lambda *args: (1e300, value(*args)[1])
+            if inspect.isfunction(value) and not name.startswith("_"):
+                return lambda *args: math.nan
+            return value
+
+    cfg = SuiteConfig(grid_points=4)
+    for key, _, runner in harness._comparison_claims():
+        assert all(ok and details is None for ok, _, details in runner(cfg)), key
+    # the claims bind the scalar functions they compare when they are listed
+    monkeypatch.setattr(harness, "scalar", NanScalar())
+    for key, _, runner in harness._comparison_claims():
+        cells = list(runner(cfg))
+        if key == "poly/ratio-quartic":
+            assert all(ok and details is None for ok, _, details in cells)
+            continue
+        expected = _CELL_DETAILS.get(key.partition("/")[0], _CELL_DETAILS.get(key))
+        assert cells and not any(ok for ok, _, _ in cells), key
+        assert {tuple(details) for _, _, details in cells} == set(expected), key
+
+
 def test_numeric_errors_recorded_not_fatal():
     # weights far outside the supported envelope overflow the power and the
     # suite must record the trial as a failure with its cause, not abort

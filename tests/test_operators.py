@@ -14,6 +14,7 @@ from meanbound.matrices import (
     arithmetic_mean,
     geometric_mean,
     heinz_mean,
+    spd_power,
 )
 from meanbound.operators import (
     OPERATOR_BY_NAME,
@@ -122,6 +123,14 @@ def test_input_validation():
     a = spd(2)
     with pytest.raises(DomainError, match="^depth must satisfy 2 <= n <= 30, got n="):
         theorem_t6(a, a, 0.2, 10 ** 5000, "i")
+    # a weight or exponent past the float range: the DomainError, not a bare
+    # OverflowError from math.isfinite
+    with pytest.raises(DomainError, match="^weight must be finite, got v=10{400}$"):
+        theorem_t6(a, a, 10 ** 400, 2, "i")
+    with pytest.raises(DomainError, match="^weight must be finite, got v=10{400}$"):
+        geometric_mean(a, a, 10 ** 400)
+    with pytest.raises(DomainError, match="^exponent must be finite, got 10{400}$"):
+        spd_power(a, 10 ** 400)
 
 
 def test_fingerprints_identify_matrices():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import pytest
@@ -96,8 +97,18 @@ def test_substream_states_work_chunk_by_chunk():
 
 @pytest.mark.parametrize("n", [0, -1, -3])
 def test_randint_rejects_an_empty_range(n):
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError) as err:
         Xoshiro256StarStar(5).randint(n)
+    assert str(err.value) == f"randint needs n >= 1, got {n}"
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+                    reason="this interpreter prints ints of any length")
+def test_randint_names_an_int_too_long_to_print():
+    # not the bare ValueError of the int-to-text limit
+    with pytest.raises(ValueError) as err:
+        Xoshiro256StarStar(1).randint(-10 ** 5000)
+    assert str(err.value) == "randint needs n >= 1, got <negative int of 16610 bits>"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 2 ** 63])

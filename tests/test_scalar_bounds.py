@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,11 @@ from meanbound.harness import SCALAR_ROWS
 import oracles
 
 REL = 5e-15  # float64 agreement with the 50-digit oracle
+# an interpreter that limits int-to-text conversion (4300 digits by default)
+# cannot print 10 ** 5000, so messages show such an int by its bit length
+LIMITED_INT_TEXT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+    reason="this interpreter prints ints of any length")
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 unit_weight = st.floats(min_value=0.0, max_value=1.0)
@@ -678,6 +684,25 @@ def test_compare_flags_match_the_written_out_windows(n):
     (lambda: theorem_main_reverse(1, 2, 0.2, 10 ** 5000, "i"),
      "depth must satisfy 1 <= n <= 30, got n="),
     (lambda: sababheh_indices(0.5, 10 ** 5000), "index level must satisfy 1 <= k <= 60, got "),
+    # an int past the float range is not finite: the DomainError names it,
+    # not math.isfinite's bare OverflowError
+    pytest.param(lambda: theorem_main_reverse(1, 2, 10 ** 5000, 2, "i"),
+                 "weight must be finite, got v=<int of 16610 bits>",
+                 marks=LIMITED_INT_TEXT, id="weight-huge-int"),
+    pytest.param(lambda: young_lhs(10 ** 5000, 2, 0.5),
+                 "operands must be finite and > 0, got a=<int of 16610 bits>, b=2",
+                 marks=LIMITED_INT_TEXT, id="operand-huge-int"),
+    pytest.param(lambda: comparison_poly_g(-10 ** 5000, 0.8),
+                 "x must be finite and > 0, got <negative int of 16610 bits>",
+                 marks=LIMITED_INT_TEXT, id="poly-x-huge-negative-int"),
+    (lambda: theorem_main_reverse(10 ** 400, 2, 0.2, 2, "i"),
+     f"operands must be finite and > 0, got a={10 ** 400}, b=2"),
+    (lambda: gap_bounds(1, 2, 10 ** 400, 3), f"weight must be finite, got v={10 ** 400}"),
+    (lambda: sababheh_indices(10 ** 400, 2), f"weight must be finite, got v={10 ** 400}"),
+    (lambda: log_limit_gap(10 ** 400, 2, 3),
+     f"operands must be finite and > 0, got a={10 ** 400}, b=2"),
+    (lambda: fundamental_log_slack(10 ** 400), f"x must be finite and > 0, got {10 ** 400}"),
+    (lambda: comparison_poly_f(10 ** 400, 0.8), f"x must be finite and > 0, got {10 ** 400}"),
 ])
 def test_argument_checks_keep_their_messages(call, message):
     with pytest.raises(DomainError) as err:
@@ -717,6 +742,21 @@ _MIRRORING_ROWS = [row for row in SCALAR_ROWS
 def test_mirrored_calls_name_the_callers_arguments(row, a, b, v, message):
     with pytest.raises(DomainError) as err:
         row.evaluate(a, b, v, row.min_depth)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    # a mirrored branch names the point it evaluated, (b, a, 1 - v)
+    (lambda: theorem_main_reverse(1e300, 1.7e308, 1.001, 1, "ii"),
+     "theorem-main-reverse: gap inf at a=1.7e+308, b=1e+300, v=-0.0009999999999998899 "
+     "leaves the floating-point range"),
+    (lambda: corollary_one_term(1e300, 1.7e308, 1.001, "i"),
+     "corollary-one-term: gap inf at a=1e+300, b=1.7e+308, v=1.001 "
+     "leaves the floating-point range"),
+])
+def test_overflowing_gap_names_the_point_evaluated(call, message):
+    with pytest.raises(OverflowError) as err:
+        call()
     assert str(err.value) == message
 
 
