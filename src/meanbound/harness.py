@@ -359,29 +359,39 @@ class SuiteReport:
 # Suite runners
 # ---------------------------------------------------------------------------
 
-def _depth_candidates(cfg: SuiteConfig, row: FamilyRow) -> list:
-    if row.min_depth is None:
-        return [None]
-    candidates = [n for n in cfg.depths if n >= row.min_depth]
-    if not candidates:
-        raise ConfigError(
-            f"row {row.key} requires depth >= {row.min_depth}; none in {cfg.depths}")
-    return candidates
-
-
 def _pick(seq, rng: Xoshiro256StarStar):
     return seq[rng.randint(len(seq))] if len(seq) > 1 else seq[0]
 
 
-def _weight_sources(cfg: SuiteConfig, row: FamilyRow, depths: list) -> dict:
-    """Per depth, what a trial's weight is drawn from: the boundary-probe
-    points, or the _spread of the row's hypothesis region clipped to the
-    configured v range; None when there is nothing to draw and the trial is
-    skipped."""
+def _weight_sources(cfg: SuiteConfig, row: FamilyRow) -> list:
+    """(n, source) for each depth n of cfg.depths the row takes, repeats
+    kept, in order (n None for a family that takes no depth).  A source is
+    what a trial's weight is drawn from: the boundary-probe points, or the
+    _spread of the row's hypothesis region clipped to the v range; None when
+    there is nothing to draw and the trial is skipped."""
+    depths = [None] if row.min_depth is None else [n for n in cfg.depths if n >= row.min_depth]
+    if not depths:
+        raise ConfigError(
+            f"row {row.key} requires depth >= {row.min_depth}; none in {cfg.depths}")
     if cfg.boundary_probe:
-        return {n: row.probe(n) or None for n in depths}
-    return {n: _spread(pieces) if (pieces := row.region(n).intervals(cfg.v_range, cfg.margin))
-            else None for n in depths}
+        return [(n, row.probe(n) or None) for n in depths]
+    return [(n, _spread(pieces) if (pieces := row.region(n).intervals(cfg.v_range, cfg.margin))
+             else None) for n in depths]
+
+
+def _verdict(evaluate: Callable, x, y, v, n, probing: bool, cause: str) -> tuple:
+    """The one trial rule of both suites, as (ok, gap, cause) of
+    evaluate(x, y, v, n): an evaluation error fails the trial, its type and
+    message the cause; a boundary probe passes iff |gap| <= tol; otherwise
+    the evaluator's verdict stands where its hypothesis holds, and the trial
+    is skipped (None) elsewhere.  No argument tuple: unpacking one doubled
+    this call's cost."""
+    try:
+        rep = evaluate(x, y, v, n)
+    except Exception as exc:  # recorded, never fatal
+        return False, None, f"{type(exc).__name__}: {exc}"
+    ok = abs(rep.gap) <= rep.tol if probing else (rep.holds if rep.hypothesis_ok else None)
+    return ok, rep.gap, cause
 
 
 def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
@@ -444,20 +454,12 @@ def _kind_rows(cfg: SuiteConfig, kind: str) -> list:
 
 
 def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Sample each scalar row inside its hypothesis region and collect verdicts.
-
-    A trial fails iff the hypothesis held and the evaluator's verdict is
-    false (gap below -REL_TOL * (|lhs| + |rhs|)); evaluation errors are
-    failures with a cause.
-    """
+    """Sample each scalar row inside its hypothesis region and collect verdicts."""
     return _run_suite(cfg, "scalar")
 
 
 def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
-    depths = _depth_candidates(cfg, row)
-    sources = _weight_sources(cfg, row, depths)
-    # each depth with its weight source, picked as _pick(depths, rng) picks
-    picks = [(n, sources[n]) for n in depths]
+    picks = _weight_sources(cfg, row)
     count = len(picks)
     # derive_seed(seed, key, trial) is derive_seed(derive_seed(seed, key), trial)
     row_seed = derive_seed(cfg.seed, fnv1a64("scalar/" + row.key))
@@ -477,20 +479,9 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
             yield None, None, None
             continue
         v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
-        try:
-            rep = evaluate(a, b, v, n)
-        except Exception as exc:  # recorded, never fatal
-            ok, gap, cause = False, None, f"{type(exc).__name__}: {exc}"
-        else:
-            gap, cause = rep.gap, "gap below tolerance"
-            if probing:
-                ok = abs(gap) <= rep.tol
-            else:
-                ok = rep.holds if rep.hypothesis_ok else None
-        if ok or ok is None:
-            yield ok, gap, None
-        else:
-            yield False, gap, {"a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
+        ok, gap, cause = _verdict(evaluate, a, b, v, n, probing, "gap below tolerance")
+        yield ok, gap, None if ok or ok is None else {
+            "a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
 
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -499,8 +490,7 @@ def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
-    depths = _depth_candidates(cfg, row)
-    sources = _weight_sources(cfg, row, depths)
+    picks = _weight_sources(cfg, row)
     row_seed = derive_seed(cfg.seed, fnv1a64("operator/" + row.key))
     probing = cfg.boundary_probe
     # no read-ahead: a trial draws dozens of words in random_spd, and over
@@ -508,30 +498,18 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     for state in substream_states(row_seed, cfg.trials):
         rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)
-        n = _pick(depths, rng)
-        source = sources[n]
+        n, source = _pick(picks, rng)
         if source is None:
             yield None, None, None
             continue
         v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
         mat_a = random_spd(dim, cfg.cond_max, rng)
         mat_b = random_spd(dim, cfg.cond_max, rng)
-        try:
-            rep = row.evaluate(mat_a, mat_b, v, n)
-        except Exception as exc:  # recorded, never fatal
-            ok, gap, cause = False, None, f"{type(exc).__name__}: {exc}"
-        else:
-            gap, cause = rep.min_eig_gap, "min eigenvalue below tolerance"
-            if probing:
-                ok = abs(gap) <= rep.tol
-            else:
-                ok = rep.holds if rep.hypothesis_ok else None
-        if ok or ok is None:
-            yield ok, gap, None
-        else:
-            yield False, gap, {"dim": dim, "v": v, "n": n, "min_eig_gap": gap,
-                               "matrix_a": mat_a.entries.tolist(),
-                               "matrix_b": mat_b.entries.tolist(), "cause": cause}
+        ok, gap, cause = _verdict(row.evaluate, mat_a, mat_b, v, n, probing,
+                                  "min eigenvalue below tolerance")
+        yield ok, gap, None if ok or ok is None else {
+            "dim": dim, "v": v, "n": n, "min_eig_gap": gap, "matrix_a": mat_a.entries.tolist(),
+            "matrix_b": mat_b.entries.tolist(), "cause": cause}
 
 
 def replay_scalar_failure(record: dict) -> BoundReport:

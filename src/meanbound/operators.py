@@ -64,6 +64,11 @@ class OperatorBoundReport(NamedTuple):
     fingerprint_a: str
     fingerprint_b: str
 
+    @property
+    def gap(self) -> float:
+        """The verdict's margin, as BoundReport.gap: the report holds iff gap >= -tol."""
+        return self.min_eig_gap
+
     def as_dict(self) -> dict:
         return self._asdict()
 

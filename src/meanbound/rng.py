@@ -168,6 +168,9 @@ class Xoshiro256StarStar:
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via the multiply-shift reduction; n >= 1."""
+        # checked before a word is drawn; a plain int passes at the first test
+        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+            raise TypeError(f"randint needs an integer n, got {_shown(n)}")
         if n < 1:  # an int too long to print shows as its bit length
             raise ValueError(f"randint needs n >= 1, got {_shown(n)}")
         return (self.next_u64() * n) >> 64

@@ -16,9 +16,10 @@ operands are never formed directly.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Optional, Union
 
 REL_TOL = 1e-9
@@ -74,6 +75,27 @@ def _require_weight(v: float) -> None:
 def _require_positive(x: float) -> None:
     if not (_finite(x) and x > 0.0):
         raise DomainError(f"x must be finite and > 0, got {_shown(x)}")
+
+
+def _named_overflow(fn: Callable) -> Callable:
+    """fn, raising an OverflowError that names fn and its point, in
+    _young's form, where fn's value leaves the floating-point range: by
+    an OverflowError of the arithmetic or by an infinite or NaN result."""
+
+    @wraps(fn)
+    def ranged(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        point = inspect.signature(fn).bind(*args, **kwargs).arguments.items()
+        raise OverflowError(f"{fn.__name__}: value at "
+                            f"{', '.join(f'{k}={x!r}' for k, x in point)} "
+                            f"leaves the floating-point range")
+
+    return ranged
 
 
 def _require_point(a: float, b: float, v: float) -> None:
@@ -167,12 +189,14 @@ def young_lhs(a: float, b: float, v: float) -> float:
     return _young(a, b, v)
 
 
+@_named_overflow
 def weighted_geometric(a: float, b: float, v: float) -> float:
     """Weighted geometric mean a^(1-v) * b^v, via exp/log for any real v."""
     _require_point(a, b, v)
     return _geometric(a, b, v)
 
 
+@_named_overflow
 def heinz_scalar(a: float, b: float, v: float) -> float:
     """Heinz mean (a^(1-v) b^v + a^v b^(1-v)) / 2; symmetric in v <-> 1-v."""
     _require_point(a, b, v)
@@ -610,6 +634,7 @@ def log_limit_gap(a: float, b: float, n: int) -> float:
     return abs(2.0 ** n * math.expm1(lr / 2.0 ** n) - lr)
 
 
+@_named_overflow
 def limit_inequality_slack(a: float, b: float, v: float) -> float:
     """Slack x - 1 - ln x at x = (b/a)^(v - 1/2); nonnegative for all real v."""
     _require_point(a, b, v)
@@ -627,6 +652,7 @@ def fundamental_log_slack(x: float) -> float:
 # Comparison polynomials
 # ---------------------------------------------------------------------------
 
+@_named_overflow
 def comparison_poly_f(x: float, v: float) -> float:
     """Quintic (8v-4)x^5 + (3-8v)x^4 + (4-4v)x^2 + (4v-3).
 
@@ -639,6 +665,7 @@ def comparison_poly_f(x: float, v: float) -> float:
             + (4.0 - 4.0 * v) * x ** 2 + (4.0 * v - 3.0))
 
 
+@_named_overflow
 def comparison_poly_g(x: float, v: float) -> float:
     """Sextic (4v-2)x^6 + (2-4v)x^5 + (2v-1)x^4 + (2-4v)x^3 + (2v-1).
 

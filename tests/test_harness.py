@@ -606,12 +606,51 @@ def test_failure_recording_and_replay_via_canary_row(monkeypatch):
     assert replayed.gap == record["gap"]
 
 
-def _operator_canary(monkeypatch, evaluate):
+@pytest.mark.parametrize("probe", [False, True])
+def test_probe_failures_recorded_via_canary_row(monkeypatch, probe):
+    # outside its hypothesis a trial is skipped; a probe trial reads only
+    # whether the gap is within tolerance of zero, whatever the hypothesis
+    canary = dataclasses.replace(
+        SCALAR_ROWS[0], key="canary", family="reverse-young-basic", branch="x",
+        evaluate=lambda a, b, v, n: BoundReport(
+            "canary", "x", a, b, v, n, 1.0, 0.5, -0.5, False, False))
+    monkeypatch.setattr(harness, "SCALAR_ROWS", [canary])
+    cfg = SuiteConfig(trials=6, families=("reverse-young-basic",), boundary_probe=probe)
+    row = run_scalar_suite(cfg).rows[0]
+    if not probe:
+        assert row.skipped == row.trials and not row.failure_records
+        return
+    assert row.failures == row.trials == len(row.failure_records)
+    for record in row.failure_records:
+        assert list(record) == ["row", "trial", "a", "b", "v", "n", "gap", "cause"]
+        assert record["v"] in (0.0, 1.0) and record["gap"] == -0.5
+        assert record["cause"] == "gap below tolerance"
+
+
+def _operator_canary(monkeypatch, evaluate, probe=False):
     canary = dataclasses.replace(OPERATOR_ROWS[0], key="canary", branch="x",
                                  evaluate=evaluate)
     monkeypatch.setattr(harness, "OPERATOR_ROWS", [canary])
-    cfg = SuiteConfig(trials=4, dims=(1, 3), families=("operator",))
+    cfg = SuiteConfig(trials=4, dims=(1, 3), families=("operator",), boundary_probe=probe)
     return run_operator_suite(cfg).rows[0]
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_operator_probe_failures_recorded_via_canary_row(monkeypatch, probe):
+    def wrong(a, b, v, n):
+        return OperatorBoundReport("canary", "x", a.dim, v, n, -1.0,
+                                   1e-8, False, False, False, "", "")
+
+    row = _operator_canary(monkeypatch, wrong, probe)
+    if not probe:
+        assert row.skipped == row.trials and not row.failure_records
+        return
+    assert row.failures == row.trials == len(row.failure_records)
+    for record in row.failure_records:
+        assert list(record) == ["row", "trial", "dim", "v", "n", "min_eig_gap",
+                                "matrix_a", "matrix_b", "cause"]
+        assert record["min_eig_gap"] == -1.0
+        assert record["cause"] == "min eigenvalue below tolerance"
 
 
 def test_operator_failure_recording_and_replay_via_canary_row(monkeypatch):

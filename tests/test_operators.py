@@ -97,6 +97,18 @@ def test_equal_operands_degenerate_short_circuit():
     assert rep.degenerate
 
 
+def test_gap_is_the_min_eigenvalue_gap_and_not_a_report_field():
+    rng = Xoshiro256StarStar(5)
+    a, b = random_spd(3, 1e3, rng), random_spd(3, 1e3, rng)
+    reports = [theorem_t6(a, b, 0.9, 3, "i"), theorem_t66(a, b, 2.0, 2, "ii"),
+               corollary_c3(a, a, 0.9, 3, "i"),  # degenerate: gap 0
+               corollary_c33(a, b, 0.5, 1, "i")]  # inside its window
+    for rep in reports:
+        assert rep.gap == rep.min_eig_gap
+        assert "gap" not in rep.as_dict() and "gap" not in rep._fields
+        assert rep.holds == (rep.gap >= -rep.tol)
+
+
 def test_hypothesis_windows_follow_scalar_counterparts():
     a, b = spd(2), spd(2)
     assert theorem_t6(a, b, 0.6, 2, "i").hypothesis_ok is False

@@ -111,6 +111,16 @@ def test_randint_names_an_int_too_long_to_print():
     assert str(err.value) == "randint needs n >= 1, got <negative int of 16610 bits>"
 
 
+@pytest.mark.parametrize("n", [2.5, 6.0, True, False, "3", None])
+def test_randint_rejects_a_non_integer_before_drawing(n):
+    # a bool is no integer here, as the suite settings read it
+    rng = Xoshiro256StarStar(1)
+    with pytest.raises(TypeError) as err:
+        rng.randint(n)
+    assert str(err.value) == f"randint needs an integer n, got {n!r}"
+    assert rng.next_u64() == Xoshiro256StarStar(1).next_u64()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 2 ** 63])
 def test_randint_is_the_multiply_shift_of_next_u64(n):
     rng, words = Xoshiro256StarStar(5), Xoshiro256StarStar(5)

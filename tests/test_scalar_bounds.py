@@ -753,6 +753,26 @@ def test_mirrored_calls_name_the_callers_arguments(row, a, b, v, message):
     (lambda: corollary_one_term(1e300, 1.7e308, 1.001, "i"),
      "corollary-one-term: gap inf at a=1e+300, b=1.7e+308, v=1.001 "
      "leaves the floating-point range"),
+    # the public means, the limit slack and the comparison polynomials name
+    # themselves and their arguments, whether the arithmetic raises or a
+    # finite term makes an infinite sum or product
+    (lambda: weighted_geometric(1, 1e300, 5.0),
+     "weighted_geometric: value at a=1, b=1e+300, v=5.0 leaves the floating-point range"),
+    (lambda: heinz_scalar(1, 1e300, 5.0),
+     "heinz_scalar: value at a=1, b=1e+300, v=5.0 leaves the floating-point range"),
+    (lambda: heinz_scalar(1.7e308, 1.7e308, 0.5),
+     "heinz_scalar: value at a=1.7e+308, b=1.7e+308, v=0.5 leaves the floating-point range"),
+    (lambda: limit_inequality_slack(1, 1e300, 1e10),
+     "limit_inequality_slack: value at a=1, b=1e+300, v=10000000000.0 "
+     "leaves the floating-point range"),
+    (lambda: comparison_poly_f(1e100, 0.8),
+     "comparison_poly_f: value at x=1e+100, v=0.8 leaves the floating-point range"),
+    (lambda: comparison_poly_f(4e61, 0.8),
+     "comparison_poly_f: value at x=4e+61, v=0.8 leaves the floating-point range"),
+    (lambda: comparison_poly_g(1e100, 0.8),
+     "comparison_poly_g: value at x=1e+100, v=0.8 leaves the floating-point range"),
+    (lambda: comparison_poly_g(2.35e51, 0.8),
+     "comparison_poly_g: value at x=2.35e+51, v=0.8 leaves the floating-point range"),
 ])
 def test_overflowing_gap_names_the_point_evaluated(call, message):
     with pytest.raises(OverflowError) as err:
