@@ -8,8 +8,10 @@ comparison).
 
 Exit codes: 0 when the checked inequalities hold or their hypotheses are
 not met, 1 when a hypothesis-valid inequality is violated (or a suite
-records failures), 2 on input or configuration errors and on results that
-overflow the floating-point range.
+records failures), 2 by error class: a ValueError (every input and
+configuration error, and a file that is not UTF-8 text), an
+ArithmeticError (a result past the floating-point range), an OSError or a
+JacobiConvergenceError.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import os
 import sys
 
 from . import __version__, harness, reporting, scalar
-from .harness import ConfigError, EmptyRegionError, SuiteConfig
-from .matrices import JacobiConvergenceError, MatrixError, load_spd_matrix
+from .harness import ConfigError, SuiteConfig
+from .matrices import JacobiConvergenceError, load_spd_matrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .scalar import DomainError
 
@@ -43,7 +45,7 @@ def parse_number(text: str) -> float:
         num, _, den = text.partition("/")
         try:
             return int(num, 10) / int(den, 10)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ArithmeticError):  # a quotient past the float range too
             raise DomainError(f"cannot parse fraction {text!r}") from None
     try:
         return float(text)
@@ -51,29 +53,36 @@ def parse_number(text: str) -> float:
         raise DomainError(f"cannot parse number {text!r}") from None
 
 
-def _emit(doc: dict, csv_rows: list, text: str, fmt: str, out_path) -> None:
+def _emit(args, results: list, text: str = "", rows=None, doc=None, fmt=None) -> None:
+    """Write a command's output in fmt (args.format unless given) to --out,
+    else to stdout: as json its document (unless given, the point verbs'
+    document of ``results``), as csv its ``rows`` (unless given, ``results``),
+    or its text."""
+    fmt = fmt or args.format
     if fmt == "json":
+        doc = doc or {"tool_version": __version__, "config": {"command": args.command},
+                      "results": results, "failures": []}
         payload = reporting.dumps(doc)
     elif fmt == "csv":
-        payload = reporting.to_csv(csv_rows)
+        payload = reporting.to_csv(results if rows is None else rows)
     else:
         payload = text
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
-def _doc(config: dict, results: list, failures: list) -> dict:
-    return {"tool_version": __version__, "config": config,
-            "results": results, "failures": failures}
+def _emit_reports(args, reports: list, text: str) -> int:
+    """Write evaluated reports; exit 1 iff one's hypothesis holds and its
+    inequality does not."""
+    _emit(args, [rep.as_dict() for rep in reports], text)
+    return int(any(rep.hypothesis_ok and not rep.holds for rep in reports))
 
 
 def _report_text(rep) -> str:
-    d = rep.as_dict()
-    pairs = " ".join(f"{key}={_short(value)}" for key, value in d.items())
-    return pairs
+    return " ".join(f"{key}={_short(value)}" for key, value in rep.as_dict().items())
 
 
 def _short(value) -> str:
@@ -96,14 +105,12 @@ def cmd_bound(args) -> int:
     # one row, or one per branch (picked by --branch) or per form (--form)
     row = next(r for r in rows if r.branch in ("", args.branch, args.form))
     rep = row.evaluate(args.a, args.b, args.v, args.n)
-    doc = _doc({"command": "bound"}, [rep.as_dict()], [])
-    _emit(doc, [rep.as_dict()], _report_text(rep), args.format, args.out)
-    return 0 if (rep.holds or not rep.hypothesis_ok) else 1
+    return _emit_reports(args, [rep], _report_text(rep))
 
 
 def cmd_check_scalar(args) -> int:
     wanted = args.family or sorted({row.family for row in harness.SCALAR_ROWS})
-    results, lines, violated = [], [], False
+    reports, lines = [], []
     for family in wanted:
         rows = [row for row in harness.SCALAR_ROWS if row.family == family]
         if not rows:
@@ -114,13 +121,9 @@ def cmd_check_scalar(args) -> int:
             except DomainError as exc:
                 lines.append(f"{family}/{row.branch}: not applicable ({exc})")
                 continue
-            results.append(rep.as_dict())
+            reports.append(rep)
             lines.append(_report_text(rep))
-            if rep.hypothesis_ok and not rep.holds:
-                violated = True
-    doc = _doc({"command": "check-scalar"}, results, [])
-    _emit(doc, results, "\n".join(lines), args.format, args.out)
-    return 1 if violated else 0
+    return _emit_reports(args, reports, "\n".join(lines))
 
 
 def cmd_check_operator(args) -> int:
@@ -133,9 +136,7 @@ def cmd_check_operator(args) -> int:
     mat_a = load_spd_matrix(args.matrix_a)
     mat_b = load_spd_matrix(args.matrix_b)
     rep = family.evaluate(mat_a, mat_b, args.v, args.n, args.branch or "i")
-    doc = _doc({"command": "check-operator"}, [rep.as_dict()], [])
-    _emit(doc, [rep.as_dict()], _report_text(rep), args.format, args.out)
-    return 0 if (rep.holds or not rep.hypothesis_ok) else 1
+    return _emit_reports(args, [rep], _report_text(rep))
 
 
 def cmd_compare(args) -> int:
@@ -148,9 +149,7 @@ def cmd_compare(args) -> int:
     if valid:
         best = min(valid, key=lambda g: g.value)
         lines.append(f"tightest valid bound: {best.label} = {_short(best.value)}")
-    doc = _doc({"command": "compare"}, [rep.as_dict()], [])
-    _emit(doc, [g.as_dict() for g in rep.bounds], "\n".join(lines),
-          args.format, args.out)
+    _emit(args, [rep.as_dict()], "\n".join(lines), rows=[g.as_dict() for g in rep.bounds])
     return 0
 
 
@@ -183,8 +182,7 @@ def cmd_repro(args) -> int:
         "tighter": "(19)" if gb_dyadic < gb_sm else "(15)",
         "consistent": tighter_ok,
     }]
-    doc = _doc({"command": "repro"}, results, [])
-    _emit(doc, results, "\n".join(lines), args.format, args.out)
+    _emit(args, results, "\n".join(lines))
     return 0 if tighter_ok else 1
 
 
@@ -241,19 +239,15 @@ def _build_suite_config(args) -> SuiteConfig:
 
 
 def cmd_suite(args) -> int:
-    cfg = _build_suite_config(args)
-    report = harness.run_all(cfg)
+    report = harness.run_all(_build_suite_config(args))
     code = 0 if report.total_failures == 0 else 1
-    doc = report.to_doc(include_wall_time=True)
-    if args.format == "csv":  # the rows, to --out when given
-        _emit(doc, [row.as_dict() for row in report.rows], "", "csv", args.out)
-        return code
-    # text and json runs write the JSON report to --out
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(reporting.dumps(doc))
-    if args.format == "json" and not args.out:
-        sys.stdout.write(reporting.dumps(doc))
+    # csv runs write the rows, json runs the JSON report, and text runs the
+    # JSON report to --out if given; text runs, and json runs with --out,
+    # then print the text summary
+    if args.out or args.format != "text":
+        _emit(args, [row.as_dict() for row in report.rows], doc=report.to_doc(),
+              fmt="json" if args.format == "text" else None)
+    if args.format == "csv" or (args.format == "json" and not args.out):
         return code
     lines = []
     for row in report.rows:
@@ -342,8 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, MatrixError, ConfigError, EmptyRegionError,
-            JacobiConvergenceError, OSError, OverflowError) as exc:
+    # every library input error is a ValueError, as is UnicodeDecodeError
+    except (ValueError, ArithmeticError, OSError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

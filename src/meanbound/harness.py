@@ -100,10 +100,11 @@ def _sample_pieces(source: tuple, u: float) -> float:
 def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     """Random SPD matrix Q diag(lam) Q^T with log-uniform spectrum.
 
-    Q comes from the QR orthogonalization of a standard-Gaussian matrix
-    (sign-normalized so the factorization is unique); the eigenvalues are
-    log-uniform in [cond_max^-1/2, cond_max^1/2].  Fully determined by the
-    generator state.
+    Q is the orthogonal factor of the QR factorization of a standard-Gaussian
+    matrix, with the column signs LAPACK gives: negating column j negates both
+    factors of each product q_ij lam_j q_kj, so no sign choice changes a bit
+    of Q diag(lam) Q^T.  The eigenvalues are log-uniform in [cond_max^-1/2,
+    cond_max^1/2].  Fully determined by the generator state.
     """
     # dims and cond_max as SuiteConfig states them, dim as a one-entry dims
     if not (_is_int(dim) and _SETTINGS["dims"]["ok"]((dim,))):
@@ -117,8 +118,7 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     while len(values) < dim * dim:
         values.extend(rng.gauss_pair())
     gauss = np.array(values[: dim * dim]).reshape(dim, dim)
-    q, r = np.linalg.qr(gauss)
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q = np.linalg.qr(gauss)[0]
     lam = np.array([math.exp(llo + (lhi - llo) * rng.random()) for _ in range(dim)])
     entries = (q * lam) @ q.T
     entries = 0.5 * (entries + entries.T)
@@ -394,13 +394,13 @@ def _verdict(evaluate: Callable, x, y, v, n, probing: bool, cause: str) -> tuple
     return ok, rep.gap, cause
 
 
-def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
-    """The one place a row's outcomes are counted.
+def _tally(key, family, branch, outcomes, ops, tail: dict, coverage: dict) -> RowResult:
+    """The one place a row's outcomes are counted and its failures recorded.
 
     ``outcomes`` yields one (ok, margin, details) per trial: ok is True for
-    a pass, False for a failure, recorded as {"row", "trial", **details},
-    and None for a skip; only a failure builds its details.  The worst
-    margin is the least over the passes; every trial counts toward the
+    a pass, False for a failure, recorded as {"row", "trial", **details,
+    **tail}, and None for a skip; only a failure builds its details.  The
+    worst margin is the least over the passes; every trial counts toward the
     coverage of ``ops``.
     """
     passes = failures = skipped = 0
@@ -416,7 +416,7 @@ def _tally(key, family, branch, outcomes, ops, coverage: dict) -> RowResult:
             skipped += 1
         else:
             failures += 1
-            records.append({"row": key, "trial": trials - 1, **details})
+            records.append({"row": key, "trial": trials - 1, **details, **tail})
     for op in ops:
         coverage[op] = coverage.get(op, 0) + trials
     return RowResult(key, family, branch, trials, passes, failures, skipped, worst, records)
@@ -434,22 +434,19 @@ def _run_suite(cfg: SuiteConfig, kind: str) -> SuiteReport:
         kinds = ("scalar", "operator") + comparison
     coverage: dict = {}
     results = [_tally(*row, coverage) for part in kinds for row in _kind_rows(cfg, part)]
-    for result in results:  # not per cell: a wrapper there slows the grids
-        if result.family == "comparison":
-            for record in result.failure_records:
-                record["cause"] = "claim violated"
     return SuiteReport(kind, cfg.as_dict(), results, coverage, time.perf_counter() - start)
 
 
 def _kind_rows(cfg: SuiteConfig, kind: str) -> list:
-    """Each row of one kind as (key, family, branch, outcomes, ops); the
-    comparison claims are all taken whatever cfg.families says."""
+    """Each row of one kind as (key, family, branch, outcomes, ops, tail), the
+    tail closing its failure records (a grid claim's cause); the comparison
+    claims are all taken whatever cfg.families says."""
     if kind == "comparison":
-        return [(key, "comparison", "", runner(cfg), ops)
+        return [(key, "comparison", "", runner(cfg), ops, {"cause": "claim violated"})
                 for key, ops, runner in _comparison_claims()]
     rows, outcomes = ((SCALAR_ROWS, _scalar_outcomes) if kind == "scalar"
                       else (OPERATOR_ROWS, _operator_outcomes))
-    return [(row.key, row.family, row.branch, outcomes(cfg, row), row.ops)
+    return [(row.key, row.family, row.branch, outcomes(cfg, row), row.ops, {})
             for row in _selected(cfg, rows, kind)]
 
 

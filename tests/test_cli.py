@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -13,6 +14,7 @@ from meanbound import harness
 from meanbound.cli import main, parse_number
 from meanbound.harness import SCALAR_ROWS, SuiteConfig, SuiteReport
 from meanbound.operators import OPERATOR_TABLE
+from meanbound.scalar import BoundReport, DomainError
 
 
 def run_cli(capsys, *argv):
@@ -30,10 +32,26 @@ def test_parse_number_fractions_and_decimals():
     assert parse_number("-3/4") == -0.75
     assert parse_number("0.125") == 0.125
     assert parse_number("2") == 2.0
-    with pytest.raises(Exception):
-        parse_number("1/0")
-    with pytest.raises(Exception):
-        parse_number("x/y")
+
+
+_HUGE_FRACTION = "1" + "0" * 400 + "/3"  # its quotient is past the float range
+
+
+@pytest.mark.parametrize("text", ["1/0", "x/y", "abc", _HUGE_FRACTION],
+                         ids=["zero-denominator", "not-integers", "not-a-number", "huge-quotient"])
+def test_parse_number_rejects_with_a_domain_error(text):
+    with pytest.raises(DomainError, match="^cannot parse"):
+        parse_number(text)
+
+
+def test_weight_past_the_float_range_is_a_usage_error(capsys):
+    # argparse turns the DomainError of a type function into its exit 2
+    with pytest.raises(SystemExit) as stop:
+        main(["bound", "--family", "kittaneh-manasrah", "--a", "1", "--b", "2",
+              "--v", _HUGE_FRACTION])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert "argument --v" in captured.err and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +158,52 @@ def test_unrepresentable_result_exits_two(capsys, command):
         assert err.startswith("error: ")
 
 
+_REFERENCE = ("--a", "1", "--b", "16", "--v", "1/8", "--n", "2")
+_SCALAR_VERBS = {
+    "bound": ("bound", "--family", "theorem-main-reverse", "--branch", "i", *_REFERENCE),
+    "check-scalar": ("check-scalar", *_REFERENCE),
+    "compare": ("compare", *_REFERENCE),
+    "repro": ("repro",),
+}
+
+
+# the scalar path gives the same bits on every supported CPython, so these
+# stdout bytes are portable; check-operator's floats are per BLAS kernel
+@pytest.mark.parametrize("verb, fmt, digest", [
+    ("bound", "text", "9a2a8098e92e691f16b02636881d329414e6453a5711553132bd68b3eefaa8d1"),
+    ("bound", "json", "e31ec3cb55b2ebac1c48651ca998190c64e9cd4e2693ad52745ede197267375c"),
+    ("bound", "csv", "f04c26f7a92b9c298bd91f53361f214f8f3c1159527d1e48e7b7f073413314f6"),
+    ("check-scalar", "text", "4648375514956532091b40d62ab161550b70f64b662300dd31193e27f0759d89"),
+    ("check-scalar", "json", "4ebb26aa075544837d1bffd5f3ffc754319fbed51b90529636f990385b8f74ed"),
+    ("check-scalar", "csv", "483828718acc94aba85eafb588de376fd843f99a481cfcbde001350e9af8a088"),
+    ("compare", "text", "237d5a3786b6de8496bb907ed1909e9bef36150632efdd100823e0fcd0a1f4c3"),
+    ("compare", "json", "bee15607b9524746472885a5f660663bc9625ea989564f89d9da0b24899e6a8e"),
+    ("compare", "csv", "091c962f5c66290b3e638bf18427b5e72bb7708e608396690e03258cf27a31ca"),
+    ("repro", "text", "100b48c4453c6861dbb22727a2af5742ef8701cdbc27f0e7bd9ca3c9c5398452"),
+    ("repro", "json", "947f17e9433bb471c62c04a832ee65371bcd96243f229aadfce6fd43d1919e03"),
+    ("repro", "csv", "a02859c7f27e2bb8a21c039e141d69ffd58f42e155d9dc3b5703dd59b16bc367"),
+])
+def test_scalar_verb_output_known_answer(capsys, verb, fmt, digest):
+    code, out, err = run_cli(capsys, *_SCALAR_VERBS[verb], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # check-scalar / compare / repro
 # ---------------------------------------------------------------------------
+
+def test_check_scalar_violation_exits_one(capsys, monkeypatch):
+    # a deliberately wrong row: its hypothesis holds and its bound does not
+    canary = dataclasses.replace(
+        SCALAR_ROWS[0], key="canary", family="canary", branch="",
+        evaluate=lambda a, b, v, n: BoundReport(
+            "canary", "", a, b, v, n, 1.0, 0.5, -0.5, True, False))
+    monkeypatch.setattr(harness, "SCALAR_ROWS", [canary])
+    code, out, err = run_cli(capsys, "check-scalar", *_REFERENCE)
+    assert (code, err) == (1, "")
+    assert "family=canary" in out and "holds=False" in out
+
 
 def test_check_scalar_table(capsys):
     code, out, _ = run_cli(capsys, "check-scalar", "--a", "1", "--b", "16",
@@ -338,6 +399,16 @@ def test_check_operator_large_weight_has_finite_tolerance(capsys, tmp_path):
     assert json.loads(out)["results"][0]["tol"] == pytest.approx(1e169, rel=1e-9)
 
 
+def test_check_operator_file_not_utf8_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff")
+    a = write(tmp_path / "a.txt", "1\n1\n")
+    code, out, err = run_cli(capsys, "check-operator", str(bad), a, "--family", "t6",
+                             "--branch", "i", "--v", "2", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+
+
 def test_check_operator_not_spd_exits_two(capsys, tmp_path):
     a = write(tmp_path / "a.txt", "2\n1.0 0.0\n0.0 -1.0\n")
     b = write(tmp_path / "b.txt", "2\n1.0 0.0\n0.0 1.0\n")
@@ -434,6 +505,14 @@ def test_suite_too_few_grid_points_exits_two(capsys, points):
                              "--grid-points", points)
     assert (code, out) == (2, "")
     assert err == f"error: grid_points must be >= 3, got {points}\n"
+
+
+def test_suite_config_file_not_utf8_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_bytes(b"trials = 5\n\xff\n")
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
 
 
 def test_suite_unknown_config_key_exits_two(capsys, tmp_path):

@@ -98,6 +98,11 @@ def test_sample_weight_empty_region():
         sample_weight(Region("outside", 0.0, 1.0), (0.1, 0.9), 1e-6, rng)
 
 
+def test_region_of_an_unknown_kind_is_a_config_error():
+    with pytest.raises(ConfigError, match="^unknown region kind 'between'$"):
+        Region("between", 0.0, 1.0).intervals((-6.0, 6.0), 1e-6)
+
+
 def test_sample_weight_rejects_pieces_wider_than_the_float_range():
     rng = Xoshiro256StarStar(7)
     with pytest.raises(ConfigError, match="wider than the floating-point range"):

@@ -497,6 +497,9 @@ def test_stacked_screen_at_the_default_tolerance_skips_the_exact_checks(monkeypa
     mc.prime(STACK_WEIGHTS)
     assert not calls
     assert list(mc._cache) == STACK_WEIGHTS
+    cached = dict(mc._cache)
+    mc.prime(STACK_WEIGHTS[::-1])  # every weight cached: nothing is computed again
+    assert not calls and all(mc._cache[w] is cached[w] for w in STACK_WEIGHTS)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -520,6 +523,9 @@ def test_mean_kernel_rejects_indefinite_operands():
         MeanCalculator(indefinite, spd)
     with pytest.raises(MatrixError, match="inner congruence lost positive definiteness"):
         MeanCalculator(spd, indefinite)
+    # a trusted matrix is factorized on first use, where the check runs
+    with pytest.raises(MatrixError, match="^matrix lost positive definiteness"):
+        indefinite.decomp
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +584,10 @@ def test_parse_rejects_bad_input():
         parse_matrix_text("2\n1.0 0.5\n0.9 1.0\n")
     with pytest.raises(MatrixError):
         parse_matrix_text("")
+    with pytest.raises(MatrixError, match="dimension must be >= 1, got 0"):
+        parse_matrix_text("0\n")
+    with pytest.raises(MatrixError, match="non-numeric entry in row '1.0 x'"):
+        parse_matrix_text("2\n1.0 x\n0.0 1.0\n")
 
 
 # sha256 over FILE_KNOWN_ANSWER_COUNT generated matrix files (dims 1-24,

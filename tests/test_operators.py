@@ -143,6 +143,11 @@ def test_input_validation():
         geometric_mean(a, a, 10 ** 400)
     with pytest.raises(DomainError, match="^exponent must be finite, got 10{400}$"):
         spd_power(a, 10 ** 400)
+    # plain arrays are not operands: the SPD check is the SpdMatrix constructor's
+    with pytest.raises(MatrixError, match="^spd_power requires an SpdMatrix$"):
+        spd_power(np.eye(2), 0.5)
+    with pytest.raises(MatrixError, match="^operator bounds require SpdMatrix operands$"):
+        theorem_t6(np.eye(2), a, 0.9, 2, "i")
 
 
 def test_fingerprints_identify_matrices():

@@ -661,6 +661,8 @@ def test_compare_flags_match_the_written_out_windows(n):
      "depth must satisfy 2 <= n <= 30, got n=1"),
     (lambda: sababheh_choi_forward(1.0, 2.0, 0.5, 0),
      "depth must satisfy 1 <= n <= 30, got n=0"),
+    (lambda: theorem_main_reverse(1.0, 2.0, 0.2, 2.0, "i"),
+     "depth must be an integer, got n=2.0"),
     (lambda: theorem_extended_sc(1.0, 2.0, 3.0, 2, "x"),
      "branch must be 'i' or 'ii', got 'x'"),
     (lambda: corollary_one_term(1.0, 2.0, 3.0, ""),
