@@ -24,7 +24,7 @@ import sys
 
 from . import __version__, harness, reporting, scalar
 from .harness import ConfigError, SuiteConfig
-from .matrices import JacobiConvergenceError, load_spd_matrix
+from .matrices import JacobiConvergenceError, _read_text, load_spd_matrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .scalar import DomainError
 
@@ -51,6 +51,14 @@ def parse_number(text: str) -> float:
         return float(text)
     except ValueError:
         raise DomainError(f"cannot parse number {text!r}") from None
+
+
+def _number_flag(text: str) -> float:
+    """parse_number for argparse, which prints only an ArgumentTypeError's text."""
+    try:
+        return parse_number(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(args, results: list, text: str = "", rows=None, doc=None, fmt=None) -> None:
@@ -201,18 +209,18 @@ def _config_from_file(path: str) -> dict:
     """Flat key = value file; keys match the suite flags."""
     values: dict = {}
     known = [key for key, *_ in _suite_keys()]
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}; known: {', '.join(known)}")
-            values[key] = value.strip()
+    # text mode leaves "\n" as the only line end, as iterating the file would
+    for raw in _read_text(path, ConfigError).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}; known: {', '.join(known)}")
+        values[key] = value.strip()
     return values
 
 
@@ -276,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_point(p, need_ab=True):
         if need_ab:
-            p.add_argument("--a", type=parse_number, required=True)
-            p.add_argument("--b", type=parse_number, required=True)
-        p.add_argument("--v", type=parse_number, required=True,
+            p.add_argument("--a", type=_number_flag, required=True)
+            p.add_argument("--b", type=_number_flag, required=True)
+        p.add_argument("--v", type=_number_flag, required=True,
                        help="weight; decimals and fractions like 1/8 accepted")
         p.add_argument("--n", type=int, default=None, help="refinement depth")
 

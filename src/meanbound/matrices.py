@@ -2,11 +2,11 @@
 fractional powers, weighted operator means, and the Loewner partial order.
 
 Every eigendecomposition goes through ``jacobi_eigh``, a thin wrapper of
-LAPACK's symmetric eigensolver (``np.linalg.eigh``).  The weighted
-geometric mean of a pair is built from one Cholesky factorization of A and
-one eigendecomposition, through the congruence covariance of the mean (see
-MeanCalculator); that one mean kernel also forms every matrix power, as
-A^p = I #_p A.
+LAPACK's symmetric eigensolver (``np.linalg.eigh``, or ``eigvalsh`` where
+only the eigenvalues are read).  The weighted geometric mean of a pair is
+built from one Cholesky factorization of A and one eigendecomposition,
+through the congruence covariance of the mean (see MeanCalculator); that
+one mean kernel also forms every matrix power, as A^p = I #_p A.
 
 All matrices are dense float64.  Every operation that returns a matrix
 symmetrizes its result and asserts the pre-symmetrization residual is
@@ -39,7 +39,7 @@ class JacobiConvergenceError(RuntimeError):
 
 def _as_square(entries) -> np.ndarray:
     try:
-        m = np.array(entries, dtype=float)
+        m = np.asarray(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MatrixError(f"matrix entries must be numbers in equal rows: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -130,15 +130,18 @@ class EigenDecomp(NamedTuple):
     lam: np.ndarray
 
 
-def jacobi_eigh(entries: np.ndarray) -> EigenDecomp:
+def jacobi_eigh(entries: np.ndarray, vectors: bool = True) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The one symmetric eigensolver of the library, LAPACK's through
-    ``np.linalg.eigh``; the name is kept for compatibility with callers
+    ``np.linalg.eigh``, or ``np.linalg.eigvalsh`` when ``vectors`` is false
+    (then ``q`` is None).  The name is kept for compatibility with callers
     of the earlier Jacobi solver.  Raises JacobiConvergenceError when
     LAPACK reports no convergence.
     """
     try:
+        if not vectors:
+            return EigenDecomp(None, np.linalg.eigvalsh(entries))
         lam, q = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise JacobiConvergenceError(f"eigensolver did not converge: {exc}") from None
@@ -157,25 +160,26 @@ class SpdMatrix(SymMatrix):
     """Symmetric positive-definite matrix with a cached spectral factorization.
 
     The constructor is the path for untrusted input: it symmetrizes as
-    SymMatrix does, factorizes eagerly and rejects matrices whose smallest
-    eigenvalue is not safely positive.  Results of internal operations
-    that are positive definite by construction come from ``_trusted`` and
-    carry a lazy factorization instead.
+    SymMatrix does and rejects matrices whose smallest eigenvalue, from an
+    eigenvalue-only solve, is not safely positive.  Results of internal
+    operations that are positive definite by construction come from
+    ``_trusted``.  Either way the factorization is computed on first use
+    of ``decomp``.
     """
 
     __slots__ = ("_decomp",)
 
     def __init__(self, entries):
         super().__init__(entries)
-        decomp = jacobi_eigh(self.entries)
-        spectral_norm = float(np.max(np.abs(decomp.lam)))
+        lam = jacobi_eigh(self.entries, vectors=False).lam
+        spectral_norm = float(np.max(np.abs(lam)))
         floor = self.dim * SPD_MIN_EIG_FACTOR * spectral_norm
-        if decomp.lam[0] <= floor:
+        if lam[0] <= floor:
             raise MatrixError(
                 f"matrix is not safely positive definite: min eigenvalue "
-                f"{decomp.lam[0]:.6e} <= {floor:.6e}"
+                f"{lam[0]:.6e} <= {floor:.6e}"
             )
-        self._decomp = decomp
+        self._decomp = None
 
     @classmethod
     def _trusted(cls, sym_entries: np.ndarray) -> "SpdMatrix":
@@ -354,8 +358,8 @@ def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
 # Plain-text matrix files: first line "dim", then dim rows of dim decimals
 # ---------------------------------------------------------------------------
 
-def _parse_rows(text: str) -> list:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+def _parse_rows(text: str) -> np.ndarray:
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise MatrixError("empty matrix file")
     try:
@@ -366,25 +370,41 @@ def _parse_rows(text: str) -> list:
         raise MatrixError(f"dimension must be >= 1, got {dim}")
     if len(lines) != dim + 1:
         raise MatrixError(f"expected {dim} rows after the dimension line, got {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
+    rows = [line.split() for line in lines[1:]]
+    if all(len(row) == dim for row in rows):
         try:
-            row = [float(tok) for tok in line.split()]
+            return np.array(rows, dtype=float)  # float() of each str: the same bits
+        except ValueError:
+            pass
+    # the first bad row names the error; in a row, a bad token before its length
+    for line, row in zip(lines[1:], rows):
+        try:
+            [float(tok) for tok in row]
         except ValueError:
             raise MatrixError(f"non-numeric entry in row {line!r}") from None
         if len(row) != dim:
             raise MatrixError(f"expected {dim} entries per row, got {len(row)}")
-        rows.append(row)
-    return rows
+    raise AssertionError("unreachable: every row parsed")
 
 
 def parse_matrix_text(text: str) -> SymMatrix:
     return SymMatrix(_parse_rows(text))
 
 
+def _read_text(path, error: type) -> str:
+    """The whole text of a UTF-8 file, newlines translated as text mode
+    does; a file that is not UTF-8 raises ``error`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the file in one piece, so start is a file offset
+        raise error(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+                    f"at position {exc.start})") from None
+
+
 def load_spd_matrix(path) -> SpdMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return SpdMatrix(_parse_rows(handle.read()))
+    return SpdMatrix(_parse_rows(_read_text(path, MatrixError)))
 
 
 def format_matrix_text(matrix) -> str:

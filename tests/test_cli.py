@@ -44,6 +44,25 @@ def test_parse_number_rejects_with_a_domain_error(text):
         parse_number(text)
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b", "--v"])
+@pytest.mark.parametrize("text, message", [
+    ("1/3e", "cannot parse fraction '1/3e'"),
+    ("abc", "cannot parse number 'abc'"),
+    ("1/0", "cannot parse fraction '1/0'"),
+    ("1" + "0" * 40 + "/3e", "cannot parse fraction '1" + "0" * 40 + "/3e'"),
+], ids=["bad-denominator", "not-a-number", "zero-denominator", "41-digit-numerator"])
+def test_number_flags_show_why_they_failed_to_parse(capsys, flag, text, message):
+    point = {"--a": "1", "--b": "2", "--v": "0.5", flag: text}
+    argv = ["bound", "--family", "reverse-young-basic"]
+    for name, value in point.items():
+        argv += [name, value]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+
+
 def test_weight_past_the_float_range_is_a_usage_error(capsys):
     # argparse turns the DomainError of a type function into its exit 2
     with pytest.raises(SystemExit) as stop:
@@ -406,7 +425,18 @@ def test_check_operator_file_not_utf8_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check-operator", str(bad), a, "--family", "t6",
                              "--branch", "i", "--v", "2", "--n", "2")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+    assert err == f"error: {bad}: not UTF-8 text (byte 0xff at position 0)\n"
+
+
+def test_check_operator_names_the_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1\n\xff")
+    ok = write(tmp_path / "ok.txt", "1\n1\n")
+    for files in ([ok, str(bad)], [str(bad), ok]):
+        code, out, err = run_cli(capsys, "check-operator", *files, "--family", "t6",
+                                 "--branch", "i", "--v", "2", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8 text (byte 0xff at position 2)\n"
 
 
 def test_check_operator_not_spd_exits_two(capsys, tmp_path):
@@ -512,7 +542,18 @@ def test_suite_config_file_not_utf8_exits_two(capsys, tmp_path):
     cfg.write_bytes(b"trials = 5\n\xff\n")
     code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
+    assert err == f"error: {cfg}: not UTF-8 text (byte 0xff at position 11)\n"
+
+
+def test_suite_config_file_reads_every_line_end_as_iterating_the_file_does(capsys, tmp_path):
+    # \r and \r\n end lines; \f and \v do not, so a key hidden behind one is unknown
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_bytes(b"families = kittaneh-manasrah\r\ntrials = 3\rseed = 5\n")
+    code, out, _ = run_cli(capsys, "suite", "--config", str(cfg), "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["trials"] == 3
+    cfg.write_bytes(b"trials = 3\x0cseed = 5\n")
+    code, _, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 2 and "cannot parse '3\\x0cseed = 5'" in err
 
 
 def test_suite_unknown_config_key_exits_two(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -588,6 +589,117 @@ def test_parse_rejects_bad_input():
         parse_matrix_text("0\n")
     with pytest.raises(MatrixError, match="non-numeric entry in row '1.0 x'"):
         parse_matrix_text("2\n1.0 x\n0.0 1.0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first bad row wins, whichever its fault
+    ("2\n1.0 x\n1.0\n", "non-numeric entry in row '1.0 x'"),
+    ("2\n1.0\n1.0 x\n", "expected 2 entries per row, got 1"),
+    ("3\n1 0 0\n0 1 0 0\n0 0 y\n", "expected 3 entries per row, got 4"),
+    # within a row a non-numeric entry comes before a wrong length
+    ("2\n1.0 x 3.0\n0.0 1.0\n", "non-numeric entry in row '1.0 x 3.0'"),
+    ("2\n  1.0\tx  \n0.0 1.0\n", "non-numeric entry in row '1.0\\tx'"),
+    ("", "empty matrix file"),
+    (" \n\t\n", "empty matrix file"),
+    ("x\n1.0\n", "first line must be the dimension, got 'x'"),
+    ("2.0\n1 0\n0 1\n", "first line must be the dimension, got '2.0'"),
+    ("-1\n", "dimension must be >= 1, got -1"),
+    ("2\n1.0 0.0\n", "expected 2 rows after the dimension line, got 1"),
+    ("1\n1\n2\n", "expected 1 rows after the dimension line, got 2"),
+], ids=["numeric-row-first", "length-row-first", "length-row-before-numeric",
+        "numeric-before-length", "row-shown-stripped", "empty", "blank", "bad-dimension",
+        "decimal-dimension", "negative-dimension", "too-few-rows", "too-many-rows"])
+def test_parse_error_precedence_and_messages(text, message):
+    with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+        parse_matrix_text(text)
+
+
+def test_parse_takes_every_token_float_takes_with_its_value():
+    tokens = [["1_0", "+.5e-3", "1e-400"], ["+.5e-3", "١٢", "-0"], ["1e-400", "-0", "4.9e-324"]]
+    text = "3\n" + "\n".join(" ".join(row) for row in tokens) + "\n"
+    expected = np.array([[float(tok) for tok in row] for row in tokens])
+    assert parse_matrix_text(text).entries.tobytes() == expected.tobytes()
+    assert expected[0, 0] == 10.0 and expected[1, 1] == 12.0 and expected[0, 2] == 0.0
+    for token in ("inf", "-inf", "nan", "1e400"):
+        with pytest.raises(MatrixError, match="^matrix entries must be finite$"):
+            parse_matrix_text(f"2\n1 {token}\n{token} 1\n")
+
+
+# sha256 over LOADED_DECOMP_DIMS matrix files written by format_matrix_text of
+# random_spd(dim, 1e4, Xoshiro256StarStar(dim)): the q and lam of each loaded
+# matrix's decomp, then its certified_min_eig; build-exact (LAPACK bits)
+LOADED_DECOMP_DIMS = (1, 2, 3, 5, 8, 16, 24)
+LOADED_DECOMP_SHA256 = "1f3232ee8c237cd81bf0ab657ed36bdc09f2933eec822c195db8ba8a54f434df"
+
+
+def test_loaded_decomp_is_the_eigensolve_of_the_entries(tmp_path):
+    digest = hashlib.sha256()
+    for dim in LOADED_DECOMP_DIMS:
+        path = tmp_path / f"m{dim}.txt"
+        path.write_text(format_matrix_text(random_spd(dim, 1e4, Xoshiro256StarStar(dim))),
+                        encoding="utf-8")
+        loaded = load_spd_matrix(path)
+        reference = jacobi_eigh(loaded.entries)
+        assert loaded.decomp.q.tobytes() == reference.q.tobytes()
+        assert loaded.decomp.lam.tobytes() == reference.lam.tobytes()
+        assert loaded.certified_min_eig == float(reference.lam[0])
+        digest.update(loaded.decomp.q.tobytes() + loaded.decomp.lam.tobytes())
+        digest.update(np.float64(loaded.certified_min_eig).tobytes())
+    assert digest.hexdigest() == LOADED_DECOMP_SHA256
+
+
+def test_spd_construction_checks_eigenvalues_and_factorizes_on_first_use(monkeypatch):
+    calls = []
+
+    def counted(entries, vectors=True):
+        calls.append(vectors)
+        return jacobi_eigh(entries, vectors)
+
+    monkeypatch.setattr(matrices, "jacobi_eigh", counted)
+    spd = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
+    assert calls == [False]
+    first = spd.decomp
+    assert calls == [False, True] and spd.decomp is first and eigh(spd) is first
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_spd_floor_keeps_its_rule_and_message(dim):
+    floor = dim * 1e-14
+    just_below = np.diag([1.0] * (dim - 1) + [floor * (1.0 - 1e-6)])
+    with pytest.raises(MatrixError, match=re.escape(
+            f"matrix is not safely positive definite: min eigenvalue "
+            f"{floor * (1.0 - 1e-6):.6e} <= {floor:.6e}") + "$"):
+        SpdMatrix(just_below)
+    at_floor = np.diag([1.0] * (dim - 1) + [floor])
+    with pytest.raises(MatrixError, match="not safely positive definite"):
+        SpdMatrix(at_floor)
+    assert SpdMatrix(np.diag([1.0] * (dim - 1) + [floor * (1.0 + 1e-6)])).dim == dim
+    # off the diagonal the eigenvalues carry rounding of about eps: at half
+    # the floor the rule still rejects, and the message keeps its form
+    q = np.linalg.qr(RNG.standard_normal((dim, dim)))[0]
+    rotated = (q * np.array([1.0] * (dim - 1) + [0.5 * floor])) @ q.T
+    with pytest.raises(MatrixError, match=r"^matrix is not safely positive definite: "
+                       r"min eigenvalue -?\d\.\d{6}e[-+]\d\d <= \d\.\d{6}e-14$"):
+        SpdMatrix(0.5 * (rotated + rotated.T))
+
+
+def test_eigenvalue_only_failure_raises_convergence_error(monkeypatch):
+    def no_convergence(entries):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(JacobiConvergenceError, match="did not converge"):
+        jacobi_eigh(np.eye(2), vectors=False)
+    with pytest.raises(JacobiConvergenceError, match="did not converge"):
+        SpdMatrix(np.eye(2))
+
+
+def test_matrix_file_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1\n\xfe\n")
+    with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                       r"\(byte 0xfe at position 2\)$"):
+        load_spd_matrix(path)
 
 
 # sha256 over FILE_KNOWN_ANSWER_COUNT generated matrix files (dims 1-24,
