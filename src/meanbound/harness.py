@@ -122,7 +122,7 @@ def random_spd(dim: int, cond_max: float, rng: Xoshiro256StarStar) -> SpdMatrix:
     lam = np.array([math.exp(llo + (lhi - llo) * rng.random()) for _ in range(dim)])
     entries = (q * lam) @ q.T
     entries = 0.5 * (entries + entries.T)
-    # the factorization is recomputed from the entries on first use, so a
+    # the factorization is recomputed from the entries on each read, so a
     # matrix rebuilt from a failure record replays through the same path
     return SpdMatrix._trusted(entries)
 
@@ -592,17 +592,17 @@ def _claim_quartic(cfg: SuiteConfig):
 
 def _claim_factorizations(cfg: SuiteConfig):
     xs = sorted(set(_log_grid(1e-2, 1e2, cfg.grid_points - 1)) | {1.0})
+    # read here, not at import, so a traced scalar function is the one called
+    polys = (("f", scalar.comparison_poly_f,
+              lambda x: x * x * (x - 1.0) ** 2 * (2.0 * x + 1.0)),
+             ("g", scalar.comparison_poly_g,
+              lambda x: (x - 1.0) ** 2 * (x ** 4 + x ** 3 + 1.5 * x * x + x + 0.5)))
     for x in xs:
-        f_val = scalar.comparison_poly_f(x, 0.75)
-        f_ref = x * x * (x - 1.0) ** 2 * (2.0 * x + 1.0)
-        ok = abs(f_val - f_ref) <= 1e-12 * _poly_scale(x, 0.75)
-        yield ok, f_val - f_ref, (None if ok else
-                                  {"poly": "f", "x": x, "value": f_val, "reference": f_ref})
-        g_val = scalar.comparison_poly_g(x, 0.75)
-        g_ref = (x - 1.0) ** 2 * (x ** 4 + x ** 3 + 1.5 * x * x + x + 0.5)
-        ok = abs(g_val - g_ref) <= 1e-12 * _poly_scale(x, 0.75)
-        yield ok, g_val - g_ref, (None if ok else
-                                  {"poly": "g", "x": x, "value": g_val, "reference": g_ref})
+        for name, poly, factored in polys:
+            value, reference = poly(x, 0.75), factored(x)
+            ok = abs(value - reference) <= 1e-12 * _poly_scale(x, 0.75)
+            yield ok, value - reference, (None if ok else {"poly": name, "x": x, "value": value,
+                                                           "reference": reference})
 
 
 def _claim_limit_delta(cfg: SuiteConfig):

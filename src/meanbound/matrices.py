@@ -11,7 +11,8 @@ one mean kernel also forms every matrix power, as A^p = I #_p A.
 All matrices are dense float64.  Every operation that returns a matrix
 symmetrizes its result and asserts the pre-symmetrization residual is
 within 1e-10 of the Frobenius norm; constructor input, a parsed file
-included, is held to the tighter 1e-12.
+included, is held to the tighter 1e-12.  Raw arrays given to ``eigh`` or
+``loewner_leq`` take that same constructor.
 """
 
 from __future__ import annotations
@@ -148,26 +149,31 @@ def jacobi_eigh(entries: np.ndarray, vectors: bool = True) -> EigenDecomp:
     return EigenDecomp(q, lam)
 
 
+def _operand(m) -> SymMatrix:
+    """m if it is a SymMatrix, else SymMatrix(m), the untrusted-input path."""
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
+
+
 def eigh(matrix: "SymMatrix | np.ndarray") -> EigenDecomp:
     """Spectral factorization of a symmetric matrix (ascending eigenvalues)."""
+    matrix = _operand(matrix)
     if isinstance(matrix, SpdMatrix):
         return matrix.decomp
-    entries = matrix.entries if isinstance(matrix, SymMatrix) else _as_square(matrix)
-    return jacobi_eigh(entries)
+    return jacobi_eigh(matrix.entries)
 
 
 class SpdMatrix(SymMatrix):
-    """Symmetric positive-definite matrix with a cached spectral factorization.
+    """Symmetric positive-definite matrix: a SymMatrix that passed the SPD check.
 
     The constructor is the path for untrusted input: it symmetrizes as
     SymMatrix does and rejects matrices whose smallest eigenvalue, from an
     eigenvalue-only solve, is not safely positive.  Results of internal
     operations that are positive definite by construction come from
-    ``_trusted``.  Either way the factorization is computed on first use
-    of ``decomp``.
+    ``_trusted``.  Either way the spectral factorization is computed on
+    each read of ``decomp``; nothing is cached.
     """
 
-    __slots__ = ("_decomp",)
+    __slots__ = ()
 
     def __init__(self, entries):
         super().__init__(entries)
@@ -179,26 +185,15 @@ class SpdMatrix(SymMatrix):
                 f"matrix is not safely positive definite: min eigenvalue "
                 f"{lam[0]:.6e} <= {floor:.6e}"
             )
-        self._decomp = None
-
-    @classmethod
-    def _trusted(cls, sym_entries: np.ndarray) -> "SpdMatrix":
-        # positive definiteness guaranteed by the caller's construction
-        obj = super()._trusted(sym_entries)
-        obj._decomp = None
-        return obj
 
     @property
     def decomp(self) -> EigenDecomp:
-        if self._decomp is None:
-            decomp = jacobi_eigh(self.entries)
-            if decomp.lam[0] <= 0.0:
-                raise MatrixError(
-                    f"matrix lost positive definiteness: min eigenvalue "
-                    f"{decomp.lam[0]:.6e}"
-                )
-            self._decomp = decomp
-        return self._decomp
+        decomp = jacobi_eigh(self.entries)
+        if decomp.lam[0] <= 0.0:
+            raise MatrixError(
+                f"matrix lost positive definiteness: min eigenvalue {decomp.lam[0]:.6e}"
+            )
+        return decomp
 
     @property
     def certified_min_eig(self) -> float:
@@ -206,6 +201,10 @@ class SpdMatrix(SymMatrix):
 
 
 def _check_dims(a, b) -> None:
+    """The one check of an operand pair: two SymMatrix of one dimension."""
+    if not (isinstance(a, SymMatrix) and isinstance(b, SymMatrix)):
+        raise MatrixError(f"expected two SymMatrix operands, got "
+                          f"{type(a).__name__} and {type(b).__name__}")
     if a.dim != b.dim:
         raise MatrixError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -214,7 +213,11 @@ def arithmetic_mean(a: SpdMatrix, b: SpdMatrix, v: float) -> SymMatrix:
     """Entrywise (1-v)A + vB; positive definiteness is not certified here."""
     _check_dims(a, b)
     _require_weight(v)
-    return SymMatrix._trusted((1.0 - v) * a.entries + v * b.entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (1.0 - v) * a.entries + v * b.entries
+    if not np.isfinite(entries).all():
+        raise OverflowError(f"arithmetic_mean: value at v={v!r} leaves the floating-point range")
+    return SymMatrix._trusted(entries)
 
 
 class MeanCalculator:
@@ -341,16 +344,13 @@ def loewner_leq(a, b, tol: Optional[float] = None) -> LoewnerVerdict:
 
     The default tolerance is LOEWNER_REL_TOL * (||A||_F + ||B||_F).
     """
-    ea = a.entries if hasattr(a, "entries") else _as_square(a)
-    eb = b.entries if hasattr(b, "entries") else _as_square(b)
-    if ea.shape != eb.shape:
-        raise MatrixError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
+    a, b = _operand(a), _operand(b)
+    _check_dims(a, b)
     if tol is None:
-        tol = LOEWNER_REL_TOL * (_fro(ea) + _fro(eb))
+        tol = LOEWNER_REL_TOL * (a.fro() + b.fro())
     elif not tol >= 0.0:
         raise MatrixError(f"tolerance must be >= 0, got {tol!r}")
-    diff = eb - ea
-    lam_min = float(jacobi_eigh(diff).lam[0])
+    lam_min = float(jacobi_eigh(b.entries - a.entries).lam[0])
     return LoewnerVerdict(lam_min, tol, lam_min >= -tol)
 
 

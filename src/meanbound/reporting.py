@@ -20,26 +20,18 @@ def fmt_float(x: float) -> str:
 
 def _write(value, out: list, indent: int) -> None:
     pad = "  " * indent
-    if isinstance(value, dict):
+    if isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        opening, closing = "{}" if keyed else "[]"
         if not value:
-            out.append("{}")
+            out.append(opening + closing)
             return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
+        out.append(opening + "\n")
+        for i, (key, item) in enumerate(value.items() if keyed else enumerate(value)):
+            out.append(f"{pad}  {json.dumps(str(key))}: " if keyed else pad + "  ")
             _write(item, out, indent + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
-            _write(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(pad + closing)
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif value is None:

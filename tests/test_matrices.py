@@ -43,6 +43,10 @@ def random_sym(dim: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def same_bits(d1, d2) -> bool:
+    return d1.q.tobytes() == d2.q.tobytes() and d1.lam.tobytes() == d2.lam.tobytes()
+
+
 def random_spd_np(dim: int, cond: float = 1e3) -> SpdMatrix:
     g = RNG.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -104,7 +108,7 @@ def test_spd_matrix_is_a_sym_matrix_carrying_its_input_residual():
     assert spd.entries[0, 1] == spd.entries[1, 0]
     assert spd.asym_residual == SymMatrix([[2.0, 1.0 + 1e-14], [1.0, 2.0]]).asym_residual > 0.0
     assert not spd.entries.flags.writeable
-    assert eigh(spd) is spd.decomp
+    assert same_bits(eigh(spd), spd.decomp)
 
 
 def test_trusted_and_arithmetic_mean_results_are_read_only_with_zero_residual():
@@ -115,7 +119,7 @@ def test_trusted_and_arithmetic_mean_results_are_read_only_with_zero_residual():
     assert type(sym) is SymMatrix and type(spd) is SpdMatrix and type(nabla) is SymMatrix
     for m in (sym, spd, nabla):
         assert m.asym_residual == 0.0 and not m.entries.flags.writeable
-    assert eigh(spd) is spd.decomp and spd.certified_min_eig == 1.0
+    assert same_bits(eigh(spd), spd.decomp) and spd.certified_min_eig == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +256,13 @@ def test_arithmetic_mean_examples():
     assert np.allclose(np.diag(d.entries), [2.875, 3.625], atol=1e-14)
     b = random_spd_np(3)
     assert np.allclose(arithmetic_mean(a, b, 0.0).entries, a.entries, atol=1e-14)
+
+
+def test_arithmetic_mean_past_the_float_range_names_its_weight():
+    a, b = SpdMatrix(2.0 * np.eye(2)), SpdMatrix(3.0 * np.eye(2))
+    with pytest.raises(OverflowError, match=re.escape(
+            "arithmetic_mean: value at v=1e+308 leaves the floating-point range") + "$"):
+        arithmetic_mean(a, b, 1e308)
 
 
 def test_geometric_mean_examples():
@@ -549,6 +560,37 @@ def test_loewner_examples():
         loewner_leq(a, a, tol=math.nan)
 
 
+# raw arrays take the SymMatrix constructor: LAPACK reads one triangle only,
+# so an unchecked asymmetric operand would be judged by half its entries
+def test_raw_operands_are_held_to_the_input_symmetry_check():
+    upper = np.array([[0.0, 5.0], [0.0, 0.0]])
+    zero = np.zeros((2, 2))
+    for pair in ((upper, zero), (zero, upper)):
+        with pytest.raises(MatrixError, match="asymmetry residual"):
+            loewner_leq(*pair)
+    with pytest.raises(MatrixError, match="asymmetry residual"):
+        eigh(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_raw_operands_within_the_input_tolerance_are_symmetrized():
+    raw = np.array([[2.0, 1.0 + 1e-14], [1.0, 2.0]])
+    sym = SymMatrix(raw)
+    assert same_bits(eigh(raw), jacobi_eigh(sym.entries))
+    assert loewner_leq(raw, sym) == loewner_leq(sym, sym)
+    assert loewner_leq(raw, raw).min_eig_diff == 0.0
+
+
+def test_means_reject_raw_array_operands():
+    a = random_spd_np(2)
+    raw = a.entries.copy()
+    for mean in (arithmetic_mean, geometric_mean, heinz_mean):
+        for pair in ((raw, a), (a, raw)):
+            with pytest.raises(MatrixError, match="ndarray"):
+                mean(*pair, 0.25)
+    with pytest.raises(MatrixError, match="ndarray"):
+        MeanCalculator(a, raw)
+
+
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_mean_order_sandwich(dim):
     for _ in range(10):
@@ -648,7 +690,7 @@ def test_loaded_decomp_is_the_eigensolve_of_the_entries(tmp_path):
     assert digest.hexdigest() == LOADED_DECOMP_SHA256
 
 
-def test_spd_construction_checks_eigenvalues_and_factorizes_on_first_use(monkeypatch):
+def test_spd_construction_checks_eigenvalues_and_factorizes_on_each_read(monkeypatch):
     calls = []
 
     def counted(entries, vectors=True):
@@ -659,7 +701,10 @@ def test_spd_construction_checks_eigenvalues_and_factorizes_on_first_use(monkeyp
     spd = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
     assert calls == [False]
     first = spd.decomp
-    assert calls == [False, True] and spd.decomp is first and eigh(spd) is first
+    assert calls == [False, True]
+    second = spd.decomp
+    assert calls == [False, True, True] and same_bits(first, second)
+    assert same_bits(eigh(spd), first)
 
 
 @pytest.mark.parametrize("dim", [2, 5])

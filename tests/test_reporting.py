@@ -41,6 +41,39 @@ def test_dumps_is_valid_json_and_deterministic():
     assert text1.endswith("\n")
 
 
+def test_dumps_known_answer_over_nested_containers():
+    doc = {"empty_dict": {}, "empty_list": [], "empty_tuple": (), 7: True,
+           "rows": [{"a": None, "b": (1, 2.5)}, [], ({},), "x\"y"],
+           "leaves": (False, -3, 0.1, "t")}
+    assert dumps(doc) == (
+        '{\n'
+        '  "empty_dict": {},\n'
+        '  "empty_list": [],\n'
+        '  "empty_tuple": [],\n'
+        '  "7": true,\n'
+        '  "rows": [\n'
+        '    {\n'
+        '      "a": null,\n'
+        '      "b": [\n'
+        '        1,\n'
+        '        2.5\n'
+        '      ]\n'
+        '    },\n'
+        '    [],\n'
+        '    [\n'
+        '      {}\n'
+        '    ],\n'
+        '    "x\\"y"\n'
+        '  ],\n'
+        '  "leaves": [\n'
+        '    false,\n'
+        '    -3,\n'
+        '    0.10000000000000001,\n'
+        '    "t"\n'
+        '  ]\n'
+        '}\n')
+
+
 def test_dumps_rejects_unserializable():
     with pytest.raises(TypeError):
         dumps({"x": object()})
