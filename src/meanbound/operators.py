@@ -92,25 +92,6 @@ def _finish(family, branch, a, b, v, n, lhs, rhs, hypothesis_ok) -> OperatorBoun
                                matrix_fingerprint(a), matrix_fingerprint(b))
 
 
-def _prepare(key, a, b, v, n, branch) -> tuple:
-    """Check the arguments against the family's table row; return the
-    hypothesis flag and, for a degenerate pair, its finished report."""
-    family = OPERATOR_BY_NAME[key]
-    _require_weight(v)
-    _require_depth(n, family.min_depth)
-    if branch not in BRANCHES:
-        raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
-    hyp = family.hypothesis(branch, v, n)
-    if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
-        raise MatrixError("operator bounds require SpdMatrix operands")
-    _check_dims(a, b)
-    if _fro(a.entries - b.entries) <= DEGENERATE_REL_TOL * a.fro():
-        tol = LOEWNER_REL_TOL * 2.0 * a.fro()
-        return hyp, OperatorBoundReport(key, branch, a.dim, v, n, 0.0, tol, hyp, True,
-                                        True, matrix_fingerprint(a), matrix_fingerprint(b))
-    return hyp, None
-
-
 @functools.lru_cache(maxsize=256)
 def _ladder(key, branch, n) -> tuple:
     """The (k, w_in, w_out) correction terms of a branch, k = n down to the
@@ -132,11 +113,23 @@ def _correction_sum(key, a, b, v, n, branch, heinz) -> OperatorBoundReport:
     shape (first 2) anchors at A # B and leads with 2(1-v)(A nabla B - A # B)
     for branch i; the one-sided shape (first 1) anchors at A for branch i, B
     for branch ii, with no lead.  ``heinz`` puts Heinz means in place of mean
-    and A nabla B in place of the lhs A nabla_v B and the one-sided anchor."""
-    hyp, short = _prepare(key, a, b, v, n, branch)
-    if short is not None:
-        return short
-    first = OPERATOR_BY_NAME[key].min_depth
+    and A nabla B in place of the lhs A nabla_v B and the one-sided anchor.
+    Checks: weight, depth, branch, operands, dims; a degenerate pair then
+    gets its report at once."""
+    record = OPERATOR_BY_NAME[key]
+    first = record.min_depth
+    _require_weight(v)
+    _require_depth(n, first)
+    if branch not in BRANCHES:
+        raise MatrixError(f"branch must be 'i' or 'ii', got {branch!r}")
+    hyp = record.hypothesis(branch, v, n)
+    if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
+        raise MatrixError("operator bounds require SpdMatrix operands")
+    _check_dims(a, b)
+    size = a.fro()
+    if _fro(a.entries - b.entries) <= DEGENERATE_REL_TOL * size:
+        return OperatorBoundReport(key, branch, a.dim, v, n, 0.0, LOEWNER_REL_TOL * 2.0 * size,
+                                   hyp, True, True, matrix_fingerprint(a), matrix_fingerprint(b))
     dyadic = first == 2
     ladder = _ladder(key, branch, n)
     mc = MeanCalculator(a, b)

@@ -381,20 +381,23 @@ def _require_unit_weight(v: float) -> None:
         raise DomainError(f"refinement indices require v in [0, 1], got v={v!r}")
 
 
+def _indices(v: float, k: int) -> tuple:
+    """(j_k, r_k, s_k) of sababheh_indices, unchecked; _refinement_sum reads it too."""
+    half = 2.0 ** (k - 1)
+    j = math.floor(half * v)
+    r = math.floor(2.0 ** k * v)
+    sign = -1.0 if r % 2 else 1.0
+    return j, r, sign * half * v - sign * ((r + 1) // 2)
+
+
 def sababheh_indices(v: float, k: int) -> RefinementIndex:
     """Indices j_k = floor(2^(k-1) v), r_k = floor(2^k v) and the alternating
-    coefficient s_k = (-1)^r_k 2^(k-1) v + (-1)^(r_k+1) floor((r_k+1)/2).
-
-    Defined for v in [0, 1] only (the floor formulas are used nowhere else).
-    """
+    coefficient s_k = (-1)^r_k 2^(k-1) v + (-1)^(r_k+1) floor((r_k+1)/2),
+    for v in [0, 1] only."""
     _require_unit_weight(v)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > 2 * MAX_DEPTH:
         raise DomainError(f"index level must satisfy 1 <= k <= {2 * MAX_DEPTH}, got {_shown(k)}")
-    j = math.floor(2.0 ** (k - 1) * v)
-    r = math.floor(2.0 ** k * v)
-    sign = -1.0 if r % 2 else 1.0
-    s = sign * 2.0 ** (k - 1) * v - sign * ((r + 1) // 2)
-    return RefinementIndex(k, j, r, s)
+    return RefinementIndex(k, *_indices(v, k))
 
 
 def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
@@ -416,12 +419,9 @@ def _refinement_sum(v: float, a: float, b: float, n: int) -> float:
     """refinement_sum_s for arguments its caller has checked."""
     dl = math.log(a) - math.log(b)
     total = 0.0
-    for k in range(1, n + 1):  # sababheh_indices(v, k), inline
-        half, scale = 2.0 ** (k - 1), 2.0 ** k
-        j = math.floor(half * v)
-        r = math.floor(scale * v)
-        sign = -1.0 if r % 2 else 1.0
-        s = sign * half * v - sign * ((r + 1) // 2)
+    for k in range(1, n + 1):
+        j, _, s = _indices(v, k)
+        scale = 2.0 ** k
         q1 = math.exp(dl * (j / scale))
         q2 = math.exp(dl * ((j + 1) / scale))
         total += s * b * (q1 - q2) ** 2

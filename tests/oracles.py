@@ -1,11 +1,13 @@
-"""Independent high-precision oracles for the scalar bound families and the
-weighted operator geometric mean.
+"""Independent high-precision oracles for the scalar bound families, the
+weighted operator geometric mean and the operator families' verdicts.
 
 Everything here is computed with mpmath at 50 significant digits, straight
 from the defining formulas (direct power form, not the library's
 ratio-and-root rearrangements), so agreement with the float64 library path
 is meaningful evidence and not an echo.
 """
+
+import functools
 
 from mpmath import mp, mpf, exp, floor, log, sqrt
 
@@ -125,6 +127,10 @@ def _spectral(m, fn):
     return q * mp.diag([fn(x) for x in lam]) * q.T
 
 
+def _mp_matrix(m):
+    return mp.matrix([[mpf(x) for x in row] for row in m])
+
+
 def operator_sharp(a, b):
     """Weighted geometric mean of an SPD pair as a function of the weight,
     A^(1/2) (A^(-1/2) B A^(-1/2))^w A^(1/2) in the direct square-root form.
@@ -132,8 +138,7 @@ def operator_sharp(a, b):
     ``a`` and ``b`` are nested lists or arrays of floats; the returned
     function maps w to the mean as nested lists of mpf.
     """
-    a = mp.matrix([[mpf(x) for x in row] for row in a])
-    b = mp.matrix([[mpf(x) for x in row] for row in b])
+    a, b = _mp_matrix(a), _mp_matrix(b)
     root = _spectral(a, sqrt)
     iroot = _spectral(a, lambda x: 1 / sqrt(x))
     inner = iroot * b * iroot
@@ -146,3 +151,42 @@ def operator_sharp(a, b):
         return [[out[i, j] for j in range(out.cols)] for i in range(out.rows)]
 
     return sharp
+
+
+@functools.lru_cache(maxsize=64)
+def _pencil(a, b):
+    """Eigenvalues of A^(-1/2) B A^(-1/2), the spectrum of the pencil (B, A),
+    for a pair of nested tuples of floats; memoized per pair."""
+    a, b = _mp_matrix(a), _mp_matrix(b)
+    iroot = _spectral(a, lambda x: 1 / sqrt(x))
+    inner = iroot * b * iroot
+    return tuple(mp.eigsy((inner + inner.T) / 2, eigvals_only=True))
+
+
+def _unweighted(a, b, v):
+    return (mpf(a) + mpf(b)) / 2
+
+
+# the scalar twin of each operator family: its rhs and its lhs
+OPERATOR_TWINS = {
+    "t6": (rhs_main_reverse, lhs_young),
+    "t66": (rhs_extended_sc, lhs_young),
+    "c3": (rhs_heinz_main, _unweighted),
+    "c33": (rhs_heinz_sc, _unweighted),
+}
+
+
+def operator_verdict(a, b, v, n, key, branch):
+    """Whether operator family ``key`` holds in Loewner order at (A, B, v, n).
+
+    Write A = LL^T and L^(-1) B L^(-T) = Q diag(lam) Q^T.  Each side of the
+    family is a sum of weighted means, and W = LQ takes every mean of (A, B)
+    to the same mean of (I, diag(lam)), so rhs - lhs = W diag(g_i) W^T with
+    g_i the scalar twin's gap at (1, lam_i, v, n).  By Sylvester's law of
+    inertia rhs - lhs is positive semidefinite iff every g_i >= 0.  The lam_i
+    are taken as the (same) spectrum of A^(-1/2) B A^(-1/2); ``a`` and ``b``
+    are nested lists or arrays of floats.
+    """
+    rhs, lhs = OPERATOR_TWINS[key]
+    spectrum = _pencil(tuple(map(tuple, a)), tuple(map(tuple, b)))
+    return min(rhs(1, lam, v, n, branch) - lhs(1, lam, v) for lam in spectrum) >= 0

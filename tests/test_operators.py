@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from meanbound import operators, scalar
 from meanbound.matrices import (
     MatrixError,
@@ -148,6 +149,42 @@ def test_input_validation():
         spd_power(np.eye(2), 0.5)
     with pytest.raises(MatrixError, match="^operator bounds require SpdMatrix operands$"):
         theorem_t6(np.eye(2), a, 0.9, 2, "i")
+
+
+# the argument rules of an operator evaluator, in the order it checks them:
+# each entry breaks its rule in a valid call, with the message it raises (None:
+# the pair is degenerate, which is no error but short-circuits the body)
+PRECEDENCE = (
+    ("weight", lambda c: c.update(v=math.nan), "weight must be finite, got v=nan"),
+    ("depth", lambda c: c.update(n=c["n"] - 1), "depth must satisfy {least} <= n <= 30, got n={bad}"),
+    ("branch", lambda c: c.update(branch="iii"), "branch must be 'i' or 'ii', got 'iii'"),
+    ("operand", lambda c: c.update(a=c["a"].entries), "operator bounds require SpdMatrix operands"),
+    ("dimension", lambda c: c.update(b=spd(3)), "dimension mismatch: 2 vs 3"),
+    ("degenerate", lambda c: c.update(b=c["a"]), None),
+)
+
+
+@pytest.mark.parametrize("family,branch", [(f.key, br) for f in OPERATOR_TABLE
+                                           for br in f.branches])
+def test_argument_checks_keep_their_order(family, branch):
+    # a call that breaks two rules raises the earlier rule's exact message
+    record = OPERATOR_BY_NAME[family]
+    least = record.min_depth
+    pair = (spd(2), spd(2))
+    for first, (name, breaks, message) in enumerate(PRECEDENCE[:-1]):
+        message = message.format(least=least, bad=least - 1)
+        for later, later_breaks, _ in PRECEDENCE[first:]:  # itself alone, then each later rule
+            if (name, later) == ("dimension", "degenerate"):
+                continue  # a pair of two dimensions cannot be degenerate
+            call = dict(a=pair[0], b=pair[1], v=2.0, n=least, branch=branch)
+            if later != name:
+                later_breaks(call)  # the later rule first: "degenerate" reads a
+            breaks(call)
+            with pytest.raises((DomainError, MatrixError)) as caught:
+                record.evaluate(call["a"], call["b"], call["v"], call["n"], call["branch"])
+            assert str(caught.value) == message, (name, later)
+    degenerate = record.evaluate(pair[0], pair[0], 2.0, least, branch)
+    assert degenerate.degenerate and degenerate.min_eig_gap == 0.0
 
 
 def test_fingerprints_identify_matrices():
@@ -312,6 +349,28 @@ def test_operator_reports_match_the_paper_statements():
                         case = (family.key, branch, pair[0].dim, v, n)
                         assert abs(rep.min_eig_gap - ref) <= 1e-13 * scale, case
                         assert rep.holds == (ref >= -rep.tol), case
+
+
+def test_operator_verdicts_match_the_spectral_oracle():
+    # a portable pin of the verdicts: each family at depth max(least, 3) on
+    # non-commuting pairs, below its window, above it (holds) and at its
+    # midpoint (fails), against the scalar twins on the 50-digit pencil spectrum
+    rng = Xoshiro256StarStar(41)
+    pairs = [(random_spd(dim, 1e4, rng), random_spd(dim, 1e4, rng))
+             for dim in (2, 4, 8) for _ in range(4)]
+    verdicts = []
+    for family in OPERATOR_TABLE:
+        n = max(family.min_depth, 3)
+        for branch in family.branches:
+            lo, hi = family.bounds(branch, n)
+            for a, b in pairs:
+                for v in (lo - 0.25, 0.5 * (lo + hi), hi + 0.25):
+                    rep = family.evaluate(a, b, v, n, branch)
+                    expected = oracles.operator_verdict(a.entries, b.entries, v, n,
+                                                        family.key, branch)
+                    assert rep.holds == expected, (family.key, branch, a.dim, v)
+                    verdicts.append(expected)
+    assert len(verdicts) == 288 and verdicts.count(False) == 96
 
 
 # sha256 over every operator report (or error message) of the four families,
