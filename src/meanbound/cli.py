@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import __version__, harness, reporting, scalar
-from .harness import ConfigError, SuiteConfig
+from .harness import ConfigError, SuiteConfig, parse_number
 from .matrices import JacobiConvergenceError, _read_text, load_spd_matrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .scalar import DomainError
@@ -36,21 +36,6 @@ _SEED_ENV = "MEANBOUND_SEED"
 # side of the dyadic inequality at the same point.
 _REPORTED_19 = 4.875
 _REPORTED_15 = 6.2892
-
-
-def parse_number(text: str) -> float:
-    """Parse a decimal or an integer fraction such as 1/8."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return int(num, 10) / int(den, 10)
-        except (ValueError, ArithmeticError):  # a quotient past the float range too
-            raise DomainError(f"cannot parse fraction {text!r}") from None
-    try:
-        return float(text)
-    except ValueError:
-        raise DomainError(f"cannot parse number {text!r}") from None
 
 
 def _number_flag(text: str) -> float:
@@ -268,9 +253,42 @@ def cmd_suite(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that records each of its options that take one value
+    (argparse makes the subparsers of its class too)."""
+
+    def __init__(self, *args, **kwargs):
+        self.value_flags = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:  # a positional records no option string
+            self.value_flags.update(action.option_strings)
+        return action
+
+
+def _joined(argv: list, value_flags: set) -> list:
+    """argv with each one-value flag and a following token that parse_number
+    accepts joined as flag=token, up to a "--": argparse reads a token such
+    as -1/8 or -1e-3 as an option, and only -1 or -.5 as a number."""
+    out = []
+    for token in argv:
+        if out and out[-1] in value_flags and "--" not in out:
+            try:
+                parse_number(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 @functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanbound",
         description="Evaluate and verify reverse Young/Heinz mean bounds, "
                     "scalar and operator (SPD) versions.",
@@ -336,12 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_repro)
     p_repro.set_defaults(func=cmd_repro)
 
+    parser.value_flags.update(*(p.value_flags for p in sub.choices.values()))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_joined(argv, parser.value_flags))
     try:
         return args.func(args)
     # every library input error is a ValueError, as is UnicodeDecodeError

@@ -22,7 +22,7 @@ from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
 from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
-from .scalar import SCALAR_TABLE, BoundReport, Family
+from .scalar import SCALAR_TABLE, BoundReport, DomainError, Family
 
 
 class ConfigError(ValueError):
@@ -148,11 +148,26 @@ def _name_list(text: str) -> tuple:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def parse_number(text: str) -> float:
+    """Parse a decimal or an integer fraction such as 1/8."""
+    text = text.strip()
+    if "/" in text:
+        num, _, den = text.partition("/")
+        try:
+            return int(num, 10) / int(den, 10)
+        except (ValueError, ArithmeticError):  # a quotient past the float range too
+            raise DomainError(f"cannot parse fraction {text!r}") from None
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"cannot parse number {text!r}") from None
+
+
 # a setting's kind: type rule, words of its message, text cast (of each end,
 # for a pair); no bool is a number here and no string a list of names
 _INT = (_is_int, "an integer", int)
-_REAL = (_is_real, "a real number", float)
-_PAIR = (lambda x: _seq_of(_is_real)(x) and len(x) == 2, "a pair of real numbers", float)
+_REAL = (_is_real, "a real number", parse_number)
+_PAIR = (lambda x: _seq_of(_is_real)(x) and len(x) == 2, "a pair of real numbers", parse_number)
 _INTS = (_seq_of(_is_int), "a list or tuple of integers",
          lambda text: tuple(map(int, _name_list(text))))
 _NAMES = (_seq_of(lambda x: isinstance(x, str)), "a list or tuple of names", _name_list)
@@ -540,12 +555,13 @@ def _claim_dominance(key, tighter, looser, v_window, ops):
     """Grid claim: tighter(t, v) <= looser(t, v) on the ratio grid x v window."""
 
     def runner(cfg: SuiteConfig):
+        rel_tol = scalar.REL_TOL
         for t in _log_grid(*cfg.scalar_range, cfg.grid_points):
             for v in _lin_grid(*v_window, cfg.grid_points):
                 low = tighter(1.0, t, v)
                 high = looser(1.0, t, v)
                 margin = high - low
-                ok = margin >= -1e-9 * (abs(low) + abs(high))
+                ok = margin >= -rel_tol * (abs(low) + abs(high))
                 yield ok, margin, (None if ok else
                                    {"ratio": t, "v": v, "tighter": low, "looser": high})
 
@@ -637,6 +653,7 @@ def _claim_limit_log(cfg: SuiteConfig):
 def _claim_bound_validity(cfg: SuiteConfig):
     # Every hypothesis-valid gap bound must dominate the true gap; the pairs
     # compare_gap_bounds adds need no check, as it keeps only margins >= 0.
+    rel_tol = scalar.REL_TOL
     for t in _log_grid(*cfg.scalar_range, 20):
         for v in _lin_grid(0.0, 1.0, 21):
             true_gap, bounds = scalar.gap_bounds(1.0, t, v, 3)
@@ -647,7 +664,7 @@ def _claim_bound_validity(cfg: SuiteConfig):
                     continue
                 slack = value - true_gap
                 worst = min(worst, slack)
-                if slack < -1e-9 * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
+                if slack < -rel_tol * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
                     ok = False
             worst = None if worst is math.inf else worst
             yield ok, worst, None if ok else {"ratio": t, "v": v}

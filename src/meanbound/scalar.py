@@ -139,21 +139,20 @@ def _tol(lhs: float, rhs: float) -> float:
     return REL_TOL * (abs(lhs) + abs(rhs))
 
 
-def _report(fam, branch, a, b, v, n, lhs, rhs, upper, hyp=None, mirrored=False):
+def _report(fam, branch, a, b, v, n, lhs, rhs, upper, mirrored=False):
     """The report at (a, b, v) of lhs against rhs, evaluated at (a, b, v) or,
     ``mirrored``, at (b, a, 1 - v) as branch i: the one mirror rule of every
     branch-ii bound.  An overflowing gap names the point evaluated; the
-    hypothesis flag hyp defaults to record fam's rule at that point.  The
-    verdict reads the expression of ``BoundReport.tol``, and the report is
-    built once, its verdict in place.
+    hypothesis flag is fam's rule for the branch at the caller's v, mirrored
+    or not.  The verdict reads the expression of ``BoundReport.tol``, and the
+    report is built once, its verdict in place.
     """
     gap = (rhs - lhs) if upper else (lhs - rhs)
     if not math.isfinite(gap):
         x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
         raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
                             f"leaves the floating-point range")
-    if hyp is None:
-        hyp = fam.hypothesis("i", 1.0 - v, n) if mirrored else fam.hypothesis(branch, v, n)
+    hyp = fam.hypothesis(branch, v, n)
     # tol >= 0, so only a negative gap needs it
     holds = gap >= 0.0 or gap >= -_tol(lhs, rhs)
     return tuple.__new__(BoundReport, (fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, holds))
@@ -283,6 +282,14 @@ def _check(key: str, n: Optional[int], branch: str) -> Family:
     return fam
 
 
+def _branch_point(key: str, a: float, b: float, v: float, n: int, branch: str) -> tuple:
+    """A root-sum family's record and the point branch i's formula reads, (a, b, v)
+    or branch ii's mirror (b, a, 1 - v), once depth, branch and point are checked."""
+    fam = _check(key, n, branch)
+    _require_point(a, b, v)
+    return (fam, b, a, 1.0 - v) if branch == "ii" else (fam, a, b, v)
+
+
 # ---------------------------------------------------------------------------
 # Basic reverse inequalities
 # ---------------------------------------------------------------------------
@@ -355,13 +362,10 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     for v outside [(2^(n-1)-1)/2^n, 1/2].  With n = 1 the tail sum is
     empty and branch "i" coincides with the one-term bound, branch "ii".
     """
-    fam = _check("theorem-main-reverse", n, branch)
-    _require_point(a, b, v)
-    mirrored = branch == "ii"
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    fam, x, y, w = _branch_point("theorem-main-reverse", a, b, v, n, branch)
     lhs = _young(x, y, w)
     rhs = _geometric(x, y, w) + gap_bound_main_reverse(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +449,14 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    mirrored = branch == "ii"
-    w = 1.0 - v if mirrored else v
-    # decided, like the flag, at branch i's point, the mirror (b, a, 1-v) of branch ii's
-    if not fam.hypothesis("i", w, n):
+    if not fam.hypothesis(branch, v, n):
         window = "[0, 1/2]" if branch == "i" else "[1/2, 1]"
         raise DomainError(f"branch {branch} requires v in {window}, got v={v!r}")
     _require_pair(a, b)
-    x, y = (b, a) if mirrored else (a, b)
+    x, y, w = (b, a, 1.0 - v) if branch == "ii" else (a, b, v)
     lhs = _young(x, y, w)
     rhs = _geometric(x, y, w) + gap_bound_sm_reverse(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, hyp=True, mirrored=mirrored)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +491,7 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     quarter = math.exp(0.25 * (math.log(x) + math.log(y)))
     rhs = (_geometric(x, y, w) + w * (math.sqrt(x) - math.sqrt(y)) ** 2
            + r0 * (math.sqrt(x) - quarter) ** 2)
-    return _report(fam, "", a, b, v, None, lhs, rhs, False, mirrored=mirrored)
+    return _report(fam, "", a, b, v, None, lhs, rhs, False, mirrored)
 
 
 def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
@@ -505,7 +506,7 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
     _require_pair(a, b)
     lhs = _young(a, b, v)
     rhs = _geometric(a, b, v) + _refinement_sum(v, b, a, n)
-    return _report(fam, "", a, b, v, n, lhs, rhs, False, hyp=True)
+    return _report(fam, "", a, b, v, n, lhs, rhs, False)
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +570,10 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     mirror under (a, b, v) -> (b, a, 1-v) and holds for v outside
     [(2^n-1)/2^n, 1].
     """
-    fam = _check("theorem-extended-sc", n, branch)
-    _require_point(a, b, v)
-    mirrored = branch == "ii"
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    fam, x, y, w = _branch_point("theorem-extended-sc", a, b, v, n, branch)
     lhs = _young(x, y, w)
     rhs = _geometric(x, y, w) + gap_bound_extended_sc(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +589,12 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     for branch "i" (v outside [1/2, (2^(n-1)+1)/2^n]); branch "ii" is the
     exact mirror under (a, b, v) -> (b, a, 1-v).  Requires n >= 2.
     """
-    fam = _check("heinz-reverse-main", n, branch)
-    _require_point(a, b, v)
-    mirrored = branch == "ii"
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    fam, x, y, w = _branch_point("heinz-reverse-main", a, b, v, n, branch)
     la, lb = math.log(x), math.log(y)
     lhs = 0.5 * (x + y)
     rhs = (_heinz(la, lb, w) + (1.0 - w) * (math.sqrt(x) - math.sqrt(y)) ** 2
            + (w - 0.5) * math.exp(0.5 * (la + lb)) * _two_sided_root_sum(lb - la, n, 2, 1.0, 1.0))
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
 
 
 def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -612,14 +607,11 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     for v outside [0, 1/2^n]; branch "ii" is the exact mirror under
     (a, b, v) -> (b, a, 1-v), for v outside [(2^n-1)/2^n, 1].
     """
-    fam = _check("heinz-reverse-sc", n, branch)
-    _require_point(a, b, v)
-    mirrored = branch == "ii"
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+    fam, x, y, w = _branch_point("heinz-reverse-sc", a, b, v, n, branch)
     la, lb = math.log(x), math.log(y)
     lhs = 0.5 * (x + y)
     rhs = _heinz(la, lb, w) + w * _two_sided_root_sum(lb - la, n, 1, x, y)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, mirrored=mirrored)
+    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +713,10 @@ class ComparisonReport(NamedTuple):
 
 @lru_cache(maxsize=None)  # n is checked first: at most MAX_DEPTH - 1 tables
 def _gap_slots(n: int) -> dict:
-    """label -> (label, depth, lo, hi, inside, mirrored, branch-i gap bound,
-    (label, family, branch, depth)) of each bound gap_bounds lists at depth
-    n, in order; [lo, hi] is the window Family.hypothesis reads."""
+    """label -> (label, lo, hi, inside, bound, (label, family, branch, depth))
+    of each bound gap_bounds lists at depth n, in order: bound(a, b, v) is
+    the branch-i gap bound at its depth, or for branch ii that bound at
+    (b, a, 1 - v), and [lo, hi] is the window Family.hypothesis reads."""
     one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
         "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
     depths = range(2, n + 1)
@@ -736,8 +729,13 @@ def _gap_slots(n: int) -> dict:
     table = {}
     for fam, branch, d, fn in rows:
         label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
-        table[label] = (label, d, *fam.bounds(branch, d), fam.kind == "inside",
-                        branch == "ii", fn, (label, fam.key, branch, d))
+        if d is not None:  # one call a bound, fn and d bound now, not at the loop's end
+            fn = ((lambda a, b, v, f=fn, d=d: f(b, a, 1.0 - v, d)) if branch == "ii"
+                  else (lambda a, b, v, f=fn, d=d: f(a, b, v, d)))
+        elif branch == "ii":
+            fn = lambda a, b, v, f=fn: f(b, a, 1.0 - v)
+        table[label] = (label, *fam.bounds(branch, d), fam.kind == "inside", fn,
+                        (label, fam.key, branch, d))
     return table
 
 
@@ -758,16 +756,11 @@ def gap_bounds(a: float, b: float, v: float, n: int = 3) -> tuple:
     """
     _require_point(a, b, v)
     _require_depth(n, 2)
-    w = 1.0 - v
     bounds, values = [], []
-    for label, d, lo, hi, inside, mirrored, fn, _ in _gap_slots(n).values():
+    for label, lo, hi, inside, bound, _ in _gap_slots(n).values():
         ok = (lo <= v <= hi) == inside  # Family.hypothesis, its window read once
         if ok or not inside:
-            if mirrored:
-                value = fn(b, a, w) if d is None else fn(b, a, w, d)
-            else:
-                value = fn(a, b, v) if d is None else fn(a, b, v, d)
-            values.append(value)
+            values.append(value := bound(a, b, v))
             bounds.append((label, value, ok))
     true_gap = _young(a, b, v) - _geometric(a, b, v)
     _require_finite_gaps(a, b, v, [true_gap, *values])

@@ -73,6 +73,64 @@ def test_weight_past_the_float_range_is_a_usage_error(capsys):
     assert "argument --v" in captured.err and "Traceback" not in captured.err
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's own exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _suite_number_flags():
+    """The suite flag of each setting that is one integer or real number."""
+    flags = []
+    for f in dataclasses.fields(SuiteConfig):
+        if f.metadata["cast"] in (int, harness.parse_number):
+            stem = f.name.removesuffix("_range")
+            names = (f.name,) if stem == f.name else (stem + "_lo", stem + "_hi")
+            flags += ["--" + name.replace("_", "-") for name in names]
+    return flags
+
+
+_POINT = {"--a": "1", "--b": "16", "--v": "1/8", "--n": "2"}
+# each command's fixed arguments and its number flags, with the value each
+# takes when another is under test (None: left out)
+_NUMBER_FLAGS = {
+    "bound": (["--family", "theorem-main-reverse", "--branch", "i"], _POINT),
+    "check-scalar": ([], _POINT),
+    "compare": ([], _POINT),
+    "check-operator": (["a.txt", "b.txt", "--family", "t6"], {"--v": "1/8", "--n": "2"}),
+    "suite": (["--families", "kittaneh-manasrah", "--trials", "3", "--format", "csv"],
+              dict.fromkeys(_suite_number_flags())),
+}
+
+
+@pytest.mark.parametrize("text", ["-1/8", "-1e-3"])
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, (_, flags)
+                                           in _NUMBER_FLAGS.items() for flag in flags])
+def test_negative_numbers_reach_every_number_flag_as_separate_tokens(
+        capsys, tmp_path, monkeypatch, command, flag, text):
+    # argparse reads "-1/8" and "-1e-3" alone as options; given apart from its
+    # flag, such a value must do exactly what flag=value does
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "a.txt", "1\n1\n")
+    write(tmp_path / "b.txt", "1\n16\n")
+    fixed, flags = _NUMBER_FLAGS[command]
+    argv = [command, *fixed]
+    for name, value in flags.items():
+        if name != flag and value is not None:
+            argv += [name, value]
+    apart = _outcome(capsys, argv + [flag, text])
+    assert "expected one argument" not in apart[2]
+    assert apart == _outcome(capsys, argv + [f"{flag}={text}"])
+    if flag in ("--v", "--v-lo", "--v-hi"):  # a valid weight, fractions too
+        assert apart[0] == 0, apart
+    if (command, flag) == ("bound", "--v"):
+        assert f" v={parse_number(text):.10g} " in apart[1]
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -498,6 +556,18 @@ def test_suite_config_file(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 11 and doc["config"]["trials"] == 5
     assert doc["results"][0]["key"] == "kittaneh-manasrah"
+
+
+def test_suite_real_settings_take_fractions_from_file_and_flag(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("trials = 5\nfamilies = kittaneh-manasrah\nv_lo = -1/8\ncond_max = 10/4\n",
+                   encoding="utf-8")
+    code, out, _ = run_cli(capsys, "suite", "--config", str(cfg), "--format", "json",
+                           "--scalar-hi", "1/2", "--margin", "1/1024")
+    config = json.loads(out)["config"]
+    assert code == 0
+    assert (config["v_range"], config["cond_max"]) == ([-0.125, 6.0], 2.5)
+    assert (config["scalar_range"], config["margin"]) == ([1e-3, 0.5], 2.0 ** -10)
 
 
 def test_suite_flag_overrides_config_file(capsys, tmp_path):

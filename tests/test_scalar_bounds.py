@@ -40,6 +40,8 @@ from meanbound.scalar import (
     window_sc_low,
 )
 from meanbound.harness import SCALAR_ROWS
+from meanbound.matrices import SpdMatrix
+from meanbound.operators import OPERATOR_BY_NAME
 
 import oracles
 
@@ -580,10 +582,6 @@ def test_only_compare_gap_bounds_raises_on_an_overflowing_dominance_margin():
 # Family table: hypothesis flags, argument checks, verdict tolerance
 # ---------------------------------------------------------------------------
 
-_MIRRORED = {"theorem-main-reverse", "lemma-sm-reverse", "theorem-extended-sc",
-             "heinz-reverse-main", "heinz-reverse-sc"}
-
-
 def _weights_near_windows(n):
     """Every window endpoint at depth n, its float neighbours and its mirror,
     with the signed zeros, 1/2 and 1."""
@@ -597,16 +595,15 @@ def _weights_near_windows(n):
 
 
 def _written_out_flag(family, branch, v, n):
-    """hypothesis_ok as the window functions give it; None where the
-    evaluator raises because v is outside its domain."""
-    if branch == "ii" and family in _MIRRORED:
-        return _written_out_flag(family, "i", 1.0 - v, n)
+    """hypothesis_ok as the window functions give it at the caller's v, for
+    branch ii too; None where the evaluator raises because v is outside its
+    domain."""
     if family == "zhao-wu-forward" and v > 0.5:
         v = 1.0 - v  # the weight selects the mirrored side
     if family in ("theorem-main-reverse", "heinz-reverse-main"):
-        lo, hi = window_dyadic_high(n)
+        lo, hi = window_dyadic_low(n) if branch == "ii" else window_dyadic_high(n)
     elif family in ("theorem-extended-sc", "heinz-reverse-sc"):
-        lo, hi = window_sc_low(n)
+        lo, hi = window_sc_high(n) if branch == "ii" else window_sc_low(n)
     elif family in ("corollary-one-term", "lemma-sm-reverse"):
         lo, hi = (0.5, 1.0) if branch == "ii" else (0.0, 0.5)
     else:
@@ -652,6 +649,51 @@ def test_compare_flags_match_the_written_out_windows(n):
                 if v >= 0.5:
                     expected[f"lemma-sm-reverse/ii/n{d}"] = True
         assert flags == expected, (n, v)
+
+
+def _ulps_around(x, count=3):
+    """x and its count nearest floats on either side, in order."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# each root-sum family and the operator family it lifts
+_OPERATOR_TWINS = {"theorem-main-reverse": "t6", "theorem-extended-sc": "t66",
+                   "heinz-reverse-main": "c3", "heinz-reverse-sc": "c33"}
+
+
+def test_branch_ii_is_flagged_at_the_callers_weight_in_every_layer():
+    # near a branch-ii window edge the rounded mirror 1 - v can land on the
+    # other side of branch i's edge; the scalar row, the comparison and the
+    # operator twin all flag v itself against Family.bounds("ii", n)
+    pair = (SpdMatrix([[2.0, 0.5], [0.5, 1.0]]), SpdMatrix([[1.0, -0.3], [-0.3, 3.0]]))
+    rows = {row.family: row for row in SCALAR_ROWS if row.branch == "ii"}
+    disagree = []
+    for key, twin in _OPERATOR_TWINS.items():
+        fam, op = scalar.SCALAR_BY_KEY[key], OPERATOR_BY_NAME[twin]
+        for n in range(fam.min_depth, scalar.MAX_DEPTH + 1):
+            for v in (w for end in fam.bounds("ii", n) for w in _ulps_around(end)):
+                flags = [rows[key].evaluate(3.0, 0.5, v, n).hypothesis_ok]
+                if key == "theorem-main-reverse" and n >= 2:
+                    listed = {label: ok for label, _, ok in gap_bounds(3.0, 0.5, v, n)[1]}
+                    flags.append(listed[f"{key}/ii/n{n}"])
+                if n >= op.min_depth:
+                    flags.append(op.evaluate(*pair, v, n, "ii").hypothesis_ok)
+                if flags != [fam.hypothesis("ii", v, n)] * len(flags):
+                    disagree.append((key, n, v, flags))
+    assert disagree == []
+
+
+def test_lemma_sm_branch_ii_takes_its_domain_at_the_callers_weight():
+    below = 0.5 - 2.0 ** -54  # 1 - below rounds to 1/2, inside branch i's domain
+    with pytest.raises(DomainError, match=r"^branch ii requires v in \[1/2, 1\], got v="):
+        lemma_sm_reverse(3.0, 0.5, below, 2, "ii")
+    listed = {label for label, _, _ in gap_bounds(3.0, 0.5, below, 2)[1]}
+    assert "lemma-sm-reverse/ii/n2" not in listed
+    assert lemma_sm_reverse(3.0, 0.5, 0.5, 2, "ii").hypothesis_ok is True
 
 
 @pytest.mark.parametrize("call, message", [
