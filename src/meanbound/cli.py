@@ -268,13 +268,22 @@ class _Parser(argparse.ArgumentParser):
         return action
 
 
-def _joined(argv: list, value_flags: set) -> list:
-    """argv with each one-value flag and a following token that parse_number
-    accepts joined as flag=token, up to a "--": argparse reads a token such
-    as -1/8 or -1e-3 as an option, and only -1 or -.5 as a number."""
+def _joined(argv: list, commands: dict) -> list:
+    """argv with each one-value flag of the subcommand argv names and a
+    following token that parse_number accepts joined as flag=token, up to a
+    "--": argparse reads a token such as -1/8 or -1e-3 as an option, and only
+    -1 or -.5 as a number.  A flag may be abbreviated as argparse allows, to
+    a prefix of exactly one such flag."""
+    command = commands.get(next((token for token in argv if not token.startswith("-")), None))
+    flags = command.value_flags if command else set()
+
+    def one_value(token: str) -> bool:
+        return token in flags or (
+            token.startswith("--") and sum(flag.startswith(token) for flag in flags) == 1)
+
     out = []
     for token in argv:
-        if out and out[-1] in value_flags and "--" not in out:
+        if out and "--" not in out and one_value(out[-1]):
             try:
                 parse_number(token)
             except ValueError:
@@ -354,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_repro)
     p_repro.set_defaults(func=cmd_repro)
 
-    parser.value_flags.update(*(p.value_flags for p in sub.choices.values()))
+    parser.commands = sub.choices  # name -> subparser, each with its value_flags
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_joined(argv, parser.value_flags))
+    args = parser.parse_args(_joined(argv, parser.commands))
     try:
         return args.func(args)
     # every library input error is a ValueError, as is UnicodeDecodeError

@@ -10,6 +10,7 @@ full inputs needed to replay it without randomness.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
-from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
+from .rng import SUBSTREAM_CHUNK, Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
 from .scalar import SCALAR_TABLE, BoundReport, DomainError, Family
 
 
@@ -298,6 +299,8 @@ def _rows(table: tuple, base_ops: tuple) -> list:
 
 
 SCALAR_ROWS = _rows(SCALAR_TABLE, _BASE_OPS)
+# (family, branch) -> the family whose row pass serves the row; other rows loop
+_PASS_FAMILIES = {(fam.key, branch): fam for fam in SCALAR_TABLE for branch in fam.branches}
 OPERATOR_ROWS = _rows(OPERATOR_TABLE, ())
 
 _KNOWN_FAMILY_SELECTORS = (
@@ -480,20 +483,53 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     width = lhi - llo
     probing = cfg.boundary_probe
     evaluate = row.evaluate
+    fam = None if probing else _PASS_FAMILIES.get((row.family, row.branch))
     # a trial draws at most four words (depth, a, b, v): all come from the
     # lockstep pass, and the generator steps itself only past them
-    for state in substream_states(row_seed, cfg.trials, ahead=4):
-        rng = Xoshiro256StarStar(state)
-        n, source = picks[rng.randint(count)] if count > 1 else picks[0]
-        a = math.exp(llo + width * rng.random())
-        b = math.exp(llo + width * rng.random())
-        if source is None:
-            yield None, None, None
-            continue
-        v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
-        ok, gap, cause = _verdict(evaluate, a, b, v, n, probing, "gap below tolerance")
-        yield ok, gap, None if ok or ok is None else {
-            "a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
+    states = substream_states(row_seed, cfg.trials, ahead=4)
+    for _ in range(0, cfg.trials, SUBSTREAM_CHUNK):
+        points = []
+        for state in itertools.islice(states, SUBSTREAM_CHUNK):
+            rng = Xoshiro256StarStar(state)
+            n, source = picks[rng.randint(count)] if count > 1 else picks[0]
+            a = math.exp(llo + width * rng.random())
+            b = math.exp(llo + width * rng.random())
+            points.append(None if source is None else (
+                a, b, _pick(source, rng) if probing else _sample_pieces(source, rng.random()), n))
+        drawn = [point for point in points if point]
+        clear = iter(_clear_passes(fam, row.branch, drawn) if fam and drawn else ())
+        for point in points:
+            if point is None:
+                yield None, None, None
+            elif next(clear, False):
+                yield True, None, None
+            else:
+                a, b, v, n = point
+                ok, gap, cause = _verdict(evaluate, a, b, v, n, probing, "gap below tolerance")
+                yield ok, gap, None if ok or ok is None else {
+                    "a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
+
+
+def _clear_passes(fam: Family, branch: str, points: list) -> list:
+    """Per point (a, b, v, n) drawn, whether the row pass decides it as a pass: where
+    lhs, rhs, gap and M are finite, M <= PASS_SCALE_MAX, the hypothesis holds
+    and gap + tol > delta = PASS_REL_ERROR * M, save those within 2 delta of
+    the least gap + delta, so that the evaluator settles the least margin."""
+    a, b, v, depths = zip(*points)
+    v, n = np.array(v), None if fam.min_depth is None else np.array(depths)
+    lhs, rhs, gap, scale = scalar.row_gaps(fam.key, branch, np.array(a), np.array(b), v, n)
+    with np.errstate(all="ignore"):
+        ok = np.zeros(len(points), dtype=bool)
+        for d in set(depths):  # Family.hypothesis, once per depth
+            at = slice(None) if n is None else n == d
+            ok[at] = fam.hypothesis(branch, v[at], d)
+        delta = scalar.PASS_REL_ERROR * scale
+        ok &= (np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(gap)
+               & (scale <= scalar.PASS_SCALE_MAX)
+               & (gap + scalar._tol(lhs, rhs) > delta))
+        if ok.any():
+            ok &= gap - delta > (gap + delta)[ok].min()
+    return ok.tolist()
 
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:

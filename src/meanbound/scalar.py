@@ -19,8 +19,10 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from typing import Callable, NamedTuple, Optional, Union
+
+import numpy as np
 
 REL_TOL = 1e-9
 """Relative verdict tolerance: holds iff gap >= -REL_TOL * (|lhs| + |rhs|)."""
@@ -262,13 +264,14 @@ class Family:
         return (1.0 - hi, 1.0 - lo) if branch == "ii" else (lo, hi)
 
     def hypothesis(self, branch: str, v: float, n: Optional[int]) -> bool:
-        """Whether v is inside the branch's depth-n window ("inside") or outside it."""
+        """Whether v is inside the branch's depth-n window ("inside") or outside
+        it; for an array of weights, the flag of each."""
         key = (branch, n)
         span = self._spans.get(key)
         if span is None:
             span = self._spans[key] = self.bounds(branch, n)
         lo, hi = span
-        return (lo <= v <= hi) == (self.kind == "inside")
+        return ((lo <= v) & (v <= hi)) == (self.kind == "inside")
 
 
 def _check(key: str, n: Optional[int], branch: str) -> Family:
@@ -783,6 +786,150 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
     return ComparisonReport(a, b, v, n, true_gap, bounds, tuple(dominance))
 
 
+# ---------------------------------------------------------------------------
+# Row pass: every family's formula on arrays of points
+# ---------------------------------------------------------------------------
+
+# The evaluators' formulas on numpy arrays, operation for operation, each with
+# its error scale M: the sum of the absolute values of the terms the formula
+# adds, an exp or expm1 term weighted by 1 + the absolute sum of its argument's
+# summands (an ulp of ln a is multiplied by |w| before exp).  numpy's exp, expm1
+# and log may differ from math's in the last bit; delta = PASS_REL_ERROR * M.
+PASS_REL_ERROR = 2.0 ** -40
+PASS_SCALE_MAX = 2.0 ** 1000  # the largest M at which a suite reads a row_gaps gap
+
+
+def _np_means(x, y, w):
+    """_young and _geometric at arrays (x, y, w), and their part of M."""
+    s, t = (1.0 - w) * np.log(x), w * np.log(y)
+    p, q = (1.0 - w) * x, w * y
+    geo = np.exp(s + t)
+    return p + q, geo, abs(p) + abs(q) + geo * (1.0 + abs(s) + abs(t))
+
+
+def _np_heinz(x, y, w):
+    """The lhs (x + y) / 2 and _heinz at arrays (x, y, w), and their part of M."""
+    la, lb = np.log(x), np.log(y)
+    s1, t1, s2, t2 = (1.0 - w) * la, w * lb, w * la, (1.0 - w) * lb
+    e1, e2 = np.exp(s1 + t1), np.exp(s2 + t2)
+    return (0.5 * (x + y), 0.5 * (e1 + e2), 0.5 * (x + y)
+            + 0.5 * (e1 * (1.0 + abs(s1) + abs(t1)) + e2 * (1.0 + abs(s2) + abs(t2))))
+
+
+def _np_root(x, y, power: float):
+    """exp(power * (ln x + ln y)) at arrays, and its weight in M."""
+    lx, ly = np.log(x), np.log(y)
+    return np.exp(power * (lx + ly)), 1.0 + power * (abs(lx) + abs(ly))
+
+
+def _np_depth_sum(k, n, terms, sizes) -> tuple:
+    """Column sums of terms and sizes over the rows k <= each column's depth n."""
+    on = k <= n
+    return np.where(on, terms, 0.0).sum(axis=0), np.where(on, sizes, 0.0).sum(axis=0)
+
+
+def _np_root_sum(x, y, n, first: int, p, q=None) -> tuple:
+    """_root_sum (q None: c = p) or _two_sided_root_sum at arrays, at lr = ln y - ln x."""
+    lx, ly = np.log(x), np.log(y)
+    k = np.arange(first, int(n.max()) + 1)[:, None]
+    d, weight = np.expm1((ly - lx) / 2.0 ** k), 1.0 + (abs(lx) + abs(ly)) / 2.0 ** k
+    if q is None:
+        terms = 2.0 ** (k - first) * p * d * d
+        return _np_depth_sum(k, n, terms, abs(terms) * weight)
+    e = np.expm1(-(ly - lx) / 2.0 ** k)
+    pd, qe = p * d * d, q * e * e
+    return _np_depth_sum(k, n, 2.0 ** (k - 2) * (pd + qe),
+                         2.0 ** (k - 2) * (abs(pd) + abs(qe)) * weight)
+
+
+def _np_refinement_sum(v, a, b, n) -> tuple:
+    """_refinement_sum at arrays, _indices read elementwise."""
+    la, lb = np.log(a), np.log(b)
+    dl, spread = la - lb, abs(la) + abs(lb)
+    k = np.arange(1, int(n.max()) + 1)[:, None]
+    half, scale = 2.0 ** (k - 1), 2.0 ** k
+    j, r = np.floor(half * v), np.floor(scale * v)
+    sign = np.where(r % 2, -1.0, 1.0)
+    s = sign * half * v - sign * ((r + 1) // 2)
+    terms = s * b * (np.exp(dl * (j / scale)) - np.exp(dl * ((j + 1) / scale))) ** 2
+    return _np_depth_sum(k, n, terms, abs(terms) * (1.0 + spread * abs(j + 1) / scale))
+
+
+# A form maps the point (x, y, w) that its family's formula reads, and the
+# depths n, to the terms the rhs adds to the anchor mean, in order, and
+# their part of M.
+
+def _np_one_term(branch, x, y, w, n, r0):
+    """The bound adding r0(branch, w) * (sqrt x - sqrt y)^2."""
+    corr = r0(branch, w) * (np.sqrt(x) - np.sqrt(y)) ** 2
+    return (corr,), abs(corr)
+
+
+def _np_main(branch, x, y, w, n, heinz=False):
+    """theorem-main-reverse, or heinz-reverse-main (two-sided, w - 1/2 for 2w - 1)."""
+    lead = (1.0 - w) * (np.sqrt(x) - np.sqrt(y)) ** 2
+    root, weight = _np_root(x, y, 0.5)
+    g = ((w - 0.5) if heinz else (2.0 * w - 1.0)) * root
+    tail, tail_m = _np_root_sum(x, y, n, 2, 1.0, 1.0 if heinz else None)
+    return (lead, g * tail) if heinz else (lead + g * tail,), abs(lead) + abs(g) * weight * tail_m
+
+
+def _np_sm(branch, x, y, w, n):
+    lead = (1.0 - w) * (np.sqrt(x) - np.sqrt(y)) ** 2
+    tail, tail_m = _np_refinement_sum(2.0 * w, _np_root(x, y, 0.5)[0], y, n)
+    return (lead - tail,), abs(lead) + tail_m
+
+
+def _np_sc_forward(branch, x, y, w, n):
+    tail, tail_m = _np_refinement_sum(w, y, x, n)
+    return (tail,), tail_m
+
+
+def _np_zw_forward(branch, x, y, w, n):
+    r = np.minimum(w, 1.0 - w)
+    quarter, weight = _np_root(x, y, 0.25)
+    one = w * (np.sqrt(x) - np.sqrt(y)) ** 2
+    two = np.minimum(2.0 * r, 1.0 - 2.0 * r) * (np.sqrt(x) - quarter) ** 2
+    return (one, two), abs(one) + abs(two) * weight
+
+
+def _np_zw_reverse(form, x, y, w, n):
+    quarter, weight = _np_root(x, y, 0.25)
+    low = w <= 0.5
+    one = np.where(low, 1.0 - w, w) * (np.sqrt(x) - np.sqrt(y)) ** 2
+    if form == "lemma":  # one - r0 * two, as one + (-r0) * two
+        r = np.minimum(w, 1.0 - w)
+        coef = -np.minimum(2.0 * r, 1.0 - 2.0 * r)
+    else:
+        coef = np.select([w <= 0.25, low, w <= 0.75],
+                         [-2.0 * w, 2.0 * w - 1.0, -(2.0 * w - 1.0)], 2.0 * w - 2.0)
+    two = coef * np.where(low, np.sqrt(y) - quarter, np.sqrt(x) - quarter) ** 2
+    return (one + two,), abs(one) + abs(two) * weight
+
+
+def _np_extended_sc(branch, x, y, w, n, heinz=False):
+    """theorem-extended-sc, or heinz-reverse-sc: its two-sided sum."""
+    tail, tail_m = _np_root_sum(x, y, n, 1, x, y if heinz else None)
+    return (w * tail,), abs(w) * tail_m
+
+
+def row_gaps(key: str, branch: str, a, b, v, n=None) -> tuple:
+    """lhs, rhs, oriented gap and error scale M of family ``key``'s branch (or
+    form) at float64 arrays a, b, v and, if it takes a depth, int array n:
+    the evaluator's formula, unchecked; a point outside its domain or range
+    gets inf or NaN.  Where all four are finite, the gap is within
+    PASS_REL_ERROR * M of the evaluator's."""
+    form, anchor, upper, mirror = _ROW_FORMS[key]
+    with np.errstate(all="ignore"):
+        flip = v > 0.5 if mirror == "v > 1/2" else mirror == "ii" and branch == "ii"
+        x, y, w = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - v, v)
+        lhs, rhs, scale = anchor(x, y, w)
+        terms, size = form(branch, x, y, w, n)
+        for term in terms:
+            rhs = rhs + term
+        return lhs, rhs, (rhs - lhs) if upper else (lhs - rhs), scale + size
+
+
 _INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
 # Every scalar family in suite order, read by the evaluators, the suite rows
 # and the CLI: the one statement of its branches, least depth and window.
@@ -811,3 +958,19 @@ SCALAR_TABLE = (
            "outside", window_sc_low, ops=("heinz_scalar",)),
 )
 SCALAR_BY_KEY = {family.key: family for family in SCALAR_TABLE}
+# key: (row-pass form, anchor mean, upper bound, where the point is mirrored)
+_ROW_FORMS = {
+    "reverse-young-basic": (lambda *point: ((), 0.0), _np_means, True, ""),
+    "corollary-one-term": (partial(_np_one_term, r0=lambda branch, w: (
+        w if branch == "i" else 1.0 - w)), _np_means, True, ""),
+    "theorem-main-reverse": (_np_main, _np_means, True, "ii"),
+    "lemma-sm-reverse": (_np_sm, _np_means, True, "ii"),
+    "kittaneh-manasrah": (partial(_np_one_term, r0=lambda branch, w: np.minimum(w, 1.0 - w)),
+                          _np_means, False, ""),
+    "zhao-wu-forward": (_np_zw_forward, _np_means, False, "v > 1/2"),
+    "zhao-wu-reverse": (_np_zw_reverse, _np_means, True, ""),
+    "sababheh-choi-forward": (_np_sc_forward, _np_means, False, ""),
+    "theorem-extended-sc": (_np_extended_sc, _np_means, True, "ii"),
+    "heinz-reverse-main": (partial(_np_main, heinz=True), _np_heinz, True, "ii"),
+    "heinz-reverse-sc": (partial(_np_extended_sc, heinz=True), _np_heinz, True, "ii"),
+}

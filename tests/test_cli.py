@@ -131,6 +131,29 @@ def test_negative_numbers_reach_every_number_flag_as_separate_tokens(
         assert f" v={parse_number(text):.10g} " in apart[1]
 
 
+_SUITE_FIXED = ["suite", "--families", "kittaneh-manasrah", "--trials", "3", "--format", "csv"]
+
+
+def test_abbreviated_flag_takes_a_negative_number_apart(capsys):
+    # argparse takes an unambiguous prefix of an option; a negative value
+    # given apart from such a prefix reaches the flag it names
+    apart = _outcome(capsys, _SUITE_FIXED + ["--v-l", "-1/8"])
+    assert apart == _outcome(capsys, _SUITE_FIXED + ["--v-lo=-1/8"])
+    assert apart[0] == 0 and apart[1]
+
+
+def test_abbreviated_flag_value_reaches_the_setting_rule(capsys):
+    code, _, err = _outcome(capsys, _SUITE_FIXED + ["--cond", "-1e-3"])
+    assert code == 2 and "expected one argument" not in err
+    assert err == "error: cond_max must be finite and >= 1, got -0.001\n"
+
+
+def test_ambiguous_flag_prefix_keeps_argparse_error(capsys):
+    code, _, err = _outcome(capsys, _SUITE_FIXED + ["--scalar", "-1e-3"])
+    assert code == 2
+    assert "ambiguous option: --scalar could match --scalar-lo, --scalar-hi" in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------

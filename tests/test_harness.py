@@ -397,6 +397,33 @@ def test_scalar_trials_draw_through_one_generator_each(monkeypatch, probe, draws
     assert Counter(rng.draws for rng in made) == per_trial
 
 
+@pytest.mark.parametrize("settings", [
+    {}, {"trials": 600, "v_range": (-3000.0, 3000.0)},
+    {"trials": 600, "scalar_range": (1e-150, 1e150), "v_range": (-50.0, 50.0)},
+    {"trials": 600, "scalar_range": (1e-300, 1e300), "v_range": (-400.0, 400.0)},
+    {"trials": 600, "depths": (1, 7, 30)}, {"trials": 600, "margin": 0.0},
+    {"trials": 600, "boundary_probe": True},
+    {"trials": 2500}])  # three substream chunks
+def test_row_pass_gives_the_rows_of_the_trial_loop(monkeypatch, settings):
+    # the row pass decides only clear passes and leaves every other trial,
+    # and the least margin, to the evaluator: with the pass's lookup turned
+    # off every trial goes through the evaluator, and each row is the same
+    cfg = SuiteConfig(seed=5, families=("scalar",), **settings)
+    decided = []
+    clear_passes = harness._clear_passes
+    monkeypatch.setattr(harness, "_clear_passes",
+                        lambda *args: decided.append(sum(out := clear_passes(*args))) or out)
+    batched = run_scalar_suite(cfg).rows
+    assert (sum(decided) > 0) != cfg.boundary_probe
+    monkeypatch.setattr(harness, "_PASS_FAMILIES", {})
+    looped = run_scalar_suite(cfg).rows
+    assert batched == looped
+    assert ([None if row.worst_gap is None else row.worst_gap.hex() for row in batched]
+            == [None if row.worst_gap is None else row.worst_gap.hex() for row in looped])
+    assert reporting.dumps([row.failure_records for row in batched]) == reporting.dumps(
+        [row.failure_records for row in looped])
+
+
 def _compensated_sum(values, start=0):
     """sum() as Python 3.12 and later form it for floats (Neumaier's
     compensated summation); integer sums as before."""

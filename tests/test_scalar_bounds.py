@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,7 @@ from meanbound.scalar import (
 from meanbound.harness import SCALAR_ROWS
 from meanbound.matrices import SpdMatrix
 from meanbound.operators import OPERATOR_BY_NAME
+from meanbound.rng import fnv1a64
 
 import oracles
 
@@ -923,3 +925,75 @@ def test_main_reverse_holds_at_extreme_ratio_and_tiny_weight(n):
     rep = theorem_main_reverse(1.0, math.exp(700.0), 2.0 ** -30, n, "i")
     assert rep.hypothesis_ok
     assert rep.holds
+
+
+# ---------------------------------------------------------------------------
+# Row pass: the array forms against the evaluators
+# ---------------------------------------------------------------------------
+
+def _pass_reads(lhs, rhs, gap, scale):
+    """Where a suite row pass reads its gap: all four finite, M in range."""
+    return (np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(gap)
+            & (scale <= scalar.PASS_SCALE_MAX))
+
+
+def _worst_pass_error(row, points) -> float:
+    """The largest |gap_array - gap_float| / (delta / 16) of row over points
+    (a, b, v, n) where the pass reads a gap; where the evaluator raises, the
+    pass must not read one or the hypothesis must fail there."""
+    fam = scalar.SCALAR_BY_KEY[row.family]
+    a, b, v, n = zip(*points)
+    a, b, v = np.array(a), np.array(b), np.array(v)
+    depth = None if fam.min_depth is None else np.array(n)
+    lhs, rhs, gap, scale = scalar.row_gaps(fam.key, row.branch, a, b, v, depth)
+    reads = _pass_reads(lhs, rhs, gap, scale)
+    worst = 0.0
+    for i, (x, y, w, d) in enumerate(points):
+        try:
+            rep = row.evaluate(x, y, w, d)
+        except (DomainError, OverflowError):
+            assert not reads[i] or not fam.hypothesis(row.branch, w, d), (row.key, x, y, w, d)
+            continue
+        if reads[i]:
+            worst = max(worst, abs(gap[i] - rep.gap) / (scalar.PASS_REL_ERROR / 16 * scale[i]))
+    return worst
+
+
+def _pass_draws(rng, count: int, min_depth) -> list:
+    """(a, b, v, n) draws: ln(b/a) up to +-700 (a fifth of them near 0), v up
+    to +-50 (half of them in [-1, 2] or [0, 1]), depths up to MAX_DEPTH."""
+    lr = rng.uniform(-700.0, 700.0, count) * rng.choice([1.0, 1.0, 1.0, 1.0, 1e-9], count)
+    la = rng.uniform(np.maximum(-700.0, -700.0 - lr), np.minimum(700.0, 700.0 - lr))
+    v = np.choose(rng.integers(0, 4, count), [rng.uniform(-50.0, 50.0, count)] * 2
+                  + [rng.uniform(-1.0, 2.0, count), rng.uniform(0.0, 1.0, count)])
+    n = rng.integers(min_depth or 1, scalar.MAX_DEPTH + 1, count)
+    return [(math.exp(x), math.exp(x + r), w, int(d) if min_depth else None)
+            for x, r, w, d in zip(la, lr, v, n)]
+
+
+@pytest.mark.parametrize("row", SCALAR_ROWS, ids=lambda row: row.key)
+def test_row_pass_gap_is_within_a_sixteenth_of_delta(row):
+    # delta = PASS_REL_ERROR * M is the bound a suite row pass decides by;
+    # the array forms keep within a sixteenth of it of the evaluators' gaps,
+    # at the row lattice of the known answer above and at 5556 draws a row
+    # (100,008 in all)
+    least = scalar.SCALAR_BY_KEY[row.family].min_depth
+    depths = [None] if least is None else range(least, 7)
+    lattice = [(x, y, w, n) for x in _LATTICE_A for y in _LATTICE_B for w in _LATTICE_V
+               for n in depths]
+    draws = _pass_draws(np.random.default_rng(fnv1a64(row.key)), 5556, least)
+    assert _worst_pass_error(row, lattice) <= 1.0
+    assert _worst_pass_error(row, draws) <= 1.0
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-300])
+@pytest.mark.parametrize("n", [7, 30])
+def test_row_pass_settles_the_main_reverse_cancellation(a, n):
+    # the false failure pinned above: the float gap cancels terms of size b,
+    # so no row pass may read it as a clear pass; the evaluator settles it
+    b, v = a * math.exp(700.0), 2.0 ** -30
+    lhs, rhs, gap, scale = scalar.row_gaps(
+        "theorem-main-reverse", "i", np.array([a]), np.array([b]), np.array([v]), np.array([n]))
+    tol = scalar.REL_TOL * (abs(lhs) + abs(rhs))
+    assert not (_pass_reads(lhs, rhs, gap, scale) & (gap + tol > scalar.PASS_REL_ERROR * scale))[0]
+    assert not theorem_main_reverse(a, b, v, n, "i").holds
