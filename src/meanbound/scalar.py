@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -49,7 +49,7 @@ def _shown(value) -> str:
 
 def _finite(x) -> bool:
     """math.isfinite(x), False for an int past the float range, where it raises
-    OverflowError; the checks of every evaluation inline it."""
+    OverflowError."""
     try:
         return math.isfinite(x)
     except OverflowError:
@@ -57,21 +57,13 @@ def _finite(x) -> bool:
 
 
 def _require_pair(a: float, b: float) -> None:
-    try:
-        if math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0:
-            return
-    except OverflowError:
-        pass
-    raise DomainError(f"operands must be finite and > 0, got a={_shown(a)}, b={_shown(b)}")
+    if not (_finite(a) and _finite(b) and a > 0.0 and b > 0.0):
+        raise DomainError(f"operands must be finite and > 0, got a={_shown(a)}, b={_shown(b)}")
 
 
 def _require_weight(v: float) -> None:
-    try:
-        if math.isfinite(v):
-            return
-    except OverflowError:
-        pass
-    raise DomainError(f"weight must be finite, got v={_shown(v)}")
+    if not _finite(v):
+        raise DomainError(f"weight must be finite, got v={_shown(v)}")
 
 
 def _require_positive(x: float) -> None:
@@ -141,67 +133,125 @@ def _tol(lhs: float, rhs: float) -> float:
     return REL_TOL * (abs(lhs) + abs(rhs))
 
 
-def _report(fam, branch, a, b, v, n, lhs, rhs, upper, mirrored=False):
-    """The report at (a, b, v) of lhs against rhs, evaluated at (a, b, v) or,
-    ``mirrored``, at (b, a, 1 - v) as branch i: the one mirror rule of every
-    branch-ii bound.  An overflowing gap names the point evaluated; the
-    hypothesis flag is fam's rule for the branch at the caller's v, mirrored
-    or not.  The verdict reads the expression of ``BoundReport.tol``, and the
-    report is built once, its verdict in place.
-    """
-    gap = (rhs - lhs) if upper else (lhs - rhs)
+def _report(fam, branch, a, b, v, n, mirrored=False, hyp=None, sides=None):
+    """The report at (a, b, v) of fam's float body (or of its ``sides``), whose
+    overflowing gap names the point evaluated, (b, a, 1 - v) where ``mirrored``;
+    its flag is ``hyp`` where the caller has it, else fam's rule at v."""
+    lhs, rhs, gap, _ = sides or _BODIES[fam.key](_Floats, a, b, v, n, branch)
     if not math.isfinite(gap):
-        x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
+        x, y, w = _mirror(_Floats, mirrored, a, b, v)
         raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
                             f"leaves the floating-point range")
-    hyp = fam.hypothesis(branch, v, n)
+    if hyp is None:
+        hyp = fam.hypothesis(branch, v, n)
     # tol >= 0, so only a negative gap needs it
     holds = gap >= 0.0 or gap >= -_tol(lhs, rhs)
     return tuple.__new__(BoundReport, (fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, holds))
 
 
 # ---------------------------------------------------------------------------
-# Elementary means
+# Two arithmetics for one body, and the elementary means
 # ---------------------------------------------------------------------------
 
-# The unchecked forms below serve evaluators that have checked their
-# arguments once already.
+# Each family's formula is written once, as a body over a numeric context c:
+# _Floats reads it at one point, _Arrays at arrays of points.  For arrays only
+# (``c.arrays and ...``), a body also gives its part of the error scale M: the
+# sum of the absolute values of the terms a formula adds, an exp or expm1 term
+# weighted by 1 + the absolute sum of its argument's summands (an ulp of ln a
+# is multiplied by |w| before exp).  numpy's exp, expm1 and log may differ
+# from math's in the last bit, and x ** 2 from libm's pow; delta =
+# PASS_REL_ERROR * M.
+PASS_REL_ERROR = 2.0 ** -40
+PASS_SCALE_MAX = 2.0 ** 1000  # the largest M at which a suite reads a row_gaps gap
 
-def _young(a, b, v):
-    lhs = (1.0 - v) * a + v * b
-    if not math.isfinite(lhs):
+
+class _Floats:
+    """One point: math's functions, Python's choices, a depth loop term by term."""
+
+    arrays = False
+    exp, expm1, log, sqrt, floor, minimum = (
+        math.exp, math.expm1, math.log, math.sqrt, math.floor, min)
+    where = staticmethod(lambda cond, x, y: x if cond else y)
+    depths = range
+
+
+class _Arrays:
+    """Arrays of points: numpy's functions, elementwise choices, and a depth loop
+    run once over the column k = first..max(n), whose rows fold sums to each n."""
+
+    arrays = True
+    exp, expm1, log, sqrt, floor, minimum, where = (
+        np.exp, np.expm1, np.log, np.sqrt, np.floor, np.minimum, np.where)
+    depths = staticmethod(lambda first, stop: (np.arange(first, int(stop.max()))[:, None],))
+
+    @staticmethod
+    def fold(k, n, *rows) -> tuple:
+        return tuple(np.where(k <= n, row, 0.0).sum(axis=0) for row in rows)
+
+
+def _mirror(c, flip, a, b, v) -> tuple:
+    """(b, a, 1 - v) where flip holds, else (a, b, v): the one mirror rule."""
+    return c.where(flip, b, a), c.where(flip, a, b), c.where(flip, 1.0 - v, v)
+
+
+def _sides(c, x, y, w, upper, correction, arg=None, heinz=False) -> tuple:
+    """lhs, rhs, oriented gap and M at (x, y, w) of the arithmetic mean against the geometric
+    or, ``heinz``, Heinz mean plus the terms correction(c, x, y, w, arg) returns before its M."""
+    if heinz:
+        lhs = lhs_m = 0.5 * (x + y)
+        mean, mean_m = _heinz(c, c.log(x), c.log(y), w)
+    else:
+        lhs, lhs_m = _young(c, x, y, w)
+        mean, mean_m = _geometric(c, x, y, w)
+    *terms, size = correction(c, x, y, w, arg)
+    rhs = mean
+    for term in terms:
+        rhs = rhs + term
+    return lhs, rhs, (rhs - lhs) if upper else (lhs - rhs), c.arrays and lhs_m + mean_m + size
+
+
+def _young(c, a, b, v) -> tuple:
+    """(1-v)a + vb and its part of M; a float mean past the range raises."""
+    p, q = (1.0 - v) * a, v * b
+    lhs = p + q
+    if not (c.arrays or math.isfinite(lhs)):
         raise OverflowError(f"weighted arithmetic mean at a={a!r}, b={b!r}, v={v!r} "
                             f"leaves the floating-point range")
-    return lhs
+    return lhs, c.arrays and abs(p) + abs(q)
 
 
-def _geometric(a, b, v):
-    return math.exp((1.0 - v) * math.log(a) + v * math.log(b))
+def _geometric(c, a, b, v) -> tuple:
+    s, t = (1.0 - v) * c.log(a), v * c.log(b)
+    geo = c.exp(s + t)
+    return geo, c.arrays and geo * (1.0 + abs(s) + abs(t))
 
 
-def _heinz(la, lb, v):
-    """The Heinz mean at v of the operands with logs la and lb."""
-    return 0.5 * (math.exp((1.0 - v) * la + v * lb) + math.exp(v * la + (1.0 - v) * lb))
+def _heinz(c, la, lb, v) -> tuple:
+    """The Heinz mean at v of the operands with logs la and lb, and its part of M."""
+    s1, t1, s2, t2 = (1.0 - v) * la, v * lb, v * la, (1.0 - v) * lb
+    e1, e2 = c.exp(s1 + t1), c.exp(s2 + t2)
+    return 0.5 * (e1 + e2), c.arrays and 0.5 * (e1 * (1.0 + abs(s1) + abs(t1))
+                                                + e2 * (1.0 + abs(s2) + abs(t2)))
 
 
 def young_lhs(a: float, b: float, v: float) -> float:
     """Weighted arithmetic mean (1-v)*a + v*b."""
     _require_point(a, b, v)
-    return _young(a, b, v)
+    return _young(_Floats, a, b, v)[0]
 
 
 @_named_overflow
 def weighted_geometric(a: float, b: float, v: float) -> float:
     """Weighted geometric mean a^(1-v) * b^v, via exp/log for any real v."""
     _require_point(a, b, v)
-    return _geometric(a, b, v)
+    return _geometric(_Floats, a, b, v)[0]
 
 
 @_named_overflow
 def heinz_scalar(a: float, b: float, v: float) -> float:
     """Heinz mean (a^(1-v) b^v + a^v b^(1-v)) / 2; symmetric in v <-> 1-v."""
     _require_point(a, b, v)
-    return _heinz(math.log(a), math.log(b), v)
+    return _heinz(_Floats, math.log(a), math.log(b), v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +324,28 @@ class Family:
         return ((lo <= v) & (v <= hi)) == (self.kind == "inside")
 
 
-def _check(key: str, n: Optional[int], branch: str) -> Family:
-    """Scalar family key's record, once n and the branch (or form) fit it."""
+def _check(key: str, n: Optional[int], branch: str, *point) -> Family:
+    """Scalar family key's record, once n, the branch (or form) and any point fit it."""
     fam = SCALAR_BY_KEY[key]
     if fam.min_depth is not None:
         _require_depth(n, fam.min_depth)
     if branch not in fam.branches:
         word = "branch" if fam.branches == BRANCHES else "form"
         raise DomainError(f"{word} must be {' or '.join(map(repr, fam.branches))}, got {branch!r}")
+    if point:
+        _require_point(*point)
     return fam
-
-
-def _branch_point(key: str, a: float, b: float, v: float, n: int, branch: str) -> tuple:
-    """A root-sum family's record and the point branch i's formula reads, (a, b, v)
-    or branch ii's mirror (b, a, 1 - v), once depth, branch and point are checked."""
-    fam = _check(key, n, branch)
-    _require_point(a, b, v)
-    return (fam, b, a, 1.0 - v) if branch == "ii" else (fam, a, b, v)
 
 
 # ---------------------------------------------------------------------------
 # Basic reverse inequalities
 # ---------------------------------------------------------------------------
+
+def _one_term(c, x, y, w, coef) -> tuple:
+    """The correction term coef * (sqrt x - sqrt y)^2 and its part of M."""
+    corr = coef * (c.sqrt(x) - c.sqrt(y)) ** 2
+    return corr, c.arrays and abs(corr)
+
 
 def reverse_young_basic(a: float, b: float, v: float) -> BoundReport:
     """(1-v)a + vb <= a^(1-v) b^v, valid for v outside [0, 1].
@@ -303,10 +353,7 @@ def reverse_young_basic(a: float, b: float, v: float) -> BoundReport:
     At v in {0, 1} the two sides coincide; the hypothesis flag is false
     there but the report is still evaluated.
     """
-    _require_point(a, b, v)
-    fam = SCALAR_BY_KEY["reverse-young-basic"]
-    lhs = _young(a, b, v)
-    return _report(fam, "", a, b, v, None, lhs, _geometric(a, b, v), True)
+    return _report(_check("reverse-young-basic", None, "", a, b, v), "", a, b, v, None)
 
 
 def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport:
@@ -315,46 +362,46 @@ def corollary_one_term(a: float, b: float, v: float, branch: str) -> BoundReport
     Branch "i" adds v*(sqrt a - sqrt b)^2 and requires v outside [0, 1/2];
     branch "ii" adds (1-v)*(...)^2 and requires v outside [1/2, 1].
     """
-    fam = _check("corollary-one-term", None, branch)
-    _require_point(a, b, v)
-    lhs = _young(a, b, v)
-    sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    rhs = _geometric(a, b, v) + (v if branch == "i" else 1.0 - v) * sq
-    return _report(fam, branch, a, b, v, None, lhs, rhs, True)
+    return _report(_check("corollary-one-term", None, branch, a, b, v), branch, a, b, v, None)
 
 
 # ---------------------------------------------------------------------------
 # Main extended-range reverse bound (dyadic-root correction sum)
 # ---------------------------------------------------------------------------
 
-# The two root sums of every dyadic correction, over d_k = (b/a)^(1/2^k) - 1
-# at lr = ln(b/a); a factor stays inside the sum, where it was stated.
-
-def _root_sum(lr: float, n: int, first: int, c: float) -> float:
-    """sum_{k=first..n} 2^(k-first) * c * d_k^2, empty for n < first."""
+def _root_sum(c, lx, ly, n, first, p, q=None) -> tuple:
+    """sum_{k=first..n} 2^(k-first) p d_k^2, or 2^(k-2) (p d_k^2 + q e_k^2) given q,
+    over d_k = (y/x)^(1/2^k) - 1 and e_k, d_k at x/y, at logs lx and ly."""
+    lr = ly - lx
     total = 0.0
-    for k in range(first, n + 1):
-        d = math.expm1(lr / 2.0 ** k)
-        total += 2.0 ** (k - first) * c * d * d
-    return total
+    for k in c.depths(first, n + 1):
+        d = c.expm1(lr / 2.0 ** k)
+        if q is None:
+            total += 2.0 ** (k - first) * p * d * d
+        else:
+            e = c.expm1(-lr / 2.0 ** k)
+            total += 2.0 ** (k - 2) * (p * d * d + q * e * e)
+    if not c.arrays:
+        return total, False
+    # the loop ran once, over the depth column: total holds each depth's term
+    size = abs(total) if q is None else 2.0 ** (k - 2) * (abs(p * d * d) + abs(q * e * e))
+    return c.fold(k, n, total, size * (1.0 + (abs(lx) + abs(ly)) / 2.0 ** k))
 
 
-def _two_sided_root_sum(lr: float, n: int, first: int, p: float, q: float) -> float:
-    """sum_{k=first..n} 2^(k-2) * (p * d_k^2 + q * e_k^2), e_k being d_k at a/b."""
-    total = 0.0
-    for k in range(first, n + 1):
-        d = math.expm1(lr / 2.0 ** k)
-        e = math.expm1(-lr / 2.0 ** k)
-        total += 2.0 ** (k - 2) * (p * d * d + q * e * e)
-    return total
+def _dyadic(c, x, y, w, n, heinz=False) -> tuple:
+    """gap_bound_main_reverse's correction or, ``heinz``, heinz-reverse-main's
+    two terms, (w - 1/2) for 2w - 1 and the two-sided sum; and their M."""
+    lx, ly = c.log(x), c.log(y)
+    lead = (1.0 - w) * (c.sqrt(x) - c.sqrt(y)) ** 2
+    g = ((w - 0.5) if heinz else (2.0 * w - 1.0)) * c.exp(0.5 * (lx + ly))
+    tail, tail_m = _root_sum(c, lx, ly, n, 2, 1.0, 1.0 if heinz else None)
+    size = c.arrays and abs(lead) + abs(g) * (1.0 + 0.5 * (abs(lx) + abs(ly))) * tail_m
+    return (lead, g * tail, size) if heinz else (lead + g * tail, size)
 
 
 def gap_bound_main_reverse(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction (1-v)(sqrt a - sqrt b)^2 + (2v-1) sqrt(ab) * tail(n)."""
-    la, lb = math.log(a), math.log(b)
-    sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    return ((1.0 - v) * sq
-            + (2.0 * v - 1.0) * math.exp(0.5 * (la + lb)) * _root_sum(lb - la, n, 2, 1.0))
+    return _dyadic(_Floats, a, b, v, n)[0]
 
 
 def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -365,10 +412,8 @@ def theorem_main_reverse(a: float, b: float, v: float, n: int, branch: str) -> B
     for v outside [(2^(n-1)-1)/2^n, 1/2].  With n = 1 the tail sum is
     empty and branch "i" coincides with the one-term bound, branch "ii".
     """
-    fam, x, y, w = _branch_point("theorem-main-reverse", a, b, v, n, branch)
-    lhs = _young(x, y, w)
-    rhs = _geometric(x, y, w) + gap_bound_main_reverse(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
+    fam = _check("theorem-main-reverse", n, branch, a, b, v)
+    return _report(fam, branch, a, b, v, n, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +433,12 @@ def _require_unit_weight(v: float) -> None:
         raise DomainError(f"refinement indices require v in [0, 1], got v={v!r}")
 
 
-def _indices(v: float, k: int) -> tuple:
+def _indices(c, v, k) -> tuple:
     """(j_k, r_k, s_k) of sababheh_indices, unchecked; _refinement_sum reads it too."""
     half = 2.0 ** (k - 1)
-    j = math.floor(half * v)
-    r = math.floor(2.0 ** k * v)
-    sign = -1.0 if r % 2 else 1.0
+    j = c.floor(half * v)
+    r = c.floor(2.0 ** k * v)
+    sign = 1.0 - 2.0 * (r % 2)  # (-1)^r_k
     return j, r, sign * half * v - sign * ((r + 1) // 2)
 
 
@@ -404,7 +449,7 @@ def sababheh_indices(v: float, k: int) -> RefinementIndex:
     _require_unit_weight(v)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > 2 * MAX_DEPTH:
         raise DomainError(f"index level must satisfy 1 <= k <= {2 * MAX_DEPTH}, got {_shown(k)}")
-    return RefinementIndex(k, *_indices(v, k))
+    return RefinementIndex(k, *_indices(_Floats, v, k))
 
 
 def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
@@ -419,27 +464,35 @@ def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
     _require_pair(a, b)
     _require_depth(n, 1)
     _require_unit_weight(v)
-    return _refinement_sum(v, a, b, n)
+    return _refinement_sum(_Floats, v, a, b, n)[0]
 
 
-def _refinement_sum(v: float, a: float, b: float, n: int) -> float:
-    """refinement_sum_s for arguments its caller has checked."""
-    dl = math.log(a) - math.log(b)
+def _refinement_sum(c, v, a, b, n) -> tuple:
+    """refinement_sum_s for arguments its caller has checked, and its part of
+    M, which weights term k by 1 + (|ln a| + |ln b|) |j_k + 1| / 2^k."""
+    la, lb = c.log(a), c.log(b)
+    dl = la - lb
     total = 0.0
-    for k in range(1, n + 1):
-        j, _, s = _indices(v, k)
+    for k in c.depths(1, n + 1):
+        j, _, s = _indices(c, v, k)
         scale = 2.0 ** k
-        q1 = math.exp(dl * (j / scale))
-        q2 = math.exp(dl * ((j + 1) / scale))
+        q1 = c.exp(dl * (j / scale))
+        q2 = c.exp(dl * ((j + 1) / scale))
         total += s * b * (q1 - q2) ** 2
-    return total
+    if not c.arrays:
+        return total, False
+    return c.fold(k, n, total, abs(total) * (1.0 + (abs(la) + abs(lb)) * abs(j + 1) / scale))
+
+
+def _sm_correction(c, x, y, w, n) -> tuple:
+    lead = (1.0 - w) * (c.sqrt(x) - c.sqrt(y)) ** 2
+    tail, tail_m = _refinement_sum(c, 2.0 * w, c.exp(0.5 * (c.log(x) + c.log(y))), y, n)
+    return lead - tail, c.arrays and abs(lead) + tail_m
 
 
 def gap_bound_sm_reverse(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction (1-v)(sqrt a - sqrt b)^2 - S_n(2v, sqrt(ab), b)."""
-    sq = (math.sqrt(a) - math.sqrt(b)) ** 2
-    groot = math.exp(0.5 * (math.log(a) + math.log(b)))
-    return (1.0 - v) * sq - _refinement_sum(2.0 * v, groot, b, n)
+    return _sm_correction(_Floats, a, b, v, n)[0]
 
 
 def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -452,14 +505,11 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    if not fam.hypothesis(branch, v, n):
+    if not (ok := fam.hypothesis(branch, v, n)):
         window = "[0, 1/2]" if branch == "i" else "[1/2, 1]"
         raise DomainError(f"branch {branch} requires v in {window}, got v={v!r}")
     _require_pair(a, b)
-    x, y, w = (b, a, 1.0 - v) if branch == "ii" else (a, b, v)
-    lhs = _young(x, y, w)
-    rhs = _geometric(x, y, w) + gap_bound_sm_reverse(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
+    return _report(fam, branch, a, b, v, n, branch == "ii", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +518,16 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
 
 def kittaneh_manasrah(a: float, b: float, v: float) -> BoundReport:
     """One-term forward refinement with r0 = min(v, 1-v); valid on v in [0, 1]."""
-    _require_point(a, b, v)
-    fam = SCALAR_BY_KEY["kittaneh-manasrah"]
-    lhs = _young(a, b, v)
-    r0 = min(v, 1.0 - v)
-    rhs = _geometric(a, b, v) + r0 * (math.sqrt(a) - math.sqrt(b)) ** 2
-    return _report(fam, "", a, b, v, None, lhs, rhs, False)
+    return _report(_check("kittaneh-manasrah", None, "", a, b, v), "", a, b, v, None)
+
+
+def _zw_forward(c, x, y, w, arg) -> tuple:
+    """zhao-wu-forward's two terms at (x, y, w), w <= 1/2, and their part of M."""
+    lx, ly = c.log(x), c.log(y)
+    r = c.minimum(w, 1.0 - w)
+    one = w * (c.sqrt(x) - c.sqrt(y)) ** 2
+    two = c.minimum(2.0 * r, 1.0 - 2.0 * r) * (c.sqrt(x) - c.exp(0.25 * (lx + ly))) ** 2
+    return one, two, c.arrays and abs(one) + abs(two) * (1.0 + 0.25 * (abs(lx) + abs(ly)))
 
 
 def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
@@ -485,16 +539,7 @@ def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
     """
     _require_weight(v)
     _require_pair(a, b)
-    fam = SCALAR_BY_KEY["zhao-wu-forward"]
-    mirrored = v > 0.5
-    x, y, w = (b, a, 1.0 - v) if mirrored else (a, b, v)
-    lhs = _young(x, y, w)
-    r = min(w, 1.0 - w)
-    r0 = min(2.0 * r, 1.0 - 2.0 * r)
-    quarter = math.exp(0.25 * (math.log(x) + math.log(y)))
-    rhs = (_geometric(x, y, w) + w * (math.sqrt(x) - math.sqrt(y)) ** 2
-           + r0 * (math.sqrt(x) - quarter) ** 2)
-    return _report(fam, "", a, b, v, None, lhs, rhs, False, mirrored)
+    return _report(SCALAR_BY_KEY["zhao-wu-forward"], "", a, b, v, None, v > 0.5)
 
 
 def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
@@ -504,38 +549,39 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
     """
     fam = _check("sababheh-choi-forward", n, "")
     _require_weight(v)
-    if not fam.hypothesis("", v, n):
+    if not (ok := fam.hypothesis("", v, n)):
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
     _require_pair(a, b)
-    lhs = _young(a, b, v)
-    rhs = _geometric(a, b, v) + _refinement_sum(v, b, a, n)
-    return _report(fam, "", a, b, v, n, lhs, rhs, False)
+    return _report(fam, "", a, b, v, n, hyp=ok)
 
 
 # ---------------------------------------------------------------------------
 # Two-term reverse bound in lemma and four-window restatement forms
 # ---------------------------------------------------------------------------
 
+def _zw_reverse(c, x, y, w, form) -> tuple:
+    """gap_bound_zw_lemma or, any other form, gap_bound_zw_proposition; and M."""
+    sx, sy = c.sqrt(x), c.sqrt(y)
+    lx, ly = c.log(x), c.log(y)
+    quarter = c.exp(0.25 * (lx + ly))
+    low = w <= 0.5
+    one = c.where(low, 1.0 - w, w) * (sx - sy) ** 2
+    if form == "lemma":  # one - r0 * two, as one + (-r0) * two
+        r = c.minimum(w, 1.0 - w)
+        coef = -c.minimum(2.0 * r, 1.0 - 2.0 * r)
+    else:
+        coef = c.where(w <= 0.25, -2.0 * w, c.where(low, 2.0 * w - 1.0, c.where(
+            w <= 0.75, -(2.0 * w - 1.0), 2.0 * w - 2.0)))
+    two = coef * c.where(low, sy - quarter, sx - quarter) ** 2
+    return one + two, c.arrays and abs(one) + abs(two) * (1.0 + 0.25 * (abs(lx) + abs(ly)))
+
+
 def gap_bound_zw_lemma(a: float, b: float, v: float) -> float:
-    sa, sb = math.sqrt(a), math.sqrt(b)
-    quarter = math.exp(0.25 * (math.log(a) + math.log(b)))
-    r = min(v, 1.0 - v)
-    r0 = min(2.0 * r, 1.0 - 2.0 * r)
-    if v <= 0.5:
-        return (1.0 - v) * (sa - sb) ** 2 - r0 * (sb - quarter) ** 2
-    return v * (sa - sb) ** 2 - r0 * (sa - quarter) ** 2
+    return _zw_reverse(_Floats, a, b, v, "lemma")[0]
 
 
 def gap_bound_zw_proposition(a: float, b: float, v: float) -> float:
-    sa, sb = math.sqrt(a), math.sqrt(b)
-    quarter = math.exp(0.25 * (math.log(a) + math.log(b)))
-    if v <= 0.25:
-        return (1.0 - v) * (sa - sb) ** 2 + (-2.0 * v) * (sb - quarter) ** 2
-    if v <= 0.5:
-        return (1.0 - v) * (sa - sb) ** 2 + (2.0 * v - 1.0) * (sb - quarter) ** 2
-    if v <= 0.75:
-        return v * (sa - sb) ** 2 + (-(2.0 * v - 1.0)) * (sa - quarter) ** 2
-    return v * (sa - sb) ** 2 + (2.0 * v - 2.0) * (sa - quarter) ** 2
+    return _zw_reverse(_Floats, a, b, v, "proposition")[0]
 
 
 def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundReport:
@@ -550,20 +596,24 @@ def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundR
     """
     _require_weight(v)
     _require_pair(a, b)
-    lhs = _young(a, b, v)
-    geo = _geometric(a, b, v)
-    fam = _check("zhao-wu-reverse", None, form)
-    gap_bound = gap_bound_zw_lemma if form == "lemma" else gap_bound_zw_proposition
-    return _report(fam, form, a, b, v, None, lhs, geo + gap_bound(a, b, v), True)
+    sides = _BODIES["zhao-wu-reverse"](_Floats, a, b, v, None, form)
+    return _report(_check("zhao-wu-reverse", None, form), form, a, b, v, None, sides=sides)
 
 
 # ---------------------------------------------------------------------------
 # Extended one-sided refinement (widened weight windows)
 # ---------------------------------------------------------------------------
 
+def _one_sided(c, x, y, w, n, heinz=False) -> tuple:
+    """gap_bound_extended_sc's correction or, ``heinz``, heinz-reverse-sc's
+    (its two-sided sum); and its part of M."""
+    tail, tail_m = _root_sum(c, c.log(x), c.log(y), n, 1, x, y if heinz else None)
+    return w * tail, c.arrays and abs(w) * tail_m
+
+
 def gap_bound_extended_sc(a: float, b: float, v: float, n: int) -> float:
     """Branch-i correction v * sum_{k=1..n} 2^(k-1) a ((b/a)^(1/2^k) - 1)^2."""
-    return v * _root_sum(math.log(b) - math.log(a), n, 1, a)
+    return _one_sided(_Floats, a, b, v, n)[0]
 
 
 def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -573,10 +623,8 @@ def theorem_extended_sc(a: float, b: float, v: float, n: int, branch: str) -> Bo
     mirror under (a, b, v) -> (b, a, 1-v) and holds for v outside
     [(2^n-1)/2^n, 1].
     """
-    fam, x, y, w = _branch_point("theorem-extended-sc", a, b, v, n, branch)
-    lhs = _young(x, y, w)
-    rhs = _geometric(x, y, w) + gap_bound_extended_sc(x, y, w, n)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
+    fam = _check("theorem-extended-sc", n, branch, a, b, v)
+    return _report(fam, branch, a, b, v, n, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +640,8 @@ def heinz_reverse_main(a: float, b: float, v: float, n: int, branch: str) -> Bou
     for branch "i" (v outside [1/2, (2^(n-1)+1)/2^n]); branch "ii" is the
     exact mirror under (a, b, v) -> (b, a, 1-v).  Requires n >= 2.
     """
-    fam, x, y, w = _branch_point("heinz-reverse-main", a, b, v, n, branch)
-    la, lb = math.log(x), math.log(y)
-    lhs = 0.5 * (x + y)
-    rhs = (_heinz(la, lb, w) + (1.0 - w) * (math.sqrt(x) - math.sqrt(y)) ** 2
-           + (w - 0.5) * math.exp(0.5 * (la + lb)) * _two_sided_root_sum(lb - la, n, 2, 1.0, 1.0))
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
+    fam = _check("heinz-reverse-main", n, branch, a, b, v)
+    return _report(fam, branch, a, b, v, n, branch == "ii")
 
 
 def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> BoundReport:
@@ -610,11 +654,8 @@ def heinz_reverse_sc(a: float, b: float, v: float, n: int, branch: str) -> Bound
     for v outside [0, 1/2^n]; branch "ii" is the exact mirror under
     (a, b, v) -> (b, a, 1-v), for v outside [(2^n-1)/2^n, 1].
     """
-    fam, x, y, w = _branch_point("heinz-reverse-sc", a, b, v, n, branch)
-    la, lb = math.log(x), math.log(y)
-    lhs = 0.5 * (x + y)
-    rhs = _heinz(la, lb, w) + w * _two_sided_root_sum(lb - la, n, 1, x, y)
-    return _report(fam, branch, a, b, v, n, lhs, rhs, True, branch == "ii")
+    fam = _check("heinz-reverse-sc", n, branch, a, b, v)
+    return _report(fam, branch, a, b, v, n, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +764,7 @@ def _gap_slots(n: int) -> dict:
     one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
         "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
     depths = range(2, n + 1)
-    one_term = lambda a, b, v: v * (math.sqrt(a) - math.sqrt(b)) ** 2
+    one_term = lambda a, b, v: _one_term(_Floats, a, b, v, v)[0]
     rows = ([(one, branch, None, one_term) for branch in BRANCHES]
             + [(main, branch, d, gap_bound_main_reverse) for d in depths for branch in BRANCHES]
             + [(zw, "lemma", None, gap_bound_zw_lemma),
@@ -765,7 +806,7 @@ def gap_bounds(a: float, b: float, v: float, n: int = 3) -> tuple:
         if ok or not inside:
             values.append(value := bound(a, b, v))
             bounds.append((label, value, ok))
-    true_gap = _young(a, b, v) - _geometric(a, b, v)
+    true_gap = _young(_Floats, a, b, v)[0] - _geometric(_Floats, a, b, v)[0]
     _require_finite_gaps(a, b, v, [true_gap, *values])
     return true_gap, bounds
 
@@ -787,130 +828,36 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
 
 
 # ---------------------------------------------------------------------------
-# Row pass: every family's formula on arrays of points
+# One body per family, read by its evaluator and by the row pass
 # ---------------------------------------------------------------------------
 
-# The evaluators' formulas on numpy arrays, operation for operation, each with
-# its error scale M: the sum of the absolute values of the terms the formula
-# adds, an exp or expm1 term weighted by 1 + the absolute sum of its argument's
-# summands (an ulp of ln a is multiplied by |w| before exp).  numpy's exp, expm1
-# and log may differ from math's in the last bit; delta = PASS_REL_ERROR * M.
-PASS_REL_ERROR = 2.0 ** -40
-PASS_SCALE_MAX = 2.0 ** 1000  # the largest M at which a suite reads a row_gaps gap
+def _mirrored(correction, *, heinz=False):
+    """The body of a branch family whose branch i adds correction's terms and
+    whose branch ii is branch i at (b, a, 1 - v)."""
+    return lambda c, a, b, v, n, branch: _sides(
+        c, *_mirror(c, branch == "ii", a, b, v), True, correction, n, heinz)
 
 
-def _np_means(x, y, w):
-    """_young and _geometric at arrays (x, y, w), and their part of M."""
-    s, t = (1.0 - w) * np.log(x), w * np.log(y)
-    p, q = (1.0 - w) * x, w * y
-    geo = np.exp(s + t)
-    return p + q, geo, abs(p) + abs(q) + geo * (1.0 + abs(s) + abs(t))
-
-
-def _np_heinz(x, y, w):
-    """The lhs (x + y) / 2 and _heinz at arrays (x, y, w), and their part of M."""
-    la, lb = np.log(x), np.log(y)
-    s1, t1, s2, t2 = (1.0 - w) * la, w * lb, w * la, (1.0 - w) * lb
-    e1, e2 = np.exp(s1 + t1), np.exp(s2 + t2)
-    return (0.5 * (x + y), 0.5 * (e1 + e2), 0.5 * (x + y)
-            + 0.5 * (e1 * (1.0 + abs(s1) + abs(t1)) + e2 * (1.0 + abs(s2) + abs(t2))))
-
-
-def _np_root(x, y, power: float):
-    """exp(power * (ln x + ln y)) at arrays, and its weight in M."""
-    lx, ly = np.log(x), np.log(y)
-    return np.exp(power * (lx + ly)), 1.0 + power * (abs(lx) + abs(ly))
-
-
-def _np_depth_sum(k, n, terms, sizes) -> tuple:
-    """Column sums of terms and sizes over the rows k <= each column's depth n."""
-    on = k <= n
-    return np.where(on, terms, 0.0).sum(axis=0), np.where(on, sizes, 0.0).sum(axis=0)
-
-
-def _np_root_sum(x, y, n, first: int, p, q=None) -> tuple:
-    """_root_sum (q None: c = p) or _two_sided_root_sum at arrays, at lr = ln y - ln x."""
-    lx, ly = np.log(x), np.log(y)
-    k = np.arange(first, int(n.max()) + 1)[:, None]
-    d, weight = np.expm1((ly - lx) / 2.0 ** k), 1.0 + (abs(lx) + abs(ly)) / 2.0 ** k
-    if q is None:
-        terms = 2.0 ** (k - first) * p * d * d
-        return _np_depth_sum(k, n, terms, abs(terms) * weight)
-    e = np.expm1(-(ly - lx) / 2.0 ** k)
-    pd, qe = p * d * d, q * e * e
-    return _np_depth_sum(k, n, 2.0 ** (k - 2) * (pd + qe),
-                         2.0 ** (k - 2) * (abs(pd) + abs(qe)) * weight)
-
-
-def _np_refinement_sum(v, a, b, n) -> tuple:
-    """_refinement_sum at arrays, _indices read elementwise."""
-    la, lb = np.log(a), np.log(b)
-    dl, spread = la - lb, abs(la) + abs(lb)
-    k = np.arange(1, int(n.max()) + 1)[:, None]
-    half, scale = 2.0 ** (k - 1), 2.0 ** k
-    j, r = np.floor(half * v), np.floor(scale * v)
-    sign = np.where(r % 2, -1.0, 1.0)
-    s = sign * half * v - sign * ((r + 1) // 2)
-    terms = s * b * (np.exp(dl * (j / scale)) - np.exp(dl * ((j + 1) / scale))) ** 2
-    return _np_depth_sum(k, n, terms, abs(terms) * (1.0 + spread * abs(j + 1) / scale))
-
-
-# A form maps the point (x, y, w) that its family's formula reads, and the
-# depths n, to the terms the rhs adds to the anchor mean, in order, and
-# their part of M.
-
-def _np_one_term(branch, x, y, w, n, r0):
-    """The bound adding r0(branch, w) * (sqrt x - sqrt y)^2."""
-    corr = r0(branch, w) * (np.sqrt(x) - np.sqrt(y)) ** 2
-    return (corr,), abs(corr)
-
-
-def _np_main(branch, x, y, w, n, heinz=False):
-    """theorem-main-reverse, or heinz-reverse-main (two-sided, w - 1/2 for 2w - 1)."""
-    lead = (1.0 - w) * (np.sqrt(x) - np.sqrt(y)) ** 2
-    root, weight = _np_root(x, y, 0.5)
-    g = ((w - 0.5) if heinz else (2.0 * w - 1.0)) * root
-    tail, tail_m = _np_root_sum(x, y, n, 2, 1.0, 1.0 if heinz else None)
-    return (lead, g * tail) if heinz else (lead + g * tail,), abs(lead) + abs(g) * weight * tail_m
-
-
-def _np_sm(branch, x, y, w, n):
-    lead = (1.0 - w) * (np.sqrt(x) - np.sqrt(y)) ** 2
-    tail, tail_m = _np_refinement_sum(2.0 * w, _np_root(x, y, 0.5)[0], y, n)
-    return (lead - tail,), abs(lead) + tail_m
-
-
-def _np_sc_forward(branch, x, y, w, n):
-    tail, tail_m = _np_refinement_sum(w, y, x, n)
-    return (tail,), tail_m
-
-
-def _np_zw_forward(branch, x, y, w, n):
-    r = np.minimum(w, 1.0 - w)
-    quarter, weight = _np_root(x, y, 0.25)
-    one = w * (np.sqrt(x) - np.sqrt(y)) ** 2
-    two = np.minimum(2.0 * r, 1.0 - 2.0 * r) * (np.sqrt(x) - quarter) ** 2
-    return (one, two), abs(one) + abs(two) * weight
-
-
-def _np_zw_reverse(form, x, y, w, n):
-    quarter, weight = _np_root(x, y, 0.25)
-    low = w <= 0.5
-    one = np.where(low, 1.0 - w, w) * (np.sqrt(x) - np.sqrt(y)) ** 2
-    if form == "lemma":  # one - r0 * two, as one + (-r0) * two
-        r = np.minimum(w, 1.0 - w)
-        coef = -np.minimum(2.0 * r, 1.0 - 2.0 * r)
-    else:
-        coef = np.select([w <= 0.25, low, w <= 0.75],
-                         [-2.0 * w, 2.0 * w - 1.0, -(2.0 * w - 1.0)], 2.0 * w - 2.0)
-    two = coef * np.where(low, np.sqrt(y) - quarter, np.sqrt(x) - quarter) ** 2
-    return (one + two,), abs(one) + abs(two) * weight
-
-
-def _np_extended_sc(branch, x, y, w, n, heinz=False):
-    """theorem-extended-sc, or heinz-reverse-sc: its two-sided sum."""
-    tail, tail_m = _np_root_sum(x, y, n, 1, x, y if heinz else None)
-    return (w * tail,), abs(w) * tail_m
+# key: (c, a, b, v, n, branch) -> lhs, rhs, oriented gap and M at the caller's
+# point; _report reads the float sides, row_gaps the array sides and M
+_BODIES = {
+    "reverse-young-basic": lambda c, a, b, v, n, branch: _sides(
+        c, a, b, v, True, lambda *point: (0.0,)),
+    "corollary-one-term": lambda c, a, b, v, n, branch: _sides(
+        c, a, b, v, True, _one_term, v if branch == "i" else 1.0 - v),
+    "theorem-main-reverse": _mirrored(_dyadic),
+    "lemma-sm-reverse": _mirrored(_sm_correction),
+    "kittaneh-manasrah": lambda c, a, b, v, n, branch: _sides(
+        c, a, b, v, False, _one_term, c.minimum(v, 1.0 - v)),
+    "zhao-wu-forward": lambda c, a, b, v, n, branch: _sides(
+        c, *_mirror(c, v > 0.5, a, b, v), False, _zw_forward),
+    "zhao-wu-reverse": lambda c, a, b, v, n, form: _sides(c, a, b, v, True, _zw_reverse, form),
+    "sababheh-choi-forward": lambda c, a, b, v, n, branch: _sides(
+        c, a, b, v, False, lambda c, x, y, w, n: _refinement_sum(c, w, y, x, n), n),
+    "theorem-extended-sc": _mirrored(_one_sided),
+    "heinz-reverse-main": _mirrored(lambda *point: _dyadic(*point, heinz=True), heinz=True),
+    "heinz-reverse-sc": _mirrored(lambda *point: _one_sided(*point, heinz=True), heinz=True),
+}
 
 
 def row_gaps(key: str, branch: str, a, b, v, n=None) -> tuple:
@@ -919,15 +866,8 @@ def row_gaps(key: str, branch: str, a, b, v, n=None) -> tuple:
     the evaluator's formula, unchecked; a point outside its domain or range
     gets inf or NaN.  Where all four are finite, the gap is within
     PASS_REL_ERROR * M of the evaluator's."""
-    form, anchor, upper, mirror = _ROW_FORMS[key]
     with np.errstate(all="ignore"):
-        flip = v > 0.5 if mirror == "v > 1/2" else mirror == "ii" and branch == "ii"
-        x, y, w = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, 1.0 - v, v)
-        lhs, rhs, scale = anchor(x, y, w)
-        terms, size = form(branch, x, y, w, n)
-        for term in terms:
-            rhs = rhs + term
-        return lhs, rhs, (rhs - lhs) if upper else (lhs - rhs), scale + size
+        return _BODIES[key](_Arrays, a, b, v, n, branch)
 
 
 _INDEX_OPS = ("sababheh_indices", "refinement_sum_S")
@@ -958,19 +898,3 @@ SCALAR_TABLE = (
            "outside", window_sc_low, ops=("heinz_scalar",)),
 )
 SCALAR_BY_KEY = {family.key: family for family in SCALAR_TABLE}
-# key: (row-pass form, anchor mean, upper bound, where the point is mirrored)
-_ROW_FORMS = {
-    "reverse-young-basic": (lambda *point: ((), 0.0), _np_means, True, ""),
-    "corollary-one-term": (partial(_np_one_term, r0=lambda branch, w: (
-        w if branch == "i" else 1.0 - w)), _np_means, True, ""),
-    "theorem-main-reverse": (_np_main, _np_means, True, "ii"),
-    "lemma-sm-reverse": (_np_sm, _np_means, True, "ii"),
-    "kittaneh-manasrah": (partial(_np_one_term, r0=lambda branch, w: np.minimum(w, 1.0 - w)),
-                          _np_means, False, ""),
-    "zhao-wu-forward": (_np_zw_forward, _np_means, False, "v > 1/2"),
-    "zhao-wu-reverse": (_np_zw_reverse, _np_means, True, ""),
-    "sababheh-choi-forward": (_np_sc_forward, _np_means, False, ""),
-    "theorem-extended-sc": (_np_extended_sc, _np_means, True, "ii"),
-    "heinz-reverse-main": (partial(_np_main, heinz=True), _np_heinz, True, "ii"),
-    "heinz-reverse-sc": (partial(_np_extended_sc, heinz=True), _np_heinz, True, "ii"),
-}

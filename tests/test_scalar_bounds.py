@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanbound import reporting, scalar
@@ -359,11 +359,14 @@ def test_index_coherence(v, k):
 
 
 @given(a=positive, b=positive, v=wide_weight, n=depth)
+@example(a=1.0, b=1.0, v=-5.93e-119, n=1)
 def test_main_reverse_mirror_is_exact(a, b, v, n):
     lo = theorem_main_reverse(a, b, v, n, "ii")
     hi = theorem_main_reverse(b, a, 1.0 - v, n, "i")
     assert lo.rhs == hi.rhs and lo.lhs == hi.lhs and lo.gap == hi.gap
-    assert lo.hypothesis_ok == hi.hypothesis_ok
+    # the flag is branch ii's rule at the caller's weight: fl(1 - fl(1 - v))
+    # need not be v (v = -5.93e-119 gives 1.0), so it is not hi's flag
+    assert lo.hypothesis_ok == scalar.SCALAR_BY_KEY["theorem-main-reverse"].hypothesis("ii", v, n)
 
 
 @given(a=positive, b=positive, v=st.floats(min_value=0.5, max_value=1.0), n=depth)
@@ -769,7 +772,7 @@ def test_tol_is_the_verdict_tolerance_and_not_a_report_field():
     # gaps of -tol/2 and -3 tol/2: the verdict turns at exactly -tol
     family = scalar.SCALAR_BY_KEY["reverse-young-basic"]
     for rhs, holds in ((1.0 - 1e-9, True), (1.0 - 3e-9, False)):
-        rep = scalar._report(family, "", 1.0, 2.0, 3.0, None, 1.0, rhs, upper=True)
+        rep = scalar._report(family, "", 1.0, 2.0, 3.0, None, sides=(1.0, rhs, rhs - 1.0, False))
         assert rep.holds is holds and rep.holds == (rep.gap >= -rep.tol)
 
 
@@ -901,6 +904,46 @@ def test_deep_dyadic_sums_known_answer():
                                scalar.gap_bound_extended_sc(a, b, v, n))
                         digest.update(repr(out).encode())
     assert digest.hexdigest() == DEEP_DYADIC_SHA256
+
+
+# sha256 over every scalar row at the edges of the float range, where the
+# failure cause is a byte of a seeded report: each report, or the type and
+# message of its error (a bare "math range error", a named gap or arithmetic
+# mean overflow, a DomainError), at a, b in {1e-300, 1, 1e300, 1.7e308},
+# v in {-400, -6, 1/4, 3/4, 6, 400} and n in {1, 2, 7, 30} (6912 in all); and
+# the same over gap_bounds and the three public depth gap bounds there
+EDGE_ROWS_SHA256 = (
+    "04adf720e2945180ac2d2d59a385f96f1e3c88a4cd45013763fc20a7c283dd19")
+EDGE_GAP_BOUNDS_SHA256 = (
+    "a666bc00f1d5a3a67464bb1bc12f6f60f4b69a74af8ae222ac2a024544bbee94")
+_EDGE_OPERANDS = (1e-300, 1.0, 1e300, 1.7e308)
+_EDGE_V = (-400.0, -6.0, 0.25, 0.75, 6.0, 400.0)
+
+
+def _outcome(call) -> bytes:
+    try:
+        out = call()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}\n".encode()
+    return f"{tuple(out) if isinstance(out, tuple) else out!r}\n".encode()
+
+
+def test_overflow_edges_known_answer():
+    points = [(a, b, v, n) for a in _EDGE_OPERANDS for b in _EDGE_OPERANDS
+              for v in _EDGE_V for n in (1, 2, 7, 30)]
+    rows, gaps = hashlib.sha256(), hashlib.sha256()
+    range_errors = 0
+    for row in SCALAR_ROWS:
+        for a, b, v, n in points:
+            out = _outcome(lambda: row.evaluate(a, b, v, n))
+            range_errors += out == b"OverflowError: math range error\n"
+            rows.update(out)
+    for a, b, v, n in points:
+        for bound in (gap_bounds, scalar.gap_bound_main_reverse, scalar.gap_bound_sm_reverse,
+                      scalar.gap_bound_extended_sc):
+            gaps.update(_outcome(lambda: bound(a, b, v, n)))
+    assert range_errors == 1200
+    assert (rows.hexdigest(), gaps.hexdigest()) == (EDGE_ROWS_SHA256, EDGE_GAP_BOUNDS_SHA256)
 
 
 # A false failure, kept in view until a verdict float64 cannot decide goes to
