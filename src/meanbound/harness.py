@@ -511,10 +511,9 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
 
 
 def _clear_passes(fam: Family, branch: str, points: list) -> list:
-    """Per point (a, b, v, n) drawn, whether the row pass decides it as a pass: where
-    lhs, rhs, gap and M are finite, M <= PASS_SCALE_MAX, the hypothesis holds
-    and gap + tol > delta = PASS_REL_ERROR * M, save those within 2 delta of
-    the least gap + delta, so that the evaluator settles the least margin."""
+    """Per point (a, b, v, n) drawn, whether the row pass decides it as a pass
+    by the settlement rule (_clear), where the hypothesis holds and lhs and rhs
+    are finite."""
     a, b, v, depths = zip(*points)
     v, n = np.array(v), None if fam.min_depth is None else np.array(depths)
     lhs, rhs, gap, scale = scalar.row_gaps(fam.key, branch, np.array(a), np.array(b), v, n)
@@ -523,12 +522,29 @@ def _clear_passes(fam: Family, branch: str, points: list) -> list:
         for d in set(depths):  # Family.hypothesis, once per depth
             at = slice(None) if n is None else n == d
             ok[at] = fam.hypothesis(branch, v[at], d)
+        return _clear(ok & np.isfinite(lhs) & np.isfinite(rhs), gap, scalar._tol(lhs, rhs), scale)
+
+
+def _clear(counted, margin, tol, scale) -> list:
+    """The one settlement rule of the scalar rows and the grid claims: per
+    point, whether its array pass decides it as a pass; the float path settles
+    every other point.  margin, tol and the error scale M hold a row per bound
+    (a 1-d array: one bound a point), of which ``counted`` marks those the
+    point's verdict reads.  A point is clear where it has a counted bound and
+    each has finite margin and M, M <= PASS_SCALE_MAX and margin + tol > delta
+    = PASS_REL_ERROR * M; save those whose least margin is within 2 delta of
+    the least margin + delta of all of them (delta the point's largest), so
+    that the float path settles the least margin."""
+    counted, margin, tol, scale = np.broadcast_arrays(
+        *map(np.atleast_2d, (counted, margin, tol, scale)))
+    with np.errstate(all="ignore"):
         delta = scalar.PASS_REL_ERROR * scale
-        ok &= (np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(gap)
-               & (scale <= scalar.PASS_SCALE_MAX)
-               & (gap + scalar._tol(lhs, rhs) > delta))
+        fine = np.isfinite(margin) & (scale <= scalar.PASS_SCALE_MAX) & (margin + tol > delta)
+        ok = (fine | ~counted).all(axis=0) & counted.any(axis=0)
         if ok.any():
-            ok &= gap - delta > (gap + delta)[ok].min()
+            least = np.where(counted, margin, np.inf).min(axis=0)
+            delta = np.where(counted, delta, 0.0).max(axis=0)
+            ok &= least - delta > (least + delta)[ok].min()
     return ok.tolist()
 
 
@@ -587,19 +603,33 @@ def _lin_grid(lo: float, hi: float, count: int) -> list:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _grid(ts: list, vs: list) -> tuple:
+    """a = 1, b = t and v of the cells (t, v) of the ratio grid ts x vs, in
+    itertools.product's order, as arrays."""
+    b = np.repeat(ts, len(vs))
+    return np.ones_like(b), b, np.tile(vs, len(ts))
+
+
 def _claim_dominance(key, tighter, looser, v_window, ops):
-    """Grid claim: tighter(t, v) <= looser(t, v) on the ratio grid x v window."""
+    """Grid claim: the gap bound gap_bounds lists as ``tighter`` is at most the
+    one it lists as ``looser``, on the ratio grid x v window."""
+
+    def cell(t, v):
+        low = scalar.gap_bound(tighter, 1.0, t, v)
+        high = scalar.gap_bound(looser, 1.0, t, v)
+        margin = high - low
+        ok = margin >= -scalar._tol(low, high)
+        return ok, margin, None if ok else {"ratio": t, "v": v, "tighter": low, "looser": high}
 
     def runner(cfg: SuiteConfig):
-        rel_tol = scalar.REL_TOL
-        for t in _log_grid(*cfg.scalar_range, cfg.grid_points):
-            for v in _lin_grid(*v_window, cfg.grid_points):
-                low = tighter(1.0, t, v)
-                high = looser(1.0, t, v)
-                margin = high - low
-                ok = margin >= -rel_tol * (abs(low) + abs(high))
-                yield ok, margin, (None if ok else
-                                   {"ratio": t, "v": v, "tighter": low, "looser": high})
+        ts = _log_grid(*cfg.scalar_range, cfg.grid_points)
+        vs = _lin_grid(*v_window, cfg.grid_points)
+        _, _, slots = scalar.slot_gaps(*_grid(ts, vs), scalar.MAX_DEPTH, (tighter, looser))
+        (low, low_m, _), (high, high_m, _) = slots.values()
+        with np.errstate(all="ignore"):
+            clear = _clear(True, high - low, scalar._tol(low, high), low_m + high_m)
+        for (t, v), ok in zip(itertools.product(ts, vs), clear):
+            yield (True, None, None) if ok else cell(t, v)
 
     return key, ops, runner
 
@@ -690,34 +720,35 @@ def _claim_bound_validity(cfg: SuiteConfig):
     # Every hypothesis-valid gap bound must dominate the true gap; the pairs
     # compare_gap_bounds adds need no check, as it keeps only margins >= 0.
     rel_tol = scalar.REL_TOL
-    for t in _log_grid(*cfg.scalar_range, 20):
-        for v in _lin_grid(0.0, 1.0, 21):
-            true_gap, bounds = scalar.gap_bounds(1.0, t, v, 3)
-            ok = True
-            worst = math.inf
-            for _, value, hypothesis_ok in bounds:
-                if not hypothesis_ok:
-                    continue
-                slack = value - true_gap
-                worst = min(worst, slack)
-                if slack < -rel_tol * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
-                    ok = False
-            worst = None if worst is math.inf else worst
-            yield ok, worst, None if ok else {"ratio": t, "v": v}
-
-
-def _gap_bound(fn, branch: str, depth: int):
-    """fn's branch-i gap bound at depth, or its branch-ii image under
-    (a, b, v) -> (b, a, 1-v), as a function of (a, b, v)."""
-    if branch == "i":
-        return lambda a, b, v: fn(a, b, v, depth)
-    return lambda a, b, v: fn(b, a, 1.0 - v, depth)
+    ts, vs = _log_grid(*cfg.scalar_range, 20), _lin_grid(0.0, 1.0, 21)
+    a, b, v = _grid(ts, vs)
+    true_gap, true_m, slots = scalar.slot_gaps(a, b, v, 3)
+    values, scales, valid = map(np.array, zip(*slots.values()))
+    with np.errstate(all="ignore"):
+        tol = rel_tol * (abs(values) + abs(true_gap)) + 1e-13 * (1.0 + b)
+        listed = np.isfinite(values).all(axis=0) & np.isfinite(true_gap)
+        clear = _clear(valid & listed, values - true_gap, tol, scales + true_m)
+    for (t, v), ok in zip(itertools.product(ts, vs), clear):
+        if ok:
+            yield True, None, None
+            continue
+        true_gap, bounds = scalar.gap_bounds(1.0, t, v, 3)
+        ok = True
+        worst = math.inf
+        for _, value, hypothesis_ok in bounds:
+            if not hypothesis_ok:
+                continue
+            slack = value - true_gap
+            worst = min(worst, slack)
+            if slack < -rel_tol * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
+                ok = False
+        worst = None if worst is math.inf else worst
+        yield ok, worst, None if ok else {"ratio": t, "v": v}
 
 
 def _comparison_claims() -> list:
-    gb_prop = scalar.gap_bound_zw_proposition
-    main, sm = scalar.gap_bound_main_reverse, scalar.gap_bound_sm_reverse
-    t2_i, t2_ii = _gap_bound(main, "i", 3), _gap_bound(main, "ii", 3)
+    t2_i, t2_ii = "theorem-main-reverse/i/n3", "theorem-main-reverse/ii/n3"
+    gb_prop = "zhao-wu-reverse/proposition"
     t2_ops = ("theorem_main_reverse", "compare_gap_bounds")
     zw_ops = t2_ops + ("zhao_wu_reverse",)
     sm_ops = t2_ops + ("lemma_sm_reverse", "refinement_sum_S", "sababheh_indices")
@@ -730,10 +761,10 @@ def _comparison_claims() -> list:
         _claim_dominance("dominance/b2", t2_ii, gb_prop, (0.25, 0.375), zw_ops),
         _claim_dominance("dominance/b3-low", t2_ii, gb_prop, (0.5, 0.75), zw_ops),
         _claim_dominance("dominance/b3-high", t2_ii, gb_prop, (0.75, 1.0), zw_ops),
-        _claim_dominance("dominance/sm-refines-dyadic", _gap_bound(sm, "i", 2),
-                         _gap_bound(main, "i", 2), (0.25, 0.5), sm_ops),
-        _claim_dominance("dominance/dyadic-recovers-sm", _gap_bound(main, "i", 2),
-                         _gap_bound(sm, "ii", 2), (0.75, 1.0), sm_ops),
+        _claim_dominance("dominance/sm-refines-dyadic", "lemma-sm-reverse/i/n2",
+                         "theorem-main-reverse/i/n2", (0.25, 0.5), sm_ops),
+        _claim_dominance("dominance/dyadic-recovers-sm", "theorem-main-reverse/i/n2",
+                         "lemma-sm-reverse/ii/n2", (0.75, 1.0), sm_ops),
         _poly_grid_claim("poly/f-grid", scalar.comparison_poly_f, "comparison_poly_f"),
         _poly_grid_claim("poly/g-grid", scalar.comparison_poly_g, "comparison_poly_g"),
         ("poly/ratio-quartic", ("comparison_poly_f",), _claim_quartic),

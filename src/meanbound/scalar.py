@@ -133,11 +133,11 @@ def _tol(lhs: float, rhs: float) -> float:
     return REL_TOL * (abs(lhs) + abs(rhs))
 
 
-def _report(fam, branch, a, b, v, n, mirrored=False, hyp=None, sides=None):
-    """The report at (a, b, v) of fam's float body (or of its ``sides``), whose
-    overflowing gap names the point evaluated, (b, a, 1 - v) where ``mirrored``;
-    its flag is ``hyp`` where the caller has it, else fam's rule at v."""
-    lhs, rhs, gap, _ = sides or _BODIES[fam.key](_Floats, a, b, v, n, branch)
+def _report(fam, branch, a, b, v, n, mirrored=False, hyp=None):
+    """The report at (a, b, v) of fam's float body, whose overflowing gap names
+    the point evaluated, (b, a, 1 - v) where ``mirrored``; its flag is ``hyp``
+    where the caller has it, else fam's rule at v."""
+    lhs, rhs, gap, _ = _BODIES[fam.key](_Floats, a, b, v, n, branch)
     if not math.isfinite(gap):
         x, y, w = _mirror(_Floats, mirrored, a, b, v)
         raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
@@ -158,11 +158,12 @@ def _report(fam, branch, a, b, v, n, mirrored=False, hyp=None, sides=None):
 # (``c.arrays and ...``), a body also gives its part of the error scale M: the
 # sum of the absolute values of the terms a formula adds, an exp or expm1 term
 # weighted by 1 + the absolute sum of its argument's summands (an ulp of ln a
-# is multiplied by |w| before exp).  numpy's exp, expm1 and log may differ
-# from math's in the last bit, and x ** 2 from libm's pow; delta =
-# PASS_REL_ERROR * M.
+# is multiplied by |w| before exp), and a squared difference of such terms by
+# the square of its own M, which keeps their error where they cancel (x near
+# y).  numpy's exp, expm1 and log may differ from math's in the last bit, and
+# x ** 2 from libm's pow; delta = PASS_REL_ERROR * M.
 PASS_REL_ERROR = 2.0 ** -40
-PASS_SCALE_MAX = 2.0 ** 1000  # the largest M at which a suite reads a row_gaps gap
+PASS_SCALE_MAX = 2.0 ** 1000  # the largest M at which a suite reads an array pass value
 
 
 class _Floats:
@@ -182,7 +183,7 @@ class _Arrays:
     arrays = True
     exp, expm1, log, sqrt, floor, minimum, where = (
         np.exp, np.expm1, np.log, np.sqrt, np.floor, np.minimum, np.where)
-    depths = staticmethod(lambda first, stop: (np.arange(first, int(stop.max()))[:, None],))
+    depths = staticmethod(lambda first, stop: (np.arange(first, int(np.max(stop)))[:, None],))
 
     @staticmethod
     def fold(k, n, *rows) -> tuple:
@@ -383,9 +384,13 @@ def _root_sum(c, lx, ly, n, first, p, q=None) -> tuple:
             total += 2.0 ** (k - 2) * (p * d * d + q * e * e)
     if not c.arrays:
         return total, False
-    # the loop ran once, over the depth column: total holds each depth's term
-    size = abs(total) if q is None else 2.0 ** (k - 2) * (abs(p * d * d) + abs(q * e * e))
-    return c.fold(k, n, total, size * (1.0 + (abs(lx) + abs(ly)) / 2.0 ** k))
+    # the loop ran once, over the depth column: each row holds one depth's
+    # term, whose d_k = e^z - 1 moves by (1 + d_k) (|lx| + |ly|) / 2^k
+    spread = (abs(lx) + abs(ly)) / 2.0 ** k
+    size = abs(p) * (abs(d) + (1.0 + d) * spread) ** 2
+    if q is not None:
+        size = size + abs(q) * (abs(e) + (1.0 + e) * spread) ** 2
+    return c.fold(k, n, total, 2.0 ** (k - (first if q is None else 2)) * size)
 
 
 def _dyadic(c, x, y, w, n, heinz=False) -> tuple:
@@ -469,7 +474,8 @@ def refinement_sum_s(v: float, a: float, b: float, n: int) -> float:
 
 def _refinement_sum(c, v, a, b, n) -> tuple:
     """refinement_sum_s for arguments its caller has checked, and its part of
-    M, which weights term k by 1 + (|ln a| + |ln b|) |j_k + 1| / 2^k."""
+    M, which weights the two roots of term k by 1 + (|ln a| + |ln b|) (|j_k| +
+    1) / 2^k."""
     la, lb = c.log(a), c.log(b)
     dl = la - lb
     total = 0.0
@@ -481,7 +487,8 @@ def _refinement_sum(c, v, a, b, n) -> tuple:
         total += s * b * (q1 - q2) ** 2
     if not c.arrays:
         return total, False
-    return c.fold(k, n, total, abs(total) * (1.0 + (abs(la) + abs(lb)) * abs(j + 1) / scale))
+    spread = (abs(la) + abs(lb)) * (abs(j) + 1.0) / scale
+    return c.fold(k, n, total, abs(s * b) * ((q1 + q2) * (1.0 + spread)) ** 2)
 
 
 def _sm_correction(c, x, y, w, n) -> tuple:
@@ -526,8 +533,10 @@ def _zw_forward(c, x, y, w, arg) -> tuple:
     lx, ly = c.log(x), c.log(y)
     r = c.minimum(w, 1.0 - w)
     one = w * (c.sqrt(x) - c.sqrt(y)) ** 2
-    two = c.minimum(2.0 * r, 1.0 - 2.0 * r) * (c.sqrt(x) - c.exp(0.25 * (lx + ly))) ** 2
-    return one, two, c.arrays and abs(one) + abs(two) * (1.0 + 0.25 * (abs(lx) + abs(ly)))
+    coef, quarter = c.minimum(2.0 * r, 1.0 - 2.0 * r), c.exp(0.25 * (lx + ly))
+    two = coef * (c.sqrt(x) - quarter) ** 2
+    return one, two, c.arrays and abs(one) + abs(coef) * (
+        c.sqrt(x) + quarter * (1.0 + 0.25 * (abs(lx) + abs(ly)))) ** 2
 
 
 def zhao_wu_forward(a: float, b: float, v: float) -> BoundReport:
@@ -560,7 +569,8 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def _zw_reverse(c, x, y, w, form) -> tuple:
-    """gap_bound_zw_lemma or, any other form, gap_bound_zw_proposition; and M."""
+    """The zhao-wu-reverse correction of the lemma or, any other form, the
+    proposition at (x, y, w); and its part of M."""
     sx, sy = c.sqrt(x), c.sqrt(y)
     lx, ly = c.log(x), c.log(y)
     quarter = c.exp(0.25 * (lx + ly))
@@ -573,15 +583,8 @@ def _zw_reverse(c, x, y, w, form) -> tuple:
         coef = c.where(w <= 0.25, -2.0 * w, c.where(low, 2.0 * w - 1.0, c.where(
             w <= 0.75, -(2.0 * w - 1.0), 2.0 * w - 2.0)))
     two = coef * c.where(low, sy - quarter, sx - quarter) ** 2
-    return one + two, c.arrays and abs(one) + abs(two) * (1.0 + 0.25 * (abs(lx) + abs(ly)))
-
-
-def gap_bound_zw_lemma(a: float, b: float, v: float) -> float:
-    return _zw_reverse(_Floats, a, b, v, "lemma")[0]
-
-
-def gap_bound_zw_proposition(a: float, b: float, v: float) -> float:
-    return _zw_reverse(_Floats, a, b, v, "proposition")[0]
+    return one + two, c.arrays and abs(one) + abs(coef) * (
+        c.where(low, sy, sx) + quarter * (1.0 + 0.25 * (abs(lx) + abs(ly)))) ** 2
 
 
 def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundReport:
@@ -596,8 +599,7 @@ def zhao_wu_reverse(a: float, b: float, v: float, form: str = "lemma") -> BoundR
     """
     _require_weight(v)
     _require_pair(a, b)
-    sides = _BODIES["zhao-wu-reverse"](_Floats, a, b, v, None, form)
-    return _report(_check("zhao-wu-reverse", None, form), form, a, b, v, None, sides=sides)
+    return _report(_check("zhao-wu-reverse", None, form), form, a, b, v, None)
 
 
 # ---------------------------------------------------------------------------
@@ -757,30 +759,51 @@ class ComparisonReport(NamedTuple):
 
 @lru_cache(maxsize=None)  # n is checked first: at most MAX_DEPTH - 1 tables
 def _gap_slots(n: int) -> dict:
-    """label -> (label, lo, hi, inside, bound, (label, family, branch, depth))
-    of each bound gap_bounds lists at depth n, in order: bound(a, b, v) is
-    the branch-i gap bound at its depth, or for branch ii that bound at
-    (b, a, 1 - v), and [lo, hi] is the window Family.hypothesis reads."""
+    """label -> (label, lo, hi, inside, correction, arg, mirrored, (label, family,
+    branch, depth)) of each bound gap_bounds lists at depth n, in order: the
+    bound at (a, b, v) is correction(c, x, y, w, arg)'s value at (x, y, w) =
+    (a, b, v), or (b, a, 1 - v) where mirrored (branch ii), and [lo, hi] is the
+    window Family.hypothesis reads."""
     one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
         "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
     depths = range(2, n + 1)
-    one_term = lambda a, b, v: _one_term(_Floats, a, b, v, v)[0]
-    rows = ([(one, branch, None, one_term) for branch in BRANCHES]
-            + [(main, branch, d, gap_bound_main_reverse) for d in depths for branch in BRANCHES]
-            + [(zw, "lemma", None, gap_bound_zw_lemma),
-               (zw, "proposition", None, gap_bound_zw_proposition)]
-            + [(sm, branch, d, gap_bound_sm_reverse) for d in depths for branch in BRANCHES])
+    weighted = lambda c, x, y, w, arg: _one_term(c, x, y, w, w)  # coefficient: the weight
+    rows = ([(one, branch, None, weighted) for branch in BRANCHES]
+            + [(main, branch, d, _dyadic) for d in depths for branch in BRANCHES]
+            + [(zw, form, None, _zw_reverse) for form in ("lemma", "proposition")]
+            + [(sm, branch, d, _sm_correction) for d in depths for branch in BRANCHES])
     table = {}
-    for fam, branch, d, fn in rows:
+    for fam, branch, d, correction in rows:
         label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
-        if d is not None:  # one call a bound, fn and d bound now, not at the loop's end
-            fn = ((lambda a, b, v, f=fn, d=d: f(b, a, 1.0 - v, d)) if branch == "ii"
-                  else (lambda a, b, v, f=fn, d=d: f(a, b, v, d)))
-        elif branch == "ii":
-            fn = lambda a, b, v, f=fn: f(b, a, 1.0 - v)
-        table[label] = (label, *fam.bounds(branch, d), fam.kind == "inside", fn,
-                        (label, fam.key, branch, d))
+        table[label] = (label, *fam.bounds(branch, d), fam.kind == "inside", correction,
+                        branch if fam is zw else d, branch == "ii", (label, fam.key, branch, d))
     return table
+
+
+def gap_bound(label: str, a: float, b: float, v: float) -> float:
+    """The bound gap_bounds lists as ``label`` (at any depth) at (a, b, v),
+    unchecked, as the gap_bound_* functions."""
+    *_, correction, arg, mirrored, _ = _gap_slots(MAX_DEPTH)[label]
+    return correction(_Floats, *_mirror(_Floats, mirrored, a, b, v), arg)[0]
+
+
+def slot_gaps(a, b, v, n: int, labels=None) -> tuple:
+    """The twin of gap_bounds over float64 arrays a, b, v, unchecked: the true
+    gap and its error scale M, and label -> (bound, M, hypothesis flag) of
+    every bound gap_bounds may list at depth n, or of those in ``labels``.  A
+    point outside a formula's domain or range gets inf or NaN; where a value
+    and its M are finite, the value is within PASS_REL_ERROR * M of the float
+    one (see row_gaps)."""
+    slots = _gap_slots(n)
+    with np.errstate(all="ignore"):
+        lhs, lhs_m = _young(_Arrays, a, b, v)
+        mean, mean_m = _geometric(_Arrays, a, b, v)
+        bounds = {}
+        for label in slots if labels is None else labels:
+            _, lo, hi, inside, correction, arg, mirrored, _ = slots[label]
+            bounds[label] = (*correction(_Arrays, *_mirror(_Arrays, mirrored, a, b, v), arg),
+                             ((lo <= v) & (v <= hi)) == inside)  # Family.hypothesis
+        return lhs - mean, lhs_m + mean_m, bounds
 
 
 def _require_finite_gaps(a, b, v, values) -> None:
@@ -801,10 +824,12 @@ def gap_bounds(a: float, b: float, v: float, n: int = 3) -> tuple:
     _require_point(a, b, v)
     _require_depth(n, 2)
     bounds, values = [], []
-    for label, lo, hi, inside, bound, _ in _gap_slots(n).values():
+    points = (a, b, v), _mirror(_Floats, True, a, b, v)
+    for label, lo, hi, inside, correction, arg, mirrored, _ in _gap_slots(n).values():
         ok = (lo <= v <= hi) == inside  # Family.hypothesis, its window read once
         if ok or not inside:
-            values.append(value := bound(a, b, v))
+            x, y, w = points[mirrored]  # a starred call costs a tenth of the loop
+            values.append(value := correction(_Floats, x, y, w, arg)[0])
             bounds.append((label, value, ok))
     true_gap = _young(_Floats, a, b, v)[0] - _geometric(_Floats, a, b, v)[0]
     _require_finite_gaps(a, b, v, [true_gap, *values])

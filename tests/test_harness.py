@@ -424,6 +424,43 @@ def test_row_pass_gives_the_rows_of_the_trial_loop(monkeypatch, settings):
         [row.failure_records for row in looped])
 
 
+def _claim_rows(cfg, monkeypatch, claims) -> tuple:
+    """The comparison rows of cfg with ``claims`` and the cells the claims'
+    array pass decides, then the rows with that pass turned off."""
+    monkeypatch.setattr(harness, "_comparison_claims", lambda: claims)
+    decided = []
+    clear = harness._clear
+    monkeypatch.setattr(harness, "_clear",
+                        lambda *args: decided.append(sum(out := clear(*args))) or out)
+    batched = run_comparison_suite(cfg).rows
+    monkeypatch.setattr(harness, "_clear", lambda _, margin, *rest: [False] * margin.shape[-1])
+    return batched, sum(decided), run_comparison_suite(cfg).rows
+
+
+@pytest.mark.parametrize("grid_points", [3, 16, 50])
+@pytest.mark.parametrize("scalar_range", [(1e-3, 1e3), (1e-150, 1e150), (1e-300, 1e300)])
+def test_claim_pass_gives_the_cells_of_the_grid_loop(monkeypatch, grid_points, scalar_range):
+    # the dominance and bound-validity claims decide only clear passes in one
+    # array pass and leave every other cell, and the least margin, to the
+    # float functions: with the pass turned off every cell goes through them,
+    # and each row is the same.  The mutant (dominance/a1-low and a1-high as
+    # one claim, its bounds swapped) fails part of its grid, so failure
+    # records go through the settling path too
+    claims = harness._comparison_claims()
+    mutant = harness._claim_dominance("mutant/a1-swapped", "zhao-wu-reverse/proposition",
+                                      "theorem-main-reverse/i/n3", (0.0, 0.5), ())
+    cfg = SuiteConfig(seed=5, grid_points=grid_points, scalar_range=scalar_range)
+    batched, decided, looped = _claim_rows(cfg, monkeypatch, claims + [mutant])
+    assert decided > 0
+    assert batched == looped
+    assert ([None if row.worst_gap is None else row.worst_gap.hex() for row in batched]
+            == [None if row.worst_gap is None else row.worst_gap.hex() for row in looped])
+    assert reporting.dumps([row.failure_records for row in batched]) == reporting.dumps(
+        [row.failure_records for row in looped])
+    assert sum(row.failures for row in batched) == batched[-1].failures > 0
+    assert batched[-1].passes > 0
+
+
 def _compensated_sum(values, start=0):
     """sum() as Python 3.12 and later form it for floats (Neumaier's
     compensated summation); integer sums as before."""
@@ -571,7 +608,8 @@ def test_comparison_suite_runs_every_claim_whatever_the_families():
 def test_bound_validity_makes_one_public_scalar_call_per_cell(monkeypatch):
     # bench/tracing.py counts scalar.evals through the public names of the
     # scalar module as harness sees them; a grid cell read through a private
-    # helper would drop out of that count
+    # helper would drop out of that count.  Every cell is read by the one
+    # array pass, and each cell it does not decide by one gap_bounds call
     calls = Counter()
 
     class CountingScalar:
@@ -590,7 +628,9 @@ def test_bound_validity_makes_one_public_scalar_call_per_cell(monkeypatch):
     monkeypatch.setattr(harness, "scalar", CountingScalar())
     cells = list(harness._claim_bound_validity(SuiteConfig()))
     assert len(cells) == 420 and all(ok for ok, _, _ in cells)
-    assert calls == {"gap_bounds": 420}
+    settled = sum(margin is not None for _, margin, _ in cells)
+    assert 0 < settled < 420
+    assert calls == {"slot_gaps": 1, "gap_bounds": settled}
 
 
 @pytest.mark.parametrize("run", [run_all, run_scalar_suite, run_operator_suite,
@@ -741,12 +781,17 @@ _CELL_DETAILS = {
 
 def test_grid_cells_record_their_inputs_only_when_they_fail(monkeypatch):
     # every public scalar value NaN, and a true gap of 1e300 above every
-    # bound, so each claim but the ratio quartic fails cell by cell
+    # bound, so each claim but the ratio quartic fails cell by cell; the
+    # array pass reads NaN everywhere, so it decides no cell
     class NanScalar:
         def __getattr__(self, name):
             value = getattr(scalar, name)
             if name == "gap_bounds":
                 return lambda *args: (1e300, value(*args)[1])
+            if name == "slot_gaps":
+                return lambda a, *args: (a * math.nan, a, {
+                    label: (a * math.nan, a, ok) for label, (_, _, ok)
+                    in value(a, *args)[2].items()})
             if inspect.isfunction(value) and not name.startswith("_"):
                 return lambda *args: math.nan
             return value

@@ -719,6 +719,10 @@ def test_lemma_sm_branch_ii_takes_its_domain_at_the_callers_weight():
     # the weight is checked first, the operands next, the form last
     (lambda: zhao_wu_reverse(-1.0, 2.0, math.nan, "x"), "weight must be finite, got v=nan"),
     (lambda: zhao_wu_reverse(-1.0, 2.0, 0.5, "x"), "operands must be finite and > 0"),
+    # the form is checked before the bound is evaluated, so a point whose
+    # means leave the float range still names the form
+    (lambda: zhao_wu_reverse(1e300, 1.7e308, 400.0, "bogus"),
+     "form must be 'lemma' or 'proposition', got 'bogus'"),
     # a mirrored call names the caller's own arguments and window, checked
     # in branch i's order: depth, then window, then operands
     (lambda: lemma_sm_reverse(1, 2, 0.2, 2, "ii"),
@@ -759,7 +763,7 @@ def test_argument_checks_keep_their_messages(call, message):
     assert str(err.value).startswith(message)
 
 
-def test_tol_is_the_verdict_tolerance_and_not_a_report_field():
+def test_tol_is_the_verdict_tolerance_and_not_a_report_field(monkeypatch):
     reports = [theorem_main_reverse(1.0, 16.0, 0.125, 2, "i"),
                reverse_young_basic(1.0, 16.0, 0.5),  # inside its window: violated
                kittaneh_manasrah(5.0, 5.0, 0.3),  # equal operands: gap ~ 0
@@ -769,10 +773,12 @@ def test_tol_is_the_verdict_tolerance_and_not_a_report_field():
         assert "tol" not in rep.as_dict()
         assert rep.tol == scalar.REL_TOL * (abs(rep.lhs) + abs(rep.rhs))
         assert rep.holds == (rep.gap >= -rep.tol)
-    # gaps of -tol/2 and -3 tol/2: the verdict turns at exactly -tol
-    family = scalar.SCALAR_BY_KEY["reverse-young-basic"]
+    # gaps of -tol/2 and -3 tol/2, from a body that gives these sides: the
+    # verdict turns at exactly -tol
     for rhs, holds in ((1.0 - 1e-9, True), (1.0 - 3e-9, False)):
-        rep = scalar._report(family, "", 1.0, 2.0, 3.0, None, sides=(1.0, rhs, rhs - 1.0, False))
+        monkeypatch.setitem(scalar._BODIES, "reverse-young-basic",
+                            lambda *point: (1.0, rhs, rhs - 1.0, False))
+        rep = reverse_young_basic(1.0, 2.0, 3.0)
         assert rep.holds is holds and rep.holds == (rep.gap >= -rep.tol)
 
 
@@ -1027,6 +1033,55 @@ def test_row_pass_gap_is_within_a_sixteenth_of_delta(row):
     draws = _pass_draws(np.random.default_rng(fnv1a64(row.key)), 5556, least)
     assert _worst_pass_error(row, lattice) <= 1.0
     assert _worst_pass_error(row, draws) <= 1.0
+
+
+def _worst_slot_error(label, points, listed_too=False) -> float:
+    """The largest |value_array - value_float| / (delta / 16) of the gap_bounds
+    slot ``label`` (None: the true gap) over points (a, b, v, _) where an array
+    pass reads the value: it and M finite, M in range.  Where the float value
+    raises or leaves the range, the pass must not read one; ``listed_too``,
+    where gap_bounds lists the slot, its value is the float one bit for bit."""
+    a, b, v, _ = zip(*points)
+    true_gap, true_m, slots = scalar.slot_gaps(
+        np.array(a), np.array(b), np.array(v), scalar.MAX_DEPTH, () if label is None else (label,))
+    value, scale, _ = (true_gap, true_m, None) if label is None else slots[label]
+    reads = np.isfinite(value) & (scale <= scalar.PASS_SCALE_MAX)
+    worst = 0.0
+    for i, (x, y, w, _) in enumerate(points):
+        try:
+            exact = (young_lhs(x, y, w) - weighted_geometric(x, y, w) if label is None
+                     else scalar.gap_bound(label, x, y, w))
+        except (ValueError, OverflowError):
+            exact = math.nan
+        if not math.isfinite(exact):
+            assert not reads[i], (label, x, y, w)
+            continue
+        try:
+            listed = {key: bound for key, bound, _ in
+                      gap_bounds(x, y, w, scalar.MAX_DEPTH)[1]} if listed_too else {}
+        except (DomainError, OverflowError):
+            listed = {}
+        assert listed.get(label, exact).hex() == exact.hex(), (label, x, y, w)
+        if reads[i] and value[i] != exact:  # an M of 0 reads an exact value
+            worst = max(worst, abs(value[i] - exact) / (scalar.PASS_REL_ERROR / 16 * scale[i]))
+    return worst
+
+
+_SLOT_LABELS = [None] + [label for label, *_, (_, _, _, d) in
+                         scalar._gap_slots(scalar.MAX_DEPTH).values() if d in (None, 2, 3, 7, 30)]
+
+
+@pytest.mark.parametrize("label", _SLOT_LABELS, ids=str)
+def test_slot_pass_value_is_within_a_sixteenth_of_delta(label):
+    # the twin of the row-pass bound above for the grid claims' array pass:
+    # each gap_bounds slot (and the true gap) read over arrays keeps within a
+    # sixteenth of delta = PASS_REL_ERROR * M of its float value, at the row
+    # lattice and at 5556 draws a slot
+    lattice = [(x, y, w, None) for x in _LATTICE_A for y in _LATTICE_B for w in _LATTICE_V]
+    draws = [(x, y, float(w), None) for x, y, w, _ in
+             _pass_draws(np.random.default_rng(fnv1a64(str(label))), 5556, None)]
+    assert _worst_slot_error(label, lattice, listed_too=True) <= 1.0
+    assert _worst_slot_error(label, draws) <= 1.0
 
 
 @pytest.mark.parametrize("a", [1.0, 1e-300])
