@@ -273,15 +273,9 @@ _BASE_OPS = ("young_lhs", "weighted_geometric")
 
 def _evaluator(fn, takes_depth: bool, branch: str) -> Callable:
     """fn as a row evaluator (a, b, v, n), passing n and the branch or form
-    only to the families that take them: one lambda per shape, so that a
-    call unpacks nothing."""
-    if takes_depth:
-        if branch:
-            return lambda a, b, v, n: fn(a, b, v, n, branch)
-        return lambda a, b, v, n: fn(a, b, v, n)
-    if branch:
-        return lambda a, b, v, n: fn(a, b, v, branch)
-    return lambda a, b, v, n: fn(a, b, v)
+    only to the families that take them."""
+    takes = (takes_depth, bool(branch))
+    return lambda a, b, v, n: fn(a, b, v, *itertools.compress((n, branch), takes))
 
 
 def _rows(table: tuple, base_ops: tuple) -> list:
@@ -402,8 +396,7 @@ def _verdict(evaluate: Callable, x, y, v, n, probing: bool, cause: str) -> tuple
     evaluate(x, y, v, n): an evaluation error fails the trial, its type and
     message the cause; a boundary probe passes iff |gap| <= tol; otherwise
     the evaluator's verdict stands where its hypothesis holds, and the trial
-    is skipped (None) elsewhere.  No argument tuple: unpacking one doubled
-    this call's cost."""
+    is skipped (None) elsewhere."""
     try:
         rep = evaluate(x, y, v, n)
     except Exception as exc:  # recorded, never fatal
@@ -518,11 +511,8 @@ def _clear_passes(fam: Family, branch: str, points: list) -> list:
     v, n = np.array(v), None if fam.min_depth is None else np.array(depths)
     lhs, rhs, gap, scale = scalar.row_gaps(fam.key, branch, np.array(a), np.array(b), v, n)
     with np.errstate(all="ignore"):
-        ok = np.zeros(len(points), dtype=bool)
-        for d in set(depths):  # Family.hypothesis, once per depth
-            at = slice(None) if n is None else n == d
-            ok[at] = fam.hypothesis(branch, v[at], d)
-        return _clear(ok & np.isfinite(lhs) & np.isfinite(rhs), gap, scalar._tol(lhs, rhs), scale)
+        ok = fam.hypothesis(branch, v, n) & np.isfinite(lhs) & np.isfinite(rhs)
+        return _clear(ok, gap, scalar._tol(lhs, rhs), scale)
 
 
 def _clear(counted, margin, tol, scale) -> list:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -133,20 +133,17 @@ def _tol(lhs: float, rhs: float) -> float:
     return REL_TOL * (abs(lhs) + abs(rhs))
 
 
-def _report(fam, branch, a, b, v, n, mirrored=False, hyp=None):
+def _report(fam, branch, a, b, v, n, mirrored=False):
     """The report at (a, b, v) of fam's float body, whose overflowing gap names
-    the point evaluated, (b, a, 1 - v) where ``mirrored``; its flag is ``hyp``
-    where the caller has it, else fam's rule at v."""
+    the point evaluated, (b, a, 1 - v) where ``mirrored``, flagged by fam's
+    rule at v."""
     lhs, rhs, gap, _ = _BODIES[fam.key](_Floats, a, b, v, n, branch)
     if not math.isfinite(gap):
         x, y, w = _mirror(_Floats, mirrored, a, b, v)
         raise OverflowError(f"{fam.key}: gap {gap!r} at a={x!r}, b={y!r}, v={w!r} "
                             f"leaves the floating-point range")
-    if hyp is None:
-        hyp = fam.hypothesis(branch, v, n)
-    # tol >= 0, so only a negative gap needs it
-    holds = gap >= 0.0 or gap >= -_tol(lhs, rhs)
-    return tuple.__new__(BoundReport, (fam.key, branch, a, b, v, n, lhs, rhs, gap, hyp, holds))
+    return BoundReport(fam.key, branch, a, b, v, n, lhs, rhs, gap,
+                       fam.hypothesis(branch, v, n), gap >= -_tol(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +302,6 @@ class Family:
     name: Optional[str] = None
     probe: Optional[tuple] = None
     ops: tuple = ()
-    # (branch, n) -> bounds(branch, n), filled as hypothesis meets them
-    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bounds(self, branch: str, n: Optional[int]) -> tuple[float, float]:
         """The branch's window at depth n; branch ii's is the image (1 - hi,
@@ -316,12 +311,8 @@ class Family:
 
     def hypothesis(self, branch: str, v: float, n: Optional[int]) -> bool:
         """Whether v is inside the branch's depth-n window ("inside") or outside
-        it; for an array of weights, the flag of each."""
-        key = (branch, n)
-        span = self._spans.get(key)
-        if span is None:
-            span = self._spans[key] = self.bounds(branch, n)
-        lo, hi = span
+        it; for arrays of weights and depths, the flag of each."""
+        lo, hi = self.bounds(branch, n)
         return ((lo <= v) & (v <= hi)) == (self.kind == "inside")
 
 
@@ -512,11 +503,11 @@ def lemma_sm_reverse(a: float, b: float, v: float, n: int, branch: str) -> Bound
     """
     fam = _check("lemma-sm-reverse", n, branch)
     _require_weight(v)
-    if not (ok := fam.hypothesis(branch, v, n)):
+    if not fam.hypothesis(branch, v, n):
         window = "[0, 1/2]" if branch == "i" else "[1/2, 1]"
         raise DomainError(f"branch {branch} requires v in {window}, got v={v!r}")
     _require_pair(a, b)
-    return _report(fam, branch, a, b, v, n, branch == "ii", ok)
+    return _report(fam, branch, a, b, v, n, branch == "ii")
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +549,10 @@ def sababheh_choi_forward(a: float, b: float, v: float, n: int) -> BoundReport:
     """
     fam = _check("sababheh-choi-forward", n, "")
     _require_weight(v)
-    if not (ok := fam.hypothesis("", v, n)):
+    if not fam.hypothesis("", v, n):
         raise DomainError(f"forward refinement requires v in [0, 1], got v={v!r}")
     _require_pair(a, b)
-    return _report(fam, "", a, b, v, n, hyp=ok)
+    return _report(fam, "", a, b, v, n)
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +750,9 @@ class ComparisonReport(NamedTuple):
 
 @lru_cache(maxsize=None)  # n is checked first: at most MAX_DEPTH - 1 tables
 def _gap_slots(n: int) -> dict:
-    """label -> (label, lo, hi, inside, correction, arg, mirrored, (label, family,
-    branch, depth)) of each bound gap_bounds lists at depth n, in order: the
-    bound at (a, b, v) is correction(c, x, y, w, arg)'s value at (x, y, w) =
-    (a, b, v), or (b, a, 1 - v) where mirrored (branch ii), and [lo, hi] is the
-    window Family.hypothesis reads."""
+    """label -> (record, branch or form, depth, correction, arg) of each bound
+    gap_bounds lists at depth n, in order; _slot reads its value, and the
+    record's hypothesis(branch, v, depth) its flag."""
     one, main, zw, sm = (SCALAR_BY_KEY[key] for key in (
         "corollary-one-term", "theorem-main-reverse", "zhao-wu-reverse", "lemma-sm-reverse"))
     depths = range(2, n + 1)
@@ -772,19 +761,22 @@ def _gap_slots(n: int) -> dict:
             + [(main, branch, d, _dyadic) for d in depths for branch in BRANCHES]
             + [(zw, form, None, _zw_reverse) for form in ("lemma", "proposition")]
             + [(sm, branch, d, _sm_correction) for d in depths for branch in BRANCHES])
-    table = {}
-    for fam, branch, d, correction in rows:
-        label = f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}"
-        table[label] = (label, *fam.bounds(branch, d), fam.kind == "inside", correction,
-                        branch if fam is zw else d, branch == "ii", (label, fam.key, branch, d))
-    return table
+    return {f"{fam.key}/{branch}" if d is None else f"{fam.key}/{branch}/n{d}":
+            (fam, branch, d, correction, branch if fam is zw else d)
+            for fam, branch, d, correction in rows}
+
+
+def _slot(c, slot, a, b, v) -> tuple:
+    """The value at (a, b, v) of a _gap_slots bound, read in arithmetic c, and
+    its M: its correction at (a, b, v), or at (b, a, 1 - v) on branch ii."""
+    _, branch, _, correction, arg = slot
+    return correction(c, *_mirror(c, branch == "ii", a, b, v), arg)
 
 
 def gap_bound(label: str, a: float, b: float, v: float) -> float:
     """The bound gap_bounds lists as ``label`` (at any depth) at (a, b, v),
     unchecked, as the gap_bound_* functions."""
-    *_, correction, arg, mirrored, _ = _gap_slots(MAX_DEPTH)[label]
-    return correction(_Floats, *_mirror(_Floats, mirrored, a, b, v), arg)[0]
+    return _slot(_Floats, _gap_slots(MAX_DEPTH)[label], a, b, v)[0]
 
 
 def slot_gaps(a, b, v, n: int, labels=None) -> tuple:
@@ -800,9 +792,8 @@ def slot_gaps(a, b, v, n: int, labels=None) -> tuple:
         mean, mean_m = _geometric(_Arrays, a, b, v)
         bounds = {}
         for label in slots if labels is None else labels:
-            _, lo, hi, inside, correction, arg, mirrored, _ = slots[label]
-            bounds[label] = (*correction(_Arrays, *_mirror(_Arrays, mirrored, a, b, v), arg),
-                             ((lo <= v) & (v <= hi)) == inside)  # Family.hypothesis
+            fam, branch, d, *_ = slot = slots[label]
+            bounds[label] = (*_slot(_Arrays, slot, a, b, v), fam.hypothesis(branch, v, d))
         return lhs - mean, lhs_m + mean_m, bounds
 
 
@@ -824,12 +815,11 @@ def gap_bounds(a: float, b: float, v: float, n: int = 3) -> tuple:
     _require_point(a, b, v)
     _require_depth(n, 2)
     bounds, values = [], []
-    points = (a, b, v), _mirror(_Floats, True, a, b, v)
-    for label, lo, hi, inside, correction, arg, mirrored, _ in _gap_slots(n).values():
-        ok = (lo <= v <= hi) == inside  # Family.hypothesis, its window read once
-        if ok or not inside:
-            x, y, w = points[mirrored]  # a starred call costs a tenth of the loop
-            values.append(value := correction(_Floats, x, y, w, arg)[0])
+    for label, slot in _gap_slots(n).items():
+        fam, branch, d, *_ = slot
+        ok = fam.hypothesis(branch, v, d)
+        if ok or fam.kind == "outside":
+            values.append(value := _slot(_Floats, slot, a, b, v)[0])
             bounds.append((label, value, ok))
     true_gap = _young(_Floats, a, b, v)[0] - _geometric(_Floats, a, b, v)[0]
     _require_finite_gaps(a, b, v, [true_gap, *values])
@@ -848,7 +838,8 @@ def compare_gap_bounds(a: float, b: float, v: float, n: int = 3) -> ComparisonRe
                  if tighter != looser and (margin := high - low) >= 0.0]
     _require_finite_gaps(a, b, v, [m for _, _, m in dominance])
     slots = _gap_slots(n)
-    bounds = tuple(GapBound(*slots[label][-1], value, ok) for label, value, ok in listed)
+    bounds = tuple(GapBound(label, fam.key, branch, d, value, ok)
+                   for label, value, ok in listed for fam, branch, d, *_ in (slots[label],))
     return ComparisonReport(a, b, v, n, true_gap, bounds, tuple(dominance))
 
 

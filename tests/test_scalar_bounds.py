@@ -623,8 +623,10 @@ def _written_out_flag(family, branch, v, n):
 def test_every_row_flags_the_written_out_window_at_every_depth():
     for row in SCALAR_ROWS:
         depths = [None] if row.min_depth is None else range(row.min_depth, scalar.MAX_DEPTH + 1)
+        lattice = []
         for n in depths:
             for v in _weights_near_windows(n or 3):
+                lattice.append((v, n))
                 expected = _written_out_flag(row.family, row.branch, v, n)
                 if expected is None:
                     with pytest.raises(DomainError):
@@ -632,6 +634,12 @@ def test_every_row_flags_the_written_out_window_at_every_depth():
                 else:
                     rep = row.evaluate(3.0, 0.5, v, n)
                     assert rep.hypothesis_ok is expected, (row.key, n, v)
+        # the row pass's call: one over the row's whole (v, n) lattice, as arrays
+        vs, ns = zip(*lattice)
+        flags = scalar.SCALAR_BY_KEY[row.family].hypothesis(
+            row.branch, np.array(vs), None if row.min_depth is None else np.array(ns))
+        assert flags.tolist() == [bool(_written_out_flag(row.family, row.branch, v, n))
+                                  for v, n in lattice], row.key
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -1067,8 +1075,8 @@ def _worst_slot_error(label, points, listed_too=False) -> float:
     return worst
 
 
-_SLOT_LABELS = [None] + [label for label, *_, (_, _, _, d) in
-                         scalar._gap_slots(scalar.MAX_DEPTH).values() if d in (None, 2, 3, 7, 30)]
+_SLOT_LABELS = [None] + [label for label, (_, _, d, *_) in
+                         scalar._gap_slots(scalar.MAX_DEPTH).items() if d in (None, 2, 3, 7, 30)]
 
 
 @pytest.mark.parametrize("label", _SLOT_LABELS, ids=str)
