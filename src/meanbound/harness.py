@@ -2,7 +2,8 @@
 
 Every trial derives its own generator substream from (seed, row key, trial
 index), so identical configurations replay byte-identically and trials are
-order-independent; a row's substream states come from one numpy pass.
+order-independent; a row's substream states come from one numpy pass, and
+a scalar row draws each chunk of its trials as the lanes of one generator.
 Suites never abort on a failing trial; every failure is recorded with the
 full inputs needed to replay it without randomness.
 """
@@ -22,8 +23,8 @@ import numpy as np
 from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
-from .rng import SUBSTREAM_CHUNK, Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
-from .scalar import SCALAR_TABLE, BoundReport, DomainError, Family
+from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
+from .scalar import SCALAR_BY_KEY, SCALAR_TABLE, BoundReport, DomainError, Family
 
 
 class ConfigError(ValueError):
@@ -92,6 +93,15 @@ def _sample_pieces(source: tuple, u: float) -> float:
         x -= width
     lo, width = spread[-1]
     return lo + min(x, width)
+
+
+def _sample_lanes(spread: tuple, x: np.ndarray) -> np.ndarray:
+    """_sample_pieces((spread, total), u) at each u of an array, from x = u *
+    total by its float operations."""
+    (lo, width), rest = spread[0], spread[1:]
+    if not rest:
+        return lo + np.minimum(x, width)
+    return np.where(x < width, lo + x, _sample_lanes(rest, x - width))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,6 @@ def _rows(table: tuple, base_ops: tuple) -> list:
 
 
 SCALAR_ROWS = _rows(SCALAR_TABLE, _BASE_OPS)
-# (family, branch) -> the family whose row pass serves the row; other rows loop
-_PASS_FAMILIES = {(fam.key, branch): fam for fam in SCALAR_TABLE for branch in fam.branches}
 OPERATOR_ROWS = _rows(OPERATOR_TABLE, ())
 
 _KNOWN_FAMILY_SELECTORS = (
@@ -408,26 +416,27 @@ def _verdict(evaluate: Callable, x, y, v, n, probing: bool, cause: str) -> tuple
 def _tally(key, family, branch, outcomes, ops, tail: dict, coverage: dict) -> RowResult:
     """The one place a row's outcomes are counted and its failures recorded.
 
-    ``outcomes`` yields one (ok, margin, details) per trial: ok is True for
-    a pass, False for a failure, recorded as {"row", "trial", **details,
-    **tail}, and None for a skip; only a failure builds its details.  The
-    worst margin is the least over the passes; every trial counts toward the
-    coverage of ``ops``.
+    ``outcomes`` yields (count, ok, margin, details): count trials in a row
+    with one outcome.  ok is True for passes, False for a failure (count 1),
+    recorded as {"row", "trial", **details, **tail}, and None for skips;
+    only a failure builds its details.  The worst margin is the least over
+    the passes that give one; every trial counts toward the coverage of
+    ``ops``.
     """
-    passes = failures = skipped = 0
+    passes = failures = skipped = trials = 0
     worst: Optional[float] = None
     records: list = []
-    trials = 0
-    for trials, (ok, margin, details) in enumerate(outcomes, 1):
+    for count, ok, margin, details in outcomes:
         if ok:
-            passes += 1
+            passes += count
             if margin is not None:
                 worst = margin if worst is None else min(worst, margin)
         elif ok is None:
-            skipped += 1
+            skipped += count
         else:
-            failures += 1
-            records.append({"row": key, "trial": trials - 1, **details, **tail})
+            failures += count
+            records.append({"row": key, "trial": trials, **details, **tail})
+        trials += count
     for op in ops:
         coverage[op] = coverage.get(op, 0) + trials
     return RowResult(key, family, branch, trials, passes, failures, skipped, worst, records)
@@ -452,9 +461,9 @@ def _kind_rows(cfg: SuiteConfig, kind: str) -> list:
     """Each row of one kind as (key, family, branch, outcomes, ops, tail), the
     tail closing its failure records (a grid claim's cause); the comparison
     claims are all taken whatever cfg.families says."""
-    if kind == "comparison":
-        return [(key, "comparison", "", runner(cfg), ops, {"cause": "claim violated"})
-                for key, ops, runner in _comparison_claims()]
+    if kind == "comparison":  # a claim yields (ok, margin, details) a cell
+        return [(key, "comparison", "", ((1, *cell) for cell in runner(cfg)), ops,
+                 {"cause": "claim violated"}) for key, ops, runner in _comparison_claims()]
     rows, outcomes = ((SCALAR_ROWS, _scalar_outcomes) if kind == "scalar"
                       else (OPERATOR_ROWS, _operator_outcomes))
     return [(row.key, row.family, row.branch, outcomes(cfg, row), row.ops, {})
@@ -475,43 +484,52 @@ def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
     llo, lhi = (math.log(end) for end in cfg.scalar_range)
     width = lhi - llo
     probing = cfg.boundary_probe
-    evaluate = row.evaluate
-    fam = None if probing else _PASS_FAMILIES.get((row.family, row.branch))
-    # a trial draws at most four words (depth, a, b, v): all come from the
-    # lockstep pass, and the generator steps itself only past them
-    states = substream_states(row_seed, cfg.trials, ahead=4)
-    for _ in range(0, cfg.trials, SUBSTREAM_CHUNK):
-        points = []
-        for state in itertools.islice(states, SUBSTREAM_CHUNK):
-            rng = Xoshiro256StarStar(state)
-            n, source = picks[rng.randint(count)] if count > 1 else picks[0]
-            a = math.exp(llo + width * rng.random())
-            b = math.exp(llo + width * rng.random())
-            points.append(None if source is None else (
-                a, b, _pick(source, rng) if probing else _sample_pieces(source, rng.random()), n))
-        drawn = [point for point in points if point]
-        clear = iter(_clear_passes(fam, row.branch, drawn) if fam and drawn else ())
-        for point in points:
-            if point is None:
-                yield None, None, None
-            elif next(clear, False):
-                yield True, None, None
-            else:
-                a, b, v, n = point
-                ok, gap, cause = _verdict(evaluate, a, b, v, n, probing, "gap below tolerance")
-                yield ok, gap, None if ok or ok is None else {
-                    "a": a, "b": b, "v": v, "n": n, "gap": gap, "cause": cause}
+    # a row probes as many points at every depth: its window's ends, or its own
+    size = max(len(source or ()) for _, source in picks)
+    skips = np.array([source is None for _, source in picks])
+    depths = None if row.min_depth is None else np.array([n for n, _ in picks])
+    for lanes in substream_states(row_seed, cfg.trials):
+        # one generator a chunk, whose lane j draws trial j's words (depth,
+        # a, b, v) as a generator of that trial's own would
+        rng = Xoshiro256StarStar(lanes)
+        trials = len(lanes[0])
+        pick = rng.randint(count) if count > 1 else np.zeros(trials, dtype=np.uint64)
+        a = list(map(math.exp, (llo + width * rng.random()).tolist()))
+        b = list(map(math.exp, (llo + width * rng.random()).tolist()))
+        w = (rng.randint(size) if size > 1 else 0) if probing else rng.random()
+        v = np.zeros(trials)
+        for i, (_, source) in enumerate(picks):
+            if source is not None:
+                v = np.where(pick == i, np.asarray(source)[w] if probing
+                             else _sample_lanes(source[0], w * source[1]), v)
+        n = None if depths is None else depths[pick]
+        drawn = ~skips[pick]
+        clear = np.zeros(trials, dtype=bool)
+        if not probing and drawn.any():
+            clear[drawn] = _clear_passes(row.family, row.branch, np.array(a)[drawn],
+                                         np.array(b)[drawn], v[drawn], n if n is None else n[drawn])
+        v, n = v.tolist(), [None] * trials if n is None else n.tolist()
+        done = 0  # the clear passes as runs between the trials yielded one by one
+        for t in np.flatnonzero(~clear).tolist() + [trials]:
+            if t > done:
+                yield t - done, True, None, None
+            if t == trials:
+                break
+            done = t + 1
+            ok, gap, cause = (_verdict(row.evaluate, a[t], b[t], v[t], n[t], probing,
+                                       "gap below tolerance") if drawn[t] else (None,) * 3)
+            yield 1, ok, gap, None if ok or ok is None else {
+                "a": a[t], "b": b[t], "v": v[t], "n": n[t], "gap": gap, "cause": cause}
 
 
-def _clear_passes(fam: Family, branch: str, points: list) -> list:
-    """Per point (a, b, v, n) drawn, whether the row pass decides it as a pass
-    by the settlement rule (_clear), where the hypothesis holds and lhs and rhs
-    are finite."""
-    a, b, v, depths = zip(*points)
-    v, n = np.array(v), None if fam.min_depth is None else np.array(depths)
-    lhs, rhs, gap, scale = scalar.row_gaps(fam.key, branch, np.array(a), np.array(b), v, n)
+def _clear_passes(key: str, branch: str, a, b, v, n) -> list:
+    """Per point of the arrays a, b, v and n (None for a family that takes no
+    depth) drawn for scalar family key's branch, whether the row pass decides
+    it as a pass by the settlement rule (_clear), where the hypothesis holds
+    and lhs and rhs are finite."""
+    lhs, rhs, gap, scale = scalar.row_gaps(key, branch, a, b, v, n)
     with np.errstate(all="ignore"):
-        ok = fam.hypothesis(branch, v, n) & np.isfinite(lhs) & np.isfinite(rhs)
+        ok = SCALAR_BY_KEY[key].hypothesis(branch, v, n) & np.isfinite(lhs) & np.isfinite(rhs)
         return _clear(ok, gap, scalar._tol(lhs, rhs), scale)
 
 
@@ -547,21 +565,22 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     picks = _weight_sources(cfg, row)
     row_seed = derive_seed(cfg.seed, fnv1a64("operator/" + row.key))
     probing = cfg.boundary_probe
-    # no read-ahead: a trial draws dozens of words in random_spd, and over
-    # a row of few trials a lockstep pass of few lanes cost more than it saved
-    for state in substream_states(row_seed, cfg.trials):
+    # a generator a trial: random_spd draws dozens of words through float code
+    states = (state for lanes in substream_states(row_seed, cfg.trials)
+              for state in zip(*(lane.tolist() for lane in lanes)))
+    for state in states:
         rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)
         n, source = _pick(picks, rng)
         if source is None:
-            yield None, None, None
+            yield 1, None, None, None
             continue
         v = _pick(source, rng) if probing else _sample_pieces(source, rng.random())
         mat_a = random_spd(dim, cfg.cond_max, rng)
         mat_b = random_spd(dim, cfg.cond_max, rng)
         ok, gap, cause = _verdict(row.evaluate, mat_a, mat_b, v, n, probing,
                                   "min eigenvalue below tolerance")
-        yield ok, gap, None if ok or ok is None else {
+        yield 1, ok, gap, None if ok or ok is None else {
             "dim": dim, "v": v, "n": n, "min_eig_gap": gap, "matrix_a": mat_a.entries.tolist(),
             "matrix_b": mat_b.entries.tolist(), "cause": cause}
 

@@ -5,11 +5,10 @@ unsigned arithmetic, so identically-seeded streams reproduce across
 platforms and implementations.  Suites derive one independent substream
 per trial from (seed, row key, trial index) via :func:`derive_seed`;
 :func:`substream_states` computes a row's trial states in numpy ``uint64``,
-bit for bit the same.  With a read-ahead depth k it also runs each trial's
-first k xoshiro256** steps in that pass, all trials in lockstep, and the
-generator built from its tuple serves those words before stepping itself.
-:meth:`Xoshiro256StarStar.next_u64` stays the definition of a step; the
-lockstep pass must give the same words.
+bit for bit the same, as four lane arrays a chunk of trials, one lane per
+trial.  :meth:`Xoshiro256StarStar.next_u64` is the one definition of a
+step: on int words it steps one stream, on lane arrays every lane at once,
+and ``random`` and ``randint`` draw from either.
 """
 
 from __future__ import annotations
@@ -74,62 +73,32 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64_31)
 
 
-# numpy uint64 forms of the xoshiro256** multipliers and shifts: with numpy
-# 1.x a uint64 array mixed with a Python int is promoted to float64
-_U64_5, _U64_9 = np.uint64(5), np.uint64(9)
-_U64_7, _U64_57 = np.uint64(7), np.uint64(57)
-_U64_17, _U64_45, _U64_19 = np.uint64(17), np.uint64(45), np.uint64(19)
-
-
-def _step(state: np.ndarray) -> np.ndarray:
-    """One Xoshiro256StarStar.next_u64 on every column of a (4, trials)
-    uint64 state, in place; returns the output word of every trial."""
-    s0, s1, s2, s3 = state  # row views: the updates below write to state
-    x = s1 * _U64_5
-    result = ((x << _U64_7) | (x >> _U64_57)) * _U64_9
-    t = s1 << _U64_17
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    s3[...] = (s3 << _U64_45) | (s3 >> _U64_19)
-    return result
-
-
-def substream_states(base: int, count: int, ahead: int = 0):
-    """Yield, for t in range(count), the (s0, s1, s2, s3) state of
-    ``Xoshiro256StarStar(derive_seed(base, t))``, computed in numpy
-    SUBSTREAM_CHUNK trials at a time.
-
-    With ``ahead`` = k > 0, each tuple is instead the state after that
-    generator's first k outputs, followed by those k outputs in order;
-    ``Xoshiro256StarStar`` built from it draws the same stream."""
+def substream_states(base: int, count: int):
+    """Yield, chunk by chunk of SUBSTREAM_CHUNK trials, the state (s0, s1,
+    s2, s3) of ``Xoshiro256StarStar(derive_seed(base, t))`` for t in
+    range(count) as four uint64 lane arrays: lane j of the chunk from trial
+    ``start`` is trial start + j."""
     base = np.uint64(base & _MASK)
     for start in range(0, count, SUBSTREAM_CHUNK):
         trials = np.arange(start, min(count, start + SUBSTREAM_CHUNK), dtype=np.uint64)
         seeds = _finalize((trials ^ base) + _U64_GOLDEN)  # derive_seed(base, t)
         words = _finalize(seeds + _U64_WORD_STEPS)  # row i: s_i of every trial
         words[0, ~words.any(axis=0)] = 1  # all-zero state is absorbing
-        if ahead:
-            words = np.vstack([words] + [_step(words) for _ in range(ahead)])
-        yield from zip(*words.tolist())
+        yield tuple(words)
 
 
 class Xoshiro256StarStar:
     """xoshiro256** 1.0; state seeded by four successive splitmix64 words,
-    or given as an (s0, s1, s2, s3, *read_ahead) tuple from
-    :func:`substream_states`, whose read-ahead words are drawn first."""
+    or given as an (s0, s1, s2, s3) tuple: four ints, or four uint64 lane
+    arrays from :func:`substream_states`, which ``next_u64``, ``random`` and
+    ``randint`` step in place, every lane at once."""
 
-    __slots__ = ("s0", "s1", "s2", "s3", "_ahead")
+    __slots__ = ("s0", "s1", "s2", "s3")
 
     def __init__(self, seed):
         if isinstance(seed, tuple):
-            self.s0, self.s1, self.s2, self.s3, *ahead = seed
-            ahead.reverse()  # next_u64 pops from the end
-            self._ahead = ahead
+            self.s0, self.s1, self.s2, self.s3 = seed
             return
-        self._ahead = []
         state = seed & _MASK
         state, self.s0 = splitmix64(state)
         state, self.s1 = splitmix64(state)
@@ -138,9 +107,10 @@ class Xoshiro256StarStar:
         if not (self.s0 | self.s1 | self.s2 | self.s3):  # all-zero state is absorbing
             self.s0 = 1
 
-    def next_u64(self) -> int:
-        if self._ahead:
-            return self._ahead.pop()
+    def next_u64(self):
+        # a uint64 lane array meets only Python ints below 2**64 here, which
+        # keep it uint64 under numpy 1.x's value-based casting and numpy 2's
+        # weak scalars alike; its arithmetic wraps mod 2**64, as the mask does
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
         x = (s1 * 5) & _MASK
         # rotl(x, 7) * 9 mod 2**64; the bits that x << 7 lifts past bit 63
@@ -166,14 +136,18 @@ class Xoshiro256StarStar:
     def log_uniform(self, lo: float, hi: float) -> float:
         return math.exp(self.uniform(math.log(lo), math.log(hi)))
 
-    def randint(self, n: int) -> int:
-        """Integer in [0, n) via the multiply-shift reduction; n >= 1."""
+    def randint(self, n: int):
+        """Integer in [0, n) via the multiply-shift reduction (word * n) >> 64;
+        n >= 1, and below 2**32 for lanes."""
         # checked before a word is drawn; a plain int passes at the first test
         if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
             raise TypeError(f"randint needs an integer n, got {_shown(n)}")
         if n < 1:  # an int too long to print shows as its bit length
             raise ValueError(f"randint needs n >= 1, got {_shown(n)}")
-        return (self.next_u64() * n) >> 64
+        word = self.next_u64()
+        # from the 32-bit halves of the word: exact for any int, and no lane
+        # product leaves 64 bits while n < 2**32
+        return ((word >> 32) * n + ((word & 0xFFFFFFFF) * n >> 32)) >> 32
 
     def gauss_pair(self) -> tuple[float, float]:
         """Two independent standard normals via Box-Muller, from 1 - random()

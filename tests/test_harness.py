@@ -30,7 +30,7 @@ from meanbound.harness import (
 )
 from meanbound.matrices import LOEWNER_REL_TOL, MatrixError
 from meanbound.operators import OperatorBoundReport
-from meanbound.rng import Xoshiro256StarStar, derive_seed
+from meanbound.rng import SUBSTREAM_CHUNK, Xoshiro256StarStar, derive_seed, fnv1a64
 from meanbound.scalar import (
     MAX_DEPTH,
     BoundReport,
@@ -370,31 +370,77 @@ def test_seeded_report_known_answer():
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_COMPARISON_REPORT_SHA256
 
 
-@pytest.mark.parametrize("probe,draws,per_trial", [
-    (False, 2600, {3: 280, 4: 440}),
-    (True, 2440, {2: 80, 3: 280, 4: 360})])
-def test_scalar_trials_draw_through_one_generator_each(monkeypatch, probe, draws, per_trial):
-    # every draw goes through the module-level generator class, one per
-    # trial, so a wrapper put there (as a tracer does) sees them all; the
-    # counts are those of the step-by-step generator
+@pytest.mark.parametrize("trials,probe,words", [
+    (40, False, 65), (2500, False, 195), (40, True, 61), (2500, True, 183)])
+def test_scalar_trials_draw_through_one_generator_a_chunk(monkeypatch, trials, probe, words):
+    # every draw goes through the module-level generator class, one per row
+    # chunk of trials, so a wrapper put there (as a tracer does) sees them
+    # all; lane j of a chunk from trial t draws the first words of trial
+    # t + j's own generator, and of no other.  2500 trials make three chunks
     made = []
 
-    class Counting(harness.Xoshiro256StarStar):
+    class Recording(harness.Xoshiro256StarStar):
         def __init__(self, seed):
             super().__init__(seed)
-            self.draws = 0
+            self.words = []
             made.append(self)
 
         def next_u64(self):
-            self.draws += 1
-            return super().next_u64()
+            self.words.append(word := super().next_u64())
+            return word
 
-    monkeypatch.setattr(harness, "Xoshiro256StarStar", Counting)
-    cfg = SuiteConfig(seed=5, trials=40, families=("scalar",), boundary_probe=probe)
-    report = run_scalar_suite(cfg)
-    assert len(made) == sum(row.trials for row in report.rows) == 40 * len(SCALAR_ROWS)
-    assert sum(rng.draws for rng in made) == draws
-    assert Counter(rng.draws for rng in made) == per_trial
+    monkeypatch.setattr(harness, "Xoshiro256StarStar", Recording)
+    cfg = SuiteConfig(seed=5, trials=trials, families=("scalar",), boundary_probe=probe)
+    assert sum(row.trials for row in run_scalar_suite(cfg).rows) == trials * len(SCALAR_ROWS)
+    starts = range(0, trials, SUBSTREAM_CHUNK)
+    assert len(made) == len(starts) * len(SCALAR_ROWS)
+    assert sum(len(rng.words) for rng in made) == words
+    chunks = iter(made)
+    for row in SCALAR_ROWS:
+        row_seed = derive_seed(5, fnv1a64("scalar/" + row.key))
+        for start, rng in zip(starts, chunks):
+            for trial, lane in enumerate(np.array(rng.words).T.tolist(), start):
+                own = Xoshiro256StarStar(derive_seed(row_seed, trial))
+                assert lane == [own.next_u64() for _ in lane], (row.key, trial)
+            assert trial == min(trials, start + SUBSTREAM_CHUNK) - 1
+
+
+def _first_words(words, lanes: bool):
+    """Generators whose first next_u64 is each of the words: one of int
+    states a word, or one of lane states.  The word is rotl(s1 * 5, 7) * 9,
+    so s1 undoes the three steps mod 2**64."""
+    undo = [(w * pow(9, -1, 2 ** 64)) % 2 ** 64 for w in words]
+    s1 = [((x >> 7 | x << 57) % 2 ** 64) * pow(5, -1, 2 ** 64) % 2 ** 64 for x in undo]
+    if lanes:
+        zeros = np.zeros(len(words), dtype=np.uint64)
+        return Xoshiro256StarStar((zeros, np.array(s1, dtype=np.uint64), zeros, zeros.copy()))
+    return [Xoshiro256StarStar((0, s, 0, 0)) for s in s1]
+
+
+@pytest.mark.parametrize("pieces,boundary,ends", [
+    ([(-6.0, 6.0)], 0.5, (0.0, 6.0 - 2.0 ** -49)),
+    ([(-1.0, 0.0), (2.0, 5.0)], 0.25, (2.0, 5.0)),  # x = 1.0, the first piece's width
+    # at u = 1 - 2**-53, x - 0.06 rounds to 0.7, the last piece's width
+    ([(-0.06, 0.0), (1.0, 1.7)], 0.5, (1.32, 1.7))])
+def test_lane_draw_formulas_are_the_trial_draws_bit_for_bit(pieces, boundary, ends):
+    # the lane v draw is _sample_pieces at u = 0, at u = 1 - 2**-53 (where
+    # rounding can carry x onto the last piece's end), at x on the piece
+    # boundary and between; randint's halves form is (word * n) >> 64
+    source = harness._spread(pieces)
+    spread, total = source
+    words = [0, 2 ** 64 - 1, int(boundary * 2 ** 53) << 11, 0x9E3779B97F4A7C15]
+    lanes = harness._sample_lanes(spread, _first_words(words, True).random() * total)
+    trials = [harness._sample_pieces(source, rng.random()) for rng in _first_words(words, False)]
+    assert [v.hex() for v in lanes.tolist()] == [v.hex() for v in trials]
+    assert trials[0] == pieces[0][0] and (trials[2], trials[1]) == ends
+    words += [1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 2 ** 32]
+    for n in (1, 2, 3, 6, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 63, 2 ** 64, 2 ** 70):
+        assert [rng.randint(n) for rng in _first_words(words, False)] == [
+            (w * n) >> 64 for w in words]
+        if n < 2 ** 32:
+            drawn = _first_words(words, True).randint(n)
+            assert drawn.dtype == np.uint64
+            assert drawn.tolist() == [(w * n) >> 64 for w in words]
 
 
 @pytest.mark.parametrize("settings", [
@@ -406,8 +452,9 @@ def test_scalar_trials_draw_through_one_generator_each(monkeypatch, probe, draws
     {"trials": 2500}])  # three substream chunks
 def test_row_pass_gives_the_rows_of_the_trial_loop(monkeypatch, settings):
     # the row pass decides only clear passes and leaves every other trial,
-    # and the least margin, to the evaluator: with the pass's lookup turned
-    # off every trial goes through the evaluator, and each row is the same
+    # and the least margin, to the evaluator: with the settlement rule
+    # deciding nothing every trial goes through the evaluator, and each row
+    # is the same
     cfg = SuiteConfig(seed=5, families=("scalar",), **settings)
     decided = []
     clear_passes = harness._clear_passes
@@ -415,13 +462,19 @@ def test_row_pass_gives_the_rows_of_the_trial_loop(monkeypatch, settings):
                         lambda *args: decided.append(sum(out := clear_passes(*args))) or out)
     batched = run_scalar_suite(cfg).rows
     assert (sum(decided) > 0) != cfg.boundary_probe
-    monkeypatch.setattr(harness, "_PASS_FAMILIES", {})
+    _decide_nothing(monkeypatch)
     looped = run_scalar_suite(cfg).rows
     assert batched == looped
     assert ([None if row.worst_gap is None else row.worst_gap.hex() for row in batched]
             == [None if row.worst_gap is None else row.worst_gap.hex() for row in looped])
     assert reporting.dumps([row.failure_records for row in batched]) == reporting.dumps(
         [row.failure_records for row in looped])
+
+
+def _decide_nothing(monkeypatch) -> None:
+    """Turn off the array passes: the settlement rule leaves every point to
+    the float path."""
+    monkeypatch.setattr(harness, "_clear", lambda _, margin, *rest: [False] * margin.shape[-1])
 
 
 def _claim_rows(cfg, monkeypatch, claims) -> tuple:
@@ -433,7 +486,7 @@ def _claim_rows(cfg, monkeypatch, claims) -> tuple:
     monkeypatch.setattr(harness, "_clear",
                         lambda *args: decided.append(sum(out := clear(*args))) or out)
     batched = run_comparison_suite(cfg).rows
-    monkeypatch.setattr(harness, "_clear", lambda _, margin, *rest: [False] * margin.shape[-1])
+    _decide_nothing(monkeypatch)
     return batched, sum(decided), run_comparison_suite(cfg).rows
 
 
@@ -659,13 +712,15 @@ def test_overflowing_operator_mean_is_a_failure():
 # ---------------------------------------------------------------------------
 
 def test_failure_recording_and_replay_via_canary_row(monkeypatch):
-    # a deliberately wrong row exercises the recording/replay machinery
+    # a deliberately wrong row exercises the recording/replay machinery; the
+    # row pass reads its family's formulas, not the canary's, so it is off
     real = SCALAR_ROWS[0]
     canary = dataclasses.replace(
         real, key="canary", family="reverse-young-basic", branch="x",
         evaluate=lambda a, b, v, n: BoundReport(
             "canary", "x", a, b, v, n, 1.0, 0.5, -0.5, True, False))
     monkeypatch.setattr(harness, "SCALAR_ROWS", [canary])
+    _decide_nothing(monkeypatch)
     cfg = SuiteConfig(trials=6, families=("reverse-young-basic",))
     rep = run_scalar_suite(cfg)
     row = rep.rows[0]
@@ -682,11 +737,13 @@ def test_failure_recording_and_replay_via_canary_row(monkeypatch):
 def test_probe_failures_recorded_via_canary_row(monkeypatch, probe):
     # outside its hypothesis a trial is skipped; a probe trial reads only
     # whether the gap is within tolerance of zero, whatever the hypothesis
+    # (the row pass, which reads the family's formulas, is off)
     canary = dataclasses.replace(
         SCALAR_ROWS[0], key="canary", family="reverse-young-basic", branch="x",
         evaluate=lambda a, b, v, n: BoundReport(
             "canary", "x", a, b, v, n, 1.0, 0.5, -0.5, False, False))
     monkeypatch.setattr(harness, "SCALAR_ROWS", [canary])
+    _decide_nothing(monkeypatch)
     cfg = SuiteConfig(trials=6, families=("reverse-young-basic",), boundary_probe=probe)
     row = run_scalar_suite(cfg).rows[0]
     if not probe:

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,13 @@ from meanbound.rng import (
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 COUNTS = (0, 1, 4, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1,
           5 * SUBSTREAM_CHUNK // 2)
-# read-ahead depths: none, the scalar trial's four words, and more
-AHEADS = (0, 4, 7)
+# a lane generator's draws, each with the same draw of a trial's own
+# generator, written from that generator's words
+DRAWS = {
+    "next_u64": (lambda rng: rng.next_u64(), lambda word: word),
+    "random": (lambda rng: rng.random(), lambda word: (word >> 11) * 2.0 ** -53),
+    "randint": (lambda rng: rng.randint(6), lambda word: (word * 6) >> 64),
+}
 
 
 def state(rng):
@@ -69,45 +75,54 @@ def reference_trials(seed, key, count):
     return references[:count]
 
 
-def assert_substreams_match(seed, key, count, ahead):
-    """Every tuple of substream_states(derive_seed(seed, key), count, ahead)
-    gives a generator with the first words of derive_seed(seed, key, t)'s;
-    without read-ahead it is that generator's state.  Sixteen words run past
-    every read-ahead, so the state after it is checked too."""
+def assert_lanes_match(seed, key, count, draw):
+    """substream_states(derive_seed(seed, key), count) gives, chunk by chunk
+    of SUBSTREAM_CHUNK trials, the states of derive_seed(seed, key, t)'s
+    generators as uint64 lanes; one generator built from a chunk's lanes
+    draws, lane by lane, the first sixteen draws of those generators."""
+    lane_draw, word_draw = DRAWS[draw]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        states = list(substream_states(derive_seed(seed, key), count, ahead))
+        chunks = list(substream_states(derive_seed(seed, key), count))
+        draws = []
+        for lanes in chunks:
+            assert [lane.dtype for lane in lanes] == [np.dtype(np.uint64)] * 4
+            states = list(zip(*(lane.tolist() for lane in lanes)))
+            rng = Xoshiro256StarStar(lanes)
+            draws.append((states, np.array([lane_draw(rng) for _ in range(16)]).T.tolist()))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(states) == count
-    for trial, (given_state, (reference_state, reference_words)) in enumerate(
-            zip(states, reference_trials(seed, key, count))):
-        assert len(given_state) == 4 + ahead
-        fast = Xoshiro256StarStar(given_state)
-        if not ahead:
-            assert state(fast) == reference_state, trial
-        assert [fast.next_u64() for _ in range(16)] == reference_words, trial
+    starts = range(0, count, SUBSTREAM_CHUNK)
+    assert [len(states) for states, _ in draws] == [
+        min(SUBSTREAM_CHUNK, count - start) for start in starts]
+    references = iter(reference_trials(seed, key, count))
+    for start, (states, lanes) in zip(starts, draws):
+        for trial, (given_state, lane) in enumerate(zip(states, lanes), start):
+            reference_state, reference_words = next(references)
+            assert given_state == reference_state, trial
+            assert lane == [word_draw(word) for word in reference_words], trial
 
 
-@pytest.mark.parametrize("ahead", AHEADS)
+@pytest.mark.parametrize("draw", list(DRAWS))
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("seed,key", list(itertools.product(
     (0, 1, 2 ** 64 - 1), ("scalar/reverse-young-basic", 0, 2 ** 64 - 1))))
-def test_substream_states_match_derive_seed(seed, key, count, ahead):
-    assert_substreams_match(seed, key, count, ahead)
+def test_substream_lanes_match_derive_seed(seed, key, count, draw):
+    assert_lanes_match(seed, key, count, draw)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        key=st.one_of(st.text(max_size=12), st.integers(0, 2 ** 64 - 1)),
-       count=st.sampled_from(COUNTS), ahead=st.sampled_from(AHEADS))
-def test_substream_states_match_derive_seed_drawn(seed, key, count, ahead):
-    assert_substreams_match(seed, key, count, ahead)
+       count=st.sampled_from(COUNTS), draw=st.sampled_from(list(DRAWS)))
+def test_substream_lanes_match_derive_seed_drawn(seed, key, count, draw):
+    assert_lanes_match(seed, key, count, draw)
 
 
 def test_substream_states_work_chunk_by_chunk():
-    # a count no single array could hold still yields its first state at once
+    # a count no single array could hold still yields its first chunk at once
     first = next(substream_states(5, 10 ** 15))
-    assert first == state(Xoshiro256StarStar(derive_seed(5, 0)))
+    assert len(first[0]) == SUBSTREAM_CHUNK
+    assert tuple(int(lane[0]) for lane in first) == state(Xoshiro256StarStar(derive_seed(5, 0)))
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])
@@ -136,7 +151,7 @@ def test_randint_rejects_a_non_integer_before_drawing(n):
     assert rng.next_u64() == Xoshiro256StarStar(1).next_u64()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 2 ** 63])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 2 ** 32 - 1, 2 ** 63, 2 ** 70])
 def test_randint_is_the_multiply_shift_of_next_u64(n):
     rng, words = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
     draws = [rng.randint(n) for _ in range(200)]
@@ -144,12 +159,13 @@ def test_randint_is_the_multiply_shift_of_next_u64(n):
     assert all(0 <= k < n for k in draws)
 
 
-@pytest.mark.parametrize("ahead", [0, 1, 4, 7])
-def test_gauss_pair_reads_the_same_stream_after_any_read_ahead(ahead):
-    # an odd depth splits a pair across the end of the read-ahead buffer:
-    # its first word is buffered, its second the generator's own step
+@pytest.mark.parametrize("count", [1, 3])
+def test_gauss_pair_reads_the_stream_of_a_state_from_lanes(count):
+    # operator trials draw through a generator of their own, built from
+    # their state's lane words as ints
     base = derive_seed(5, "operator/gauss")
-    for trial, given_state in enumerate(substream_states(base, 3, ahead)):
+    lanes = next(substream_states(base, count))
+    for trial, given_state in enumerate(zip(*(lane.tolist() for lane in lanes))):
         fast = Xoshiro256StarStar(given_state)
         reference = Xoshiro256StarStar(derive_seed(base, trial))
         twin = Xoshiro256StarStar(derive_seed(base, trial))
