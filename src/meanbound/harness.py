@@ -2,8 +2,9 @@
 
 Every trial derives its own generator substream from (seed, row key, trial
 index), so identical configurations replay byte-identically and trials are
-order-independent; a row's substream states come from one numpy pass, and
-a scalar row draws each chunk of its trials as the lanes of one generator.
+order-independent; substream states come from one numpy pass, and the
+scalar rows draw their (row, trial) pairs a block at a time as the lanes of
+one generator.
 Suites never abort on a failing trial; every failure is recorded with the
 full inputs needed to replay it without randomness.
 """
@@ -23,7 +24,8 @@ import numpy as np
 from . import scalar
 from .matrices import LOEWNER_REL_TOL, SpdMatrix
 from .operators import OPERATOR_BY_NAME, OPERATOR_TABLE
-from .rng import Xoshiro256StarStar, derive_seed, fnv1a64, substream_states
+from .rng import (SUBSTREAM_CHUNK, Xoshiro256StarStar, below, derive_seed, fnv1a64,
+                  substream_states, unit)
 from .scalar import SCALAR_BY_KEY, SCALAR_TABLE, BoundReport, DomainError, Family
 
 
@@ -457,17 +459,36 @@ def _run_suite(cfg: SuiteConfig, kind: str) -> SuiteReport:
     return SuiteReport(kind, cfg.as_dict(), results, coverage, time.perf_counter() - start)
 
 
-def _kind_rows(cfg: SuiteConfig, kind: str) -> list:
+def _kind_rows(cfg: SuiteConfig, kind: str):
     """Each row of one kind as (key, family, branch, outcomes, ops, tail), the
-    tail closing its failure records (a grid claim's cause); the comparison
-    claims are all taken whatever cfg.families says."""
-    if kind == "comparison":  # a claim yields (ok, margin, details) a cell
-        return [(key, "comparison", "", ((1, *cell) for cell in runner(cfg)), ops,
-                 {"cause": "claim violated"}) for key, ops, runner in _comparison_claims()]
-    rows, outcomes = ((SCALAR_ROWS, _scalar_outcomes) if kind == "scalar"
-                      else (OPERATOR_ROWS, _operator_outcomes))
-    return [(row.key, row.family, row.branch, outcomes(cfg, row), row.ops, {})
-            for row in _selected(cfg, rows, kind)]
+    tail closing its failure records (a grid claim's cause), in turn: the
+    scalar rows draw their trials block by block as they are tallied.  The
+    comparison claims are all taken whatever cfg.families says."""
+    if kind == "comparison":
+        return ((key, "comparison", "", runner(cfg), ops, {"cause": "claim violated"})
+                for key, ops, runner in _comparison_claims())
+    if kind == "scalar":
+        rows = _selected(cfg, SCALAR_ROWS, kind)
+        outcomes = _scalar_outcomes(cfg, rows)
+    else:
+        rows = _selected(cfg, OPERATOR_ROWS, kind)
+        outcomes = (_operator_outcomes(cfg, row) for row in rows)
+    return ((row.key, row.family, row.branch, out, row.ops, {})
+            for row, out in zip(rows, outcomes))
+
+
+def _runs(clear, settle: Callable, margins=None):
+    """Outcomes (count, ok, margin, details) of a row's points in order: each
+    run of points that ``clear`` marks as passes as one outcome, with the
+    least of their ``margins`` (a list; None without), and each other point i
+    as (1, *settle(i))."""
+    done = 0
+    for i in np.flatnonzero(np.logical_not(clear)).tolist() + [len(clear)]:
+        if i > done:
+            yield i - done, True, None if margins is None else min(margins[done:i]), None
+        if i < len(clear):
+            yield (1, *settle(i))
+        done = i + 1
 
 
 def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -475,54 +496,83 @@ def run_scalar_suite(cfg: SuiteConfig) -> SuiteReport:
     return _run_suite(cfg, "scalar")
 
 
-def _scalar_outcomes(cfg: SuiteConfig, row: FamilyRow):
-    picks = _weight_sources(cfg, row)
-    count = len(picks)
+def _scalar_outcomes(cfg: SuiteConfig, rows: list):
+    """The outcomes of each of ``rows`` in turn.  Its (row, trial) pairs, in
+    row-major order, are drawn a block of SUBSTREAM_CHUNK at a time by one
+    generator, whose lane for a pair draws the words of that trial's own
+    generator; each row's segment of a block is then decided on its own."""
+    sources = [_weight_sources(cfg, row) for row in rows]
+    trials, total = cfg.trials, len(rows) * cfg.trials
     # derive_seed(seed, key, trial) is derive_seed(derive_seed(seed, key), trial)
-    row_seed = derive_seed(cfg.seed, fnv1a64("scalar/" + row.key))
+    seeds = np.array([derive_seed(cfg.seed, fnv1a64("scalar/" + row.key)) for row in rows],
+                     dtype=np.uint64)
     # a and b as rng.log_uniform(*cfg.scalar_range) draws them
     llo, lhi = (math.log(end) for end in cfg.scalar_range)
     width = lhi - llo
-    probing = cfg.boundary_probe
     # a row probes as many points at every depth: its window's ends, or its own
-    size = max(len(source or ()) for _, source in picks)
-    skips = np.array([source is None for _, source in picks])
-    depths = None if row.min_depth is None else np.array([n for n, _ in picks])
-    for lanes in substream_states(row_seed, cfg.trials):
-        # one generator a chunk, whose lane j draws trial j's words (depth,
-        # a, b, v) as a generator of that trial's own would
-        rng = Xoshiro256StarStar(lanes)
-        trials = len(lanes[0])
-        pick = rng.randint(count) if count > 1 else np.zeros(trials, dtype=np.uint64)
-        a = list(map(math.exp, (llo + width * rng.random()).tolist()))
-        b = list(map(math.exp, (llo + width * rng.random()).tolist()))
-        w = (rng.randint(size) if size > 1 else 0) if probing else rng.random()
-        v = np.zeros(trials)
-        for i, (_, source) in enumerate(picks):
-            if source is not None:
-                v = np.where(pick == i, np.asarray(source)[w] if probing
-                             else _sample_lanes(source[0], w * source[1]), v)
-        n = None if depths is None else depths[pick]
-        drawn = ~skips[pick]
-        clear = np.zeros(trials, dtype=bool)
-        if not probing and drawn.any():
-            clear[drawn] = _clear_passes(row.family, row.branch, np.array(a)[drawn],
-                                         np.array(b)[drawn], v[drawn], n if n is None else n[drawn])
-        v, n = v.tolist(), [None] * trials if n is None else n.tolist()
-        done = 0  # the clear passes as runs between the trials yielded one by one
-        for t in np.flatnonzero(~clear).tolist() + [trials]:
-            if t > done:
-                yield t - done, True, None, None
-            if t == trials:
-                break
-            done = t + 1
-            ok, gap, cause = (_verdict(row.evaluate, a[t], b[t], v[t], n[t], probing,
-                                       "gap below tolerance") if drawn[t] else (None,) * 3)
-            yield 1, ok, gap, None if ok or ok is None else {
-                "a": a[t], "b": b[t], "v": v[t], "n": n[t], "gap": gap, "cause": cause}
+    sizes = [max(len(source or ()) for _, source in picks) for picks in sources]
+    # a lane's words: the depth (on a row that picks one), a, b and the
+    # weight (a probe draws its point only among two or more); a row that
+    # picks no depth reads its words one place earlier
+    first = np.array([len(picks) > 1 for picks in sources], dtype=np.intp)
+    draws = first + 2 + (np.array(sizes) > 1 if cfg.boundary_probe else 1)
+
+    def blocks():
+        for start in range(0, total, SUBSTREAM_CHUNK):
+            stop = min(total, start + SUBSTREAM_CHUNK)
+            pairs = np.arange(start, stop, dtype=np.uint64)
+            row = pairs // trials
+            rng = Xoshiro256StarStar(substream_states(seeds[row], pairs - row * trials))
+            words = np.array([rng.next_u64() for _ in range(draws[row].max())])
+            lanes, offset = np.arange(stop - start), first[row]
+            a, b = (np.fromiter(map(math.exp, (llo + width * unit(words[offset + k, lanes]))
+                                    .tolist()), float, stop - start) for k in (0, 1))
+            for r in range(start // trials, (stop - 1) // trials + 1):
+                seg = slice(max(start, r * trials) - start, min(stop, r * trials + trials) - start)
+                yield r, _segment_outcomes(cfg, rows[r], sources[r], sizes[r],
+                                           words[:, seg], first[r], a[seg], b[seg])
+
+    for _, parts in itertools.groupby(blocks(), key=lambda part: part[0]):
+        yield itertools.chain.from_iterable(outcomes for _, outcomes in parts)
 
 
-def _clear_passes(key: str, branch: str, a, b, v, n) -> list:
+def _segment_outcomes(cfg: SuiteConfig, row: FamilyRow, picks: list, size: int, words,
+                      first: int, a, b):
+    """The outcomes of a segment of one row's trials from their lane words
+    and drawn operands: the row pass decides the clear passes, as runs, and
+    the evaluator settles every other trial."""
+    probing = cfg.boundary_probe
+    count = len(a)
+    pick = below(words[0], len(picks)) if first else np.zeros(count, dtype=np.intp)
+    if probing:
+        w = below(words[first + 2], size) if size > 1 else 0
+    else:
+        w = unit(words[first + 2])
+    v = np.zeros(count)
+    for i, (_, source) in enumerate(picks):
+        if source is not None:
+            v = np.where(pick == i, np.asarray(source)[w] if probing
+                         else _sample_lanes(source[0], w * source[1]), v)
+    n = None if row.min_depth is None else np.array([k for k, _ in picks])[pick]
+    drawn = ~np.array([source is None for _, source in picks])[pick]
+    clear = np.zeros(count, dtype=bool)
+    if not probing and drawn.any():
+        clear[drawn] = _clear_passes(row.family, row.branch, a[drawn], b[drawn], v[drawn],
+                                     n if n is None else n[drawn])
+
+    def settle(t):
+        if not drawn[t]:
+            return None, None, None
+        x, y, weight = a.item(t), b.item(t), v.item(t)
+        k = None if n is None else n.item(t)
+        ok, gap, cause = _verdict(row.evaluate, x, y, weight, k, probing, "gap below tolerance")
+        return ok, gap, None if ok or ok is None else {
+            "a": x, "b": y, "v": weight, "n": k, "gap": gap, "cause": cause}
+
+    return _runs(clear, settle)
+
+
+def _clear_passes(key: str, branch: str, a, b, v, n):
     """Per point of the arrays a, b, v and n (None for a family that takes no
     depth) drawn for scalar family key's branch, whether the row pass decides
     it as a pass by the settlement rule (_clear), where the hypothesis holds
@@ -533,7 +583,7 @@ def _clear_passes(key: str, branch: str, a, b, v, n) -> list:
         return _clear(ok, gap, scalar._tol(lhs, rhs), scale)
 
 
-def _clear(counted, margin, tol, scale) -> list:
+def _clear(counted, margin, tol, scale):
     """The one settlement rule of the scalar rows and the grid claims: per
     point, whether its array pass decides it as a pass; the float path settles
     every other point.  margin, tol and the error scale M hold a row per bound
@@ -553,7 +603,7 @@ def _clear(counted, margin, tol, scale) -> list:
             least = np.where(counted, margin, np.inf).min(axis=0)
             delta = np.where(counted, delta, 0.0).max(axis=0)
             ok &= least - delta > (least + delta)[ok].min()
-    return ok.tolist()
+    return ok
 
 
 def run_operator_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -566,8 +616,10 @@ def _operator_outcomes(cfg: SuiteConfig, row: FamilyRow):
     row_seed = derive_seed(cfg.seed, fnv1a64("operator/" + row.key))
     probing = cfg.boundary_probe
     # a generator a trial: random_spd draws dozens of words through float code
-    states = (state for lanes in substream_states(row_seed, cfg.trials)
-              for state in zip(*(lane.tolist() for lane in lanes)))
+    states = (state for start in range(0, cfg.trials, SUBSTREAM_CHUNK)
+              for state in zip(*(lane.tolist() for lane in substream_states(
+                  row_seed, np.arange(start, min(cfg.trials, start + SUBSTREAM_CHUNK),
+                                      dtype=np.uint64)))))
     for state in states:
         rng = Xoshiro256StarStar(state)
         dim = _pick(cfg.dims, rng)
@@ -613,22 +665,18 @@ def _lin_grid(lo: float, hi: float, count: int) -> list:
 
 
 def _grid(ts: list, vs: list) -> tuple:
-    """a = 1, b = t and v of the cells (t, v) of the ratio grid ts x vs, in
-    itertools.product's order, as arrays."""
+    """a = 1, b = t and v of the cells (t, v) of the ratio grid ts x vs, t
+    major (cell i is (ts[i // len(vs)], vs[i % len(vs)])), as arrays."""
     b = np.repeat(ts, len(vs))
     return np.ones_like(b), b, np.tile(vs, len(ts))
 
 
+# A claim's runner yields, for the cells of its grid in order, outcomes
+# (count, ok, margin, details) as _tally reads them: its clear cells as runs.
+
 def _claim_dominance(key, tighter, looser, v_window, ops):
     """Grid claim: the gap bound gap_bounds lists as ``tighter`` is at most the
     one it lists as ``looser``, on the ratio grid x v window."""
-
-    def cell(t, v):
-        low = scalar.gap_bound(tighter, 1.0, t, v)
-        high = scalar.gap_bound(looser, 1.0, t, v)
-        margin = high - low
-        ok = margin >= -scalar._tol(low, high)
-        return ok, margin, None if ok else {"ratio": t, "v": v, "tighter": low, "looser": high}
 
     def runner(cfg: SuiteConfig):
         ts = _log_grid(*cfg.scalar_range, cfg.grid_points)
@@ -637,48 +685,81 @@ def _claim_dominance(key, tighter, looser, v_window, ops):
         (low, low_m, _), (high, high_m, _) = slots.values()
         with np.errstate(all="ignore"):
             clear = _clear(True, high - low, scalar._tol(low, high), low_m + high_m)
-        for (t, v), ok in zip(itertools.product(ts, vs), clear):
-            yield (True, None, None) if ok else cell(t, v)
+
+        def cell(i):
+            t, v = ts[i // len(vs)], vs[i % len(vs)]
+            low = scalar.gap_bound(tighter, 1.0, t, v)
+            high = scalar.gap_bound(looser, 1.0, t, v)
+            margin = high - low
+            ok = margin >= -scalar._tol(low, high)
+            return ok, margin, None if ok else {"ratio": t, "v": v, "tighter": low, "looser": high}
+
+        return _runs(clear, cell)
 
     return key, ops, runner
 
 
 def _poly_grid_claim(key, poly, op):
-    """Nonnegativity of a comparison polynomial, with its minimum pinned at x=1."""
+    """Nonnegativity of a comparison polynomial, with its minimum pinned at
+    x=1: for each v, its cells x, then the cell at x=1.  poly is read once a
+    grid point x, at the row of every v, so its cells keep their float bits."""
 
     def runner(cfg: SuiteConfig):
         xs = sorted(set(_log_grid(1e-2, 1e2, cfg.grid_points - 1)) | {1.0})
-        for v in _lin_grid(0.75, 1.0, cfg.grid_points):
-            values = [poly(x, v) for x in xs]
-            best = min(range(len(xs)), key=lambda i: values[i])
-            for x, val in zip(xs, values):
-                ok = val >= -1e-12 * _poly_scale(x, v)
-                yield ok, val, None if ok else {"x": x, "v": v, "value": val}
-            at_one = values[xs.index(1.0)]
-            ok = xs[best] == 1.0 and abs(at_one) <= 1e-12
-            yield ok, at_one, (None if ok else
-                               {"x": 1.0, "v": v, "min_at": xs[best], "value_at_one": at_one})
+        vs = np.array(_lin_grid(0.75, 1.0, cfg.grid_points))
+        values = np.empty((len(vs), len(xs)))
+        for j, x in enumerate(xs):
+            values[:, j] = poly(x, vs)
+        at_one = values[:, xs.index(1.0)]
+        # min(range(len(xs)), key=values.__getitem__): a NaN is never below
+        # the least so far, and a first NaN stays the least
+        nan = np.isnan(values)
+        best = np.where(nan[:, 0], 0, np.argmin(np.where(nan, np.inf, values), axis=1))
+        with np.errstate(invalid="ignore"):
+            scale = np.column_stack([_poly_scale(x, vs) for x in xs])
+            ok = np.column_stack([values >= -1e-12 * scale,
+                                  (best == xs.index(1.0)) & (abs(at_one) <= 1e-12)])
+        margins = np.column_stack([values, at_one]).ravel().tolist()
+        vs = vs.tolist()
+
+        def cell(i):
+            row, column = divmod(i, len(xs) + 1)
+            value = margins[i]
+            if column < len(xs):
+                return False, value, {"x": xs[column], "v": vs[row], "value": value}
+            return False, value, {"x": 1.0, "v": vs[row], "min_at": xs[best[row]],
+                                  "value_at_one": value}
+
+        return _runs(ok.ravel(), cell, margins)
 
     return key, (op,), runner
 
 
-def _poly_scale(x: float, v: float) -> float:
-    return 20.0 * max(1.0, x) ** 6 * max(1.0, abs(v))
+def _poly_scale(x: float, v):
+    # the power of x is Python's, at a float v or at each of an array's
+    return 20.0 * max(1.0, x) ** 6 * np.maximum(1.0, abs(v))
 
 
 def _claim_quartic(cfg: SuiteConfig):
     # (4v-3) + (3-8v) t^(1/2) + (4-4v) t^(1/4) + (8v-4) t^(5/8) >= 0,
-    # t > 0, v in [3/4, 1] (the ratio form of the quintic comparison check)
-    for t in _log_grid(*cfg.scalar_range, cfg.grid_points):
-        for v in _lin_grid(0.75, 1.0, cfg.grid_points):
-            terms = ((4.0 * v - 3.0), (3.0 - 8.0 * v) * t ** 0.5,
-                     (4.0 - 4.0 * v) * t ** 0.25, (8.0 * v - 4.0) * t ** 0.625)
-            value = scale = 0.0
-            for term in terms:  # left to right: sum() compensates from Python 3.12 on
-                value += term
-                scale += abs(term)
-            ok = value >= -1e-9 * (scale + 1.0)
-            yield ok, value, None if ok else {"t": t, "v": v, "value": value}
+    # t > 0, v in [3/4, 1] (the ratio form of the quintic comparison check);
+    # the powers of t are Python's, a column a term, and v a row
+    ts = _log_grid(*cfg.scalar_range, cfg.grid_points)
+    vs = np.array(_lin_grid(0.75, 1.0, cfg.grid_points))
+    roots = np.array([(t ** 0.5, t ** 0.25, t ** 0.625) for t in ts]).T[:, :, None]
+    terms = ((4.0 * vs - 3.0), (3.0 - 8.0 * vs) * roots[0],
+             (4.0 - 4.0 * vs) * roots[1], (8.0 * vs - 4.0) * roots[2])
+    value = scale = 0.0
+    for term in terms:  # left to right, as a cell's sum
+        value = value + term
+        scale = scale + abs(term)
+    values, vs = value.ravel().tolist(), vs.tolist()
+
+    def cell(i):
+        return False, values[i], {"t": ts[i // len(vs)], "v": vs[i % len(vs)],
+                                  "value": values[i]}
+
+    return _runs((value >= -1e-9 * (scale + 1.0)).ravel(), cell, values)
 
 
 def _claim_factorizations(cfg: SuiteConfig):
@@ -692,8 +773,8 @@ def _claim_factorizations(cfg: SuiteConfig):
         for name, poly, factored in polys:
             value, reference = poly(x, 0.75), factored(x)
             ok = abs(value - reference) <= 1e-12 * _poly_scale(x, 0.75)
-            yield ok, value - reference, (None if ok else {"poly": name, "x": x, "value": value,
-                                                           "reference": reference})
+            yield 1, ok, value - reference, (None if ok else {
+                "poly": name, "x": x, "value": value, "reference": reference})
 
 
 def _claim_limit_delta(cfg: SuiteConfig):
@@ -705,8 +786,8 @@ def _claim_limit_delta(cfg: SuiteConfig):
         for n in range(5, 20):
             rate = deltas[n] / deltas[n + 1]
             ok = rate >= 1.9 and deltas[n] <= log_ratio ** 2 * 2.0 ** (1 - n)
-            yield ok, rate, (None if ok else
-                             {"ratio": ratio, "n": n, "delta": deltas[n], "rate": rate})
+            yield 1, ok, rate, (None if ok else
+                                {"ratio": ratio, "n": n, "delta": deltas[n], "rate": rate})
 
 
 def _claim_limit_log(cfg: SuiteConfig):
@@ -715,14 +796,14 @@ def _claim_limit_log(cfg: SuiteConfig):
     for x in xs:
         slack = scalar.fundamental_log_slack(x)
         ok = slack >= 0.0 and (slack >= 1e-12 or abs(x - 1.0) < 1e-6)
-        yield ok, slack, None if ok else {"x": x, "slack": slack}
+        yield 1, ok, slack, None if ok else {"x": x, "slack": slack}
     for exponent in _lin_grid(-2.0, 2.0, 8):
         ratio = 10.0 ** exponent
         for v in _lin_grid(-6.0, 6.0, 25):
             slack = scalar.limit_inequality_slack(1.0, ratio, v)
             x = math.exp((v - 0.5) * math.log(ratio))
             ok = slack >= 0.0 and (slack >= 1e-12 or abs(x - 1.0) < 1e-6)
-            yield ok, slack, None if ok else {"ratio": ratio, "v": v, "slack": slack}
+            yield 1, ok, slack, None if ok else {"ratio": ratio, "v": v, "slack": slack}
 
 
 def _claim_bound_validity(cfg: SuiteConfig):
@@ -737,10 +818,9 @@ def _claim_bound_validity(cfg: SuiteConfig):
         tol = rel_tol * (abs(values) + abs(true_gap)) + 1e-13 * (1.0 + b)
         listed = np.isfinite(values).all(axis=0) & np.isfinite(true_gap)
         clear = _clear(valid & listed, values - true_gap, tol, scales + true_m)
-    for (t, v), ok in zip(itertools.product(ts, vs), clear):
-        if ok:
-            yield True, None, None
-            continue
+
+    def cell(i):
+        t, v = ts[i // len(vs)], vs[i % len(vs)]
         true_gap, bounds = scalar.gap_bounds(1.0, t, v, 3)
         ok = True
         worst = math.inf
@@ -752,7 +832,9 @@ def _claim_bound_validity(cfg: SuiteConfig):
             if slack < -rel_tol * (abs(value) + abs(true_gap)) - 1e-13 * (1.0 + t):
                 ok = False
         worst = None if worst is math.inf else worst
-        yield ok, worst, None if ok else {"ratio": t, "v": v}
+        return ok, worst, None if ok else {"ratio": t, "v": v}
+
+    return _runs(clear, cell)
 
 
 def _comparison_claims() -> list:

@@ -4,11 +4,12 @@ Both generators follow their published reference algorithms on 64-bit
 unsigned arithmetic, so identically-seeded streams reproduce across
 platforms and implementations.  Suites derive one independent substream
 per trial from (seed, row key, trial index) via :func:`derive_seed`;
-:func:`substream_states` computes a row's trial states in numpy ``uint64``,
-bit for bit the same, as four lane arrays a chunk of trials, one lane per
-trial.  :meth:`Xoshiro256StarStar.next_u64` is the one definition of a
-step: on int words it steps one stream, on lane arrays every lane at once,
-and ``random`` and ``randint`` draw from either.
+:func:`substream_states` computes the states of any set of trials, each
+lane with a base and a trial index of its own, in numpy ``uint64``, bit for
+bit the same, as four lane arrays.  :meth:`Xoshiro256StarStar.next_u64` is
+the one definition of a step: on int words it steps one stream, on lane
+arrays every lane at once; :func:`unit` and :func:`below` turn a word, or
+a lane array of words, into the draws of ``random`` and ``randint``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .scalar import _shown
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi  # Box-Muller's angle factor, formed once
-# Trials per numpy pass of substream_states: memory stays flat for any count.
-SUBSTREAM_CHUNK = 1024
+# Lanes a suite steps at once: the scalar rows draw their (row, trial) pairs
+# a block of this many lanes at a time, and the operator rows derive their
+# trial states a chunk of this many at a time, so memory stays flat for any
+# trial count.  A request of 18 rows of 600 trials (10,800 lanes) is one block.
+SUBSTREAM_CHUNK = 2 ** 14
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -73,18 +77,29 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64_31)
 
 
-def substream_states(base: int, count: int):
-    """Yield, chunk by chunk of SUBSTREAM_CHUNK trials, the state (s0, s1,
-    s2, s3) of ``Xoshiro256StarStar(derive_seed(base, t))`` for t in
-    range(count) as four uint64 lane arrays: lane j of the chunk from trial
-    ``start`` is trial start + j."""
-    base = np.uint64(base & _MASK)
-    for start in range(0, count, SUBSTREAM_CHUNK):
-        trials = np.arange(start, min(count, start + SUBSTREAM_CHUNK), dtype=np.uint64)
-        seeds = _finalize((trials ^ base) + _U64_GOLDEN)  # derive_seed(base, t)
-        words = _finalize(seeds + _U64_WORD_STEPS)  # row i: s_i of every trial
-        words[0, ~words.any(axis=0)] = 1  # all-zero state is absorbing
-        yield tuple(words)
+def substream_states(bases, trials) -> tuple:
+    """The state (s0, s1, s2, s3) of ``Xoshiro256StarStar(derive_seed(base,
+    t))`` for each lane's base and trial index t, as four uint64 lane arrays
+    from one numpy pass: ``trials`` is a uint64 array, ``bases`` a uint64
+    array of the same length or one int below 2**64 for every lane."""
+    seeds = _finalize((trials ^ bases) + _U64_GOLDEN)  # derive_seed(base, t)
+    words = _finalize(seeds + _U64_WORD_STEPS)  # row i: s_i of every lane
+    words[0, ~words.any(axis=0)] = 1  # all-zero state is absorbing
+    return tuple(words)
+
+
+def unit(word):
+    """The uniform double in [0, 1) of a word, or of each word of a lane
+    array: its top 53 bits times 2**-53."""
+    return (word >> 11) * 1.1102230246251565e-16
+
+
+def below(word, n):
+    """The integer in [0, n) of a word, or of each word of a lane array, by
+    the multiply-shift reduction (word * n) >> 64.  From the word's 32-bit
+    halves: exact for any int n >= 1, and no lane product leaves 64 bits
+    while n < 2**32."""
+    return ((word >> 32) * n + ((word & 0xFFFFFFFF) * n >> 32)) >> 32
 
 
 class Xoshiro256StarStar:
@@ -128,7 +143,7 @@ class Xoshiro256StarStar:
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
+        return unit(self.next_u64())
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
@@ -144,15 +159,12 @@ class Xoshiro256StarStar:
             raise TypeError(f"randint needs an integer n, got {_shown(n)}")
         if n < 1:  # an int too long to print shows as its bit length
             raise ValueError(f"randint needs n >= 1, got {_shown(n)}")
-        word = self.next_u64()
-        # from the 32-bit halves of the word: exact for any int, and no lane
-        # product leaves 64 bits while n < 2**32
-        return ((word >> 32) * n + ((word & 0xFFFFFFFF) * n >> 32)) >> 32
+        return below(self.next_u64(), n)
 
     def gauss_pair(self) -> tuple[float, float]:
         """Two independent standard normals via Box-Muller, from 1 - random()
         and random(); the two words are read straight from the stream."""
-        u1 = 1.0 - (self.next_u64() >> 11) * 1.1102230246251565e-16  # (0, 1]
-        theta = _TWO_PI * ((self.next_u64() >> 11) * 1.1102230246251565e-16)
+        u1 = 1.0 - unit(self.next_u64())  # (0, 1]
+        theta = _TWO_PI * unit(self.next_u64())
         r = math.sqrt(-2.0 * math.log(u1))
         return r * math.cos(theta), r * math.sin(theta)

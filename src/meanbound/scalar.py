@@ -49,11 +49,15 @@ def _shown(value) -> str:
 
 def _finite(x) -> bool:
     """math.isfinite(x), False for an int past the float range, where it raises
-    OverflowError."""
+    OverflowError; for a numpy array, whether every entry is finite."""
     try:
         return math.isfinite(x)
     except OverflowError:
         return False
+    except TypeError:
+        if not isinstance(x, np.ndarray):
+            raise
+        return bool(np.isfinite(x).all())
 
 
 def _require_pair(a: float, b: float) -> None:
@@ -82,7 +86,7 @@ def _named_overflow(fn: Callable) -> Callable:
             value = fn(*args, **kwargs)
         except OverflowError:
             value = math.inf
-        if math.isfinite(value):
+        if _finite(value):
             return value
         point = inspect.signature(fn).bind(*args, **kwargs).arguments.items()
         raise OverflowError(f"{fn.__name__}: value at "
@@ -686,7 +690,8 @@ def comparison_poly_f(x: float, v: float) -> float:
     """Quintic (8v-4)x^5 + (3-8v)x^4 + (4-4v)x^2 + (4v-3).
 
     Nonnegative for x > 0 when v is in [3/4, 1]; vanishes at x = 1 for
-    every v and factors as x^2 (x-1)^2 (2x+1) at v = 3/4.
+    every v and factors as x^2 (x-1)^2 (2x+1) at v = 3/4.  v may be a float64
+    array: the values at each of its weights, with the float bits of each.
     """
     _require_positive(x)
     _require_weight(v)
@@ -699,7 +704,8 @@ def comparison_poly_g(x: float, v: float) -> float:
     """Sextic (4v-2)x^6 + (2-4v)x^5 + (2v-1)x^4 + (2-4v)x^3 + (2v-1).
 
     Nonnegative for x > 0 when v is in [3/4, 1]; vanishes at x = 1 and
-    factors as (x-1)^2 (x^4 + x^3 + (3/2)x^2 + x + 1/2) at v = 3/4.
+    factors as (x-1)^2 (x^4 + x^3 + (3/2)x^2 + x + 1/2) at v = 3/4.  v may
+    be a float64 array, as for comparison_poly_f.
     """
     _require_positive(x)
     _require_weight(v)

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import math
 import sys
 from collections import Counter
@@ -370,13 +371,21 @@ def test_seeded_report_known_answer():
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_COMPARISON_REPORT_SHA256
 
 
-@pytest.mark.parametrize("trials,probe,words", [
-    (40, False, 65), (2500, False, 195), (40, True, 61), (2500, True, 183)])
-def test_scalar_trials_draw_through_one_generator_a_chunk(monkeypatch, trials, probe, words):
-    # every draw goes through the module-level generator class, one per row
-    # chunk of trials, so a wrapper put there (as a tracer does) sees them
-    # all; lane j of a chunk from trial t draws the first words of trial
-    # t + j's own generator, and of no other.  2500 trials make three chunks
+@pytest.mark.parametrize("trials,probe,families,words", [
+    (40, False, ("scalar",), 4), (2500, False, ("scalar",), 12),
+    (40, True, ("scalar",), 4), (2500, True, ("scalar",), 12),
+    (40, False, ("reverse-young-basic", "kittaneh-manasrah"), 3),
+    (40, True, ("zhao-wu-reverse",), 2)])
+def test_scalar_trials_draw_through_one_generator_a_chunk(monkeypatch, trials, probe, families,
+                                                          words):
+    # every draw goes through the module-level generator class, one per block
+    # of SUBSTREAM_CHUNK (row, trial) pairs in row-major order, so a wrapper
+    # put there (as a tracer does) sees them all; the lane of a pair draws
+    # the first words of that trial's own generator, and of no other.  A
+    # block draws the most words any of its lanes reads: the depth on a row
+    # that picks one, a, b, and the weight, which a probe draws only among
+    # two or more points.  2500 trials of 18 rows make three blocks, the
+    # first two ending inside a row
     made = []
 
     class Recording(harness.Xoshiro256StarStar):
@@ -390,19 +399,51 @@ def test_scalar_trials_draw_through_one_generator_a_chunk(monkeypatch, trials, p
             return word
 
     monkeypatch.setattr(harness, "Xoshiro256StarStar", Recording)
-    cfg = SuiteConfig(seed=5, trials=trials, families=("scalar",), boundary_probe=probe)
-    assert sum(row.trials for row in run_scalar_suite(cfg).rows) == trials * len(SCALAR_ROWS)
-    starts = range(0, trials, SUBSTREAM_CHUNK)
-    assert len(made) == len(starts) * len(SCALAR_ROWS)
+    cfg = SuiteConfig(seed=5, trials=trials, families=families, boundary_probe=probe)
+    pairs = [(row.key, trial) for row in run_scalar_suite(cfg).rows for trial in range(row.trials)]
+    assert len(pairs) == trials * len(harness._selected(cfg, SCALAR_ROWS, "scalar"))
+    assert [len(rng.words[0]) for rng in made] == [
+        min(SUBSTREAM_CHUNK, len(pairs) - start) for start in range(0, len(pairs), SUBSTREAM_CHUNK)]
     assert sum(len(rng.words) for rng in made) == words
-    chunks = iter(made)
-    for row in SCALAR_ROWS:
-        row_seed = derive_seed(5, fnv1a64("scalar/" + row.key))
-        for start, rng in zip(starts, chunks):
-            for trial, lane in enumerate(np.array(rng.words).T.tolist(), start):
-                own = Xoshiro256StarStar(derive_seed(row_seed, trial))
-                assert lane == [own.next_u64() for _ in lane], (row.key, trial)
-            assert trial == min(trials, start + SUBSTREAM_CHUNK) - 1
+    lanes = [lane for rng in made for lane in np.array(rng.words).T.tolist()]
+    for (key, trial), lane in zip(pairs, lanes, strict=True):
+        own = Xoshiro256StarStar(derive_seed(derive_seed(5, fnv1a64("scalar/" + key)), trial))
+        assert lane == [own.next_u64() for _ in lane], (key, trial)
+
+
+def test_scalar_rows_draw_block_by_block():
+    # a trial count no single array could hold still gives the first row's
+    # first outcomes at once: memory stays flat in the trial count
+    cfg = SuiteConfig(seed=5, trials=10 ** 15, families=("scalar",))
+    first = next(harness._scalar_outcomes(cfg, SCALAR_ROWS))
+    assert sum(count for count, *_ in itertools.islice(first, 3)) >= 3
+
+
+@pytest.mark.parametrize("probe", [False, True])
+@pytest.mark.parametrize("trials", [1, 2500, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK,
+                                    SUBSTREAM_CHUNK + 1])
+def test_each_scalar_row_is_the_same_alone_and_in_the_suite(trials, probe):
+    # a block of the suite's (row, trial) pairs may end inside a row (at 2500
+    # trials inside rows 6 and 13; at SUBSTREAM_CHUNK +- 1 inside every row
+    # after the first), where the row pass and its settlement of the least
+    # margin run on each part; alone, a row's trials fill blocks of their
+    # own.  Each row's result, least margin and failure records are the
+    # same.  Weights in +-60 overflow the powers of the widest operand
+    # ratios, so rows fail
+    cfg = SuiteConfig(seed=5, trials=trials, families=("scalar",), v_range=(-60.0, 60.0),
+                      boundary_probe=probe)
+    suite = run_scalar_suite(cfg).rows
+    assert [row.key for row in suite] == [row.key for row in SCALAR_ROWS]
+    assert any(row.failure_records for row in suite) == (trials > 1 and not probe)
+    for row in suite:
+        (alone,) = run_scalar_suite(dataclasses.replace(cfg, families=(row.key,))).rows
+        assert alone == row
+        assert _hex(alone.worst_gap) == _hex(row.worst_gap)
+        assert reporting.dumps(alone.failure_records) == reporting.dumps(row.failure_records)
+
+
+def _hex(gap):
+    return None if gap is None else gap.hex()
 
 
 def _first_words(words, lanes: bool):
@@ -512,6 +553,65 @@ def test_claim_pass_gives_the_cells_of_the_grid_loop(monkeypatch, grid_points, s
         [row.failure_records for row in looped])
     assert sum(row.failures for row in batched) == batched[-1].failures > 0
     assert batched[-1].passes > 0
+
+
+def _looped_poly_cells(poly, cfg):
+    """The per-cell loop of a poly-grid claim: for each v, its cells x, then
+    the cell at x=1, a scalar call a cell."""
+    xs = sorted(set(harness._log_grid(1e-2, 1e2, cfg.grid_points - 1)) | {1.0})
+    for v in harness._lin_grid(0.75, 1.0, cfg.grid_points):
+        values = [poly(x, v) for x in xs]
+        best = min(range(len(xs)), key=lambda i: values[i])
+        for x, value in zip(xs, values):
+            ok = value >= -1e-12 * (20.0 * max(1.0, x) ** 6 * max(1.0, abs(v)))
+            yield 1, ok, value, None if ok else {"x": x, "v": v, "value": value}
+        at_one = values[xs.index(1.0)]
+        ok = xs[best] == 1.0 and abs(at_one) <= 1e-12
+        yield 1, ok, at_one, None if ok else {"x": 1.0, "v": v, "min_at": xs[best],
+                                              "value_at_one": at_one}
+
+
+def _looped_quartic_cells(cfg):
+    for t in harness._log_grid(*cfg.scalar_range, cfg.grid_points):
+        for v in harness._lin_grid(0.75, 1.0, cfg.grid_points):
+            terms = ((4.0 * v - 3.0), (3.0 - 8.0 * v) * t ** 0.5,
+                     (4.0 - 4.0 * v) * t ** 0.25, (8.0 * v - 4.0) * t ** 0.625)
+            value = scale = 0.0
+            for term in terms:
+                value += term
+                scale += abs(term)
+            ok = value >= -1e-9 * (scale + 1.0)
+            yield 1, ok, value, None if ok else {"t": t, "v": v, "value": value}
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize("grid_points", [3, 16, 50])
+@pytest.mark.parametrize("scalar_range", [(1e-3, 1e3), (1e-300, 1e300)])
+def test_poly_claims_as_runs_give_the_cells_of_the_grid_loop(monkeypatch, shift, grid_points,
+                                                             scalar_range):
+    # the poly-grid and quartic claims build their grids as arrays and tally
+    # their passes as runs, each with its least margin: each row is the row of
+    # the per-cell loop, bit for bit.  The mutants (shift 0.5: the v grid
+    # reaches down to 1/4, below the claims' window) fail mid-grid, so
+    # failure records and runs between them are checked too
+    lin_grid = harness._lin_grid
+    monkeypatch.setattr(harness, "_lin_grid", lambda lo, hi, count: lin_grid(
+        lo - shift if (lo, hi) == (0.75, 1.0) else lo, hi, count))
+    cfg = SuiteConfig(seed=5, grid_points=grid_points, scalar_range=scalar_range)
+    claims = {key: (key, ops, runner) for key, ops, runner in harness._comparison_claims()}
+    loops = {"poly/f-grid": _looped_poly_cells(scalar.comparison_poly_f, cfg),
+             "poly/g-grid": _looped_poly_cells(scalar.comparison_poly_g, cfg),
+             "poly/ratio-quartic": _looped_quartic_cells(cfg)}
+    monkeypatch.setattr(harness, "_comparison_claims", lambda: [claims[key] for key in loops])
+    batched = run_comparison_suite(cfg).rows
+    looped = [harness._tally(key, "comparison", "", cells, claims[key][1],
+                             {"cause": "claim violated"}, {}) for key, cells in loops.items()]
+    assert batched == looped
+    assert [_hex(row.worst_gap) for row in batched] == [_hex(row.worst_gap) for row in looped]
+    assert reporting.dumps([row.failure_records for row in batched]) == reporting.dumps(
+        [row.failure_records for row in looped])
+    for row in batched:
+        assert row.passes > 0 and (row.failures > 0) == (shift > 0), row.key
 
 
 def _compensated_sum(values, start=0):
@@ -631,7 +731,7 @@ def test_rows_keep_the_hand_paired_windows_at_every_depth():
 
 def test_run_all_is_the_three_suites_concatenated(monkeypatch):
     def canary(cfg):
-        yield False, -1.0, {"x": 2.0}
+        yield 1, False, -1.0, {"x": 2.0}
 
     claims = harness._comparison_claims
     monkeypatch.setattr(harness, "_comparison_claims",
@@ -679,9 +779,10 @@ def test_bound_validity_makes_one_public_scalar_call_per_cell(monkeypatch):
             return counted
 
     monkeypatch.setattr(harness, "scalar", CountingScalar())
-    cells = list(harness._claim_bound_validity(SuiteConfig()))
-    assert len(cells) == 420 and all(ok for ok, _, _ in cells)
-    settled = sum(margin is not None for _, margin, _ in cells)
+    outcomes = list(harness._claim_bound_validity(SuiteConfig()))
+    assert sum(count for count, *_ in outcomes) == 420 and all(ok for _, ok, _, _ in outcomes)
+    # the clear cells come as runs with no margin, each settled cell alone
+    settled = sum(margin is not None for _, _, margin, _ in outcomes)
     assert 0 < settled < 420
     assert calls == {"slot_gaps": 1, "gap_bounds": settled}
 
@@ -808,19 +909,23 @@ def test_operator_evaluation_error_recorded_via_canary_row(monkeypatch):
 
 
 def test_comparison_failure_recording_via_canary_claim(monkeypatch):
+    # a claim yields (count, ok, margin, details): a run of passes with its
+    # least margin, or one failing cell; a failure's trial counts the cells
+    # before it
     def cells(cfg):
-        yield True, 0.5, {"x": 1.0, "v": 0.25}
-        yield False, -1.0, {"x": 2.0, "v": 0.75}
+        yield 3, True, 0.5, None
+        yield 1, False, -1.0, {"x": 2.0, "v": 0.75}
+        yield 2, True, 0.25, None
 
     monkeypatch.setattr(harness, "_comparison_claims",
                         lambda: [("canary/claim", ("canary_op",), cells)])
     rep = run_comparison_suite(SMALL)
     row = rep.rows[0]
-    assert (row.trials, row.passes, row.failures, row.worst_gap) == (2, 1, 1, 0.5)
-    assert row.failure_records == [{"row": "canary/claim", "trial": 1, "x": 2.0,
+    assert (row.trials, row.passes, row.failures, row.worst_gap) == (6, 5, 1, 0.25)
+    assert row.failure_records == [{"row": "canary/claim", "trial": 3, "x": 2.0,
                                     "v": 0.75, "cause": "claim violated"}]
     assert list(row.failure_records[0]) == ["row", "trial", "x", "v", "cause"]
-    assert rep.coverage == {"canary_op": 2}
+    assert rep.coverage == {"canary_op": 6}
 
 
 # the inputs a failing cell of each claim records; the ratio-quartic claim
@@ -855,17 +960,19 @@ def test_grid_cells_record_their_inputs_only_when_they_fail(monkeypatch):
 
     cfg = SuiteConfig(grid_points=4)
     for key, _, runner in harness._comparison_claims():
-        assert all(ok and details is None for ok, _, details in runner(cfg)), key
+        assert all(ok and details is None for _, ok, _, details in runner(cfg)), key
     # the claims bind the scalar functions they compare when they are listed
     monkeypatch.setattr(harness, "scalar", NanScalar())
     for key, _, runner in harness._comparison_claims():
         cells = list(runner(cfg))
         if key == "poly/ratio-quartic":
-            assert all(ok and details is None for ok, _, details in cells)
+            assert all(ok and details is None for _, ok, _, details in cells)
             continue
         expected = _CELL_DETAILS.get(key.partition("/")[0], _CELL_DETAILS.get(key))
-        assert cells and not any(ok for ok, _, _ in cells), key
-        assert {tuple(details) for _, _, details in cells} == set(expected), key
+        # every cell fails, so each is an outcome of its own
+        assert cells and not any(ok for _, ok, _, _ in cells), key
+        assert {count for count, *_ in cells} == {1}, key
+        assert {tuple(details) for *_, details in cells} == set(expected), key
 
 
 def test_numeric_errors_recorded_not_fatal():

@@ -9,17 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanbound.rng import (
-    SUBSTREAM_CHUNK,
-    Xoshiro256StarStar,
-    derive_seed,
-    splitmix64,
-    substream_states,
-)
+from meanbound.rng import Xoshiro256StarStar, derive_seed, splitmix64, substream_states
 
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
-COUNTS = (0, 1, 4, SUBSTREAM_CHUNK - 1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1,
-          5 * SUBSTREAM_CHUNK // 2)
+COUNTS = (0, 1, 2, 4, 63, 64, 1025)  # trials a base
 # a lane generator's draws, each with the same draw of a trial's own
 # generator, written from that generator's words
 DRAWS = {
@@ -61,45 +54,47 @@ def test_xoshiro256starstar_known_answers():
 
 
 @functools.lru_cache(maxsize=None)
-def _references(seed, key):
-    """(state, first sixteen words) of derive_seed(seed, key, t)'s generator
-    for t = 0, 1, ...: built once per (seed, key), grown as counts ask."""
+def _references(seed, parts):
+    """(state, first sixteen words) of derive_seed(seed, *parts, t)'s
+    generator for t = 0, 1, ...: built once per (seed, parts), grown as counts
+    ask."""
     return []
 
 
-def reference_trials(seed, key, count):
-    references = _references(seed, key)
+def reference_trials(seed, parts, count):
+    references = _references(seed, parts)
     for trial in range(len(references), count):
-        reference = Xoshiro256StarStar(derive_seed(seed, key, trial))
+        reference = Xoshiro256StarStar(derive_seed(seed, *parts, trial))
         references.append((state(reference), [reference.next_u64() for _ in range(16)]))
     return references[:count]
 
 
 def assert_lanes_match(seed, key, count, draw):
-    """substream_states(derive_seed(seed, key), count) gives, chunk by chunk
-    of SUBSTREAM_CHUNK trials, the states of derive_seed(seed, key, t)'s
-    generators as uint64 lanes; one generator built from a chunk's lanes
-    draws, lane by lane, the first sixteen draws of those generators."""
+    """substream_states gives, lane by lane, the states of the generators
+    derive_seed(seed, key, t) for t < count and then of derive_seed(seed,
+    key, 2, t), from a base and a trial index a lane, as uint64 lanes; one
+    generator built from them draws, lane by lane, the first sixteen draws
+    of those generators.  One int base for every lane gives the first half."""
     lane_draw, word_draw = DRAWS[draw]
+    bases = [derive_seed(seed, key), derive_seed(seed, key, 2)]
+    trials = np.arange(count, dtype=np.uint64)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        chunks = list(substream_states(derive_seed(seed, key), count))
-        draws = []
-        for lanes in chunks:
-            assert [lane.dtype for lane in lanes] == [np.dtype(np.uint64)] * 4
-            states = list(zip(*(lane.tolist() for lane in lanes)))
-            rng = Xoshiro256StarStar(lanes)
-            draws.append((states, np.array([lane_draw(rng) for _ in range(16)]).T.tolist()))
+        lanes = substream_states(np.repeat(np.array(bases, dtype=np.uint64), count),
+                                 np.tile(trials, 2))
+        shared = substream_states(bases[0], trials)
+        assert [lane.dtype for lane in lanes + shared] == [np.dtype(np.uint64)] * 8
+        assert [lane.tolist() for lane in shared] == [lane[:count].tolist() for lane in lanes]
+        states = list(zip(*(lane.tolist() for lane in lanes)))
+        rng = Xoshiro256StarStar(lanes)  # steps the lane arrays in place
+        draws = np.array([lane_draw(rng) for _ in range(16)]).T.tolist()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    starts = range(0, count, SUBSTREAM_CHUNK)
-    assert [len(states) for states, _ in draws] == [
-        min(SUBSTREAM_CHUNK, count - start) for start in starts]
-    references = iter(reference_trials(seed, key, count))
-    for start, (states, lanes) in zip(starts, draws):
-        for trial, (given_state, lane) in enumerate(zip(states, lanes), start):
-            reference_state, reference_words = next(references)
-            assert given_state == reference_state, trial
-            assert lane == [word_draw(word) for word in reference_words], trial
+    references = reference_trials(seed, (key,), count) + reference_trials(seed, (key, 2), count)
+    assert len(states) == len(draws) == len(references) == 2 * count
+    for lane, (given_state, given_draws, (reference_state, reference_words)) in enumerate(
+            zip(states, draws, references)):
+        assert given_state == reference_state, lane
+        assert given_draws == [word_draw(word) for word in reference_words], lane
 
 
 @pytest.mark.parametrize("draw", list(DRAWS))
@@ -116,13 +111,6 @@ def test_substream_lanes_match_derive_seed(seed, key, count, draw):
        count=st.sampled_from(COUNTS), draw=st.sampled_from(list(DRAWS)))
 def test_substream_lanes_match_derive_seed_drawn(seed, key, count, draw):
     assert_lanes_match(seed, key, count, draw)
-
-
-def test_substream_states_work_chunk_by_chunk():
-    # a count no single array could hold still yields its first chunk at once
-    first = next(substream_states(5, 10 ** 15))
-    assert len(first[0]) == SUBSTREAM_CHUNK
-    assert tuple(int(lane[0]) for lane in first) == state(Xoshiro256StarStar(derive_seed(5, 0)))
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])
@@ -164,7 +152,7 @@ def test_gauss_pair_reads_the_stream_of_a_state_from_lanes(count):
     # operator trials draw through a generator of their own, built from
     # their state's lane words as ints
     base = derive_seed(5, "operator/gauss")
-    lanes = next(substream_states(base, count))
+    lanes = substream_states(base, np.arange(count, dtype=np.uint64))
     for trial, given_state in enumerate(zip(*(lane.tolist() for lane in lanes))):
         fast = Xoshiro256StarStar(given_state)
         reference = Xoshiro256StarStar(derive_seed(base, trial))
